@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Output file for bench-json; override to capture a non-baseline report,
 # e.g. `make bench-json BENCH_OUT=BENCH_pr2.json`.
@@ -8,16 +9,22 @@ BENCHTIME ?= 100x
 # Number of independent benchmark runs bench-gate feeds the stability
 # gate; must be >= 3.
 GATE_RUNS ?= 3
+# The tracked benchmarks behind bench-json, bench-compare and bench-gate.
+BENCH_RE = BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState|BenchmarkTrivialFill
 
-.PHONY: all check build vet test test-short race race-equiv obs-check service-check fabric-check lab-check bench bench-json bench-compare bench-check bench-gate fuzz fuzz-short chaos experiments experiments-full cover clean
+.PHONY: all check fmt build vet test test-short race race-equiv obs-check service-check fabric-check lab-check bench bench-json bench-compare bench-check bench-gate fuzz fuzz-short chaos experiments experiments-full cover clean
 
 all: check
 
-# check fails fast on the determinism contracts (race-equiv) before the
-# full -race sweep, then runs the robustness gates (short fuzz pass over
-# the decoders, randomized chaos resume grid) and ends with a warn-only
-# benchmark comparison.
-check: build vet test race-equiv obs-check service-check fabric-check lab-check race fuzz-short chaos bench-check
+# check fails fast on formatting and the determinism contracts
+# (race-equiv) before the full -race sweep, then runs the robustness
+# gates (short fuzz pass over the decoders, randomized chaos resume grid)
+# and ends with a warn-only benchmark comparison.
+check: fmt build vet test race-equiv obs-check service-check fabric-check lab-check race fuzz-short chaos bench-check
+
+# fmt fails when gofmt would change any Go file, listing the files.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -83,29 +90,33 @@ bench:
 
 # bench-json regenerates $(BENCH_OUT) (default BENCH_baseline.json): the
 # kernel and tick throughput benchmarks in machine-readable form (see
-# cmd/benchjson).
+# cmd/benchjson). The report replaces $(BENCH_OUT) only once benchjson
+# has written it whole.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState' -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_json.tmp || { rm -f bench_json.tmp; exit 1; }
+	@mv bench_json.tmp $(BENCH_OUT)
 
 # bench-compare reruns the tracked benchmarks and diffs them against the
 # committed baseline, failing on >25% ns/op or allocs/op regressions.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState' -benchtime $(BENCHTIME) -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_new.json
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json bench_new.json
 
 # bench-gate is how a BENCH_*.json snapshot gets minted: a fresh build,
 # then $(GATE_RUNS) independent full runs of the tracked benchmarks, each
 # converted to JSON, fed to benchjson -gate, which rejects >10% cross-run
 # spread on any tracked metric. Only a stable machine produces a
-# baseline; the accepted report (the per-metric median) lands in
-# $(BENCH_OUT).
+# baseline: the accepted report (the per-metric median) is written to a
+# temporary file and renamed to $(BENCH_OUT) only when the gate accepts,
+# so a rejected gate leaves $(BENCH_OUT) as it was.
 bench-gate: build
-	@rm -f bench_gate_*.json
+	@rm -f bench_gate_*.json bench_gate.tmp
 	@for i in $$(seq 1 $(GATE_RUNS)); do \
 		echo "bench-gate: run $$i of $(GATE_RUNS)"; \
-		$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkMachineTick|BenchmarkSteadyState' -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_gate_$$i.json || exit 1; \
+		$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem . ./internal/pram | $(GO) run ./cmd/benchjson > bench_gate_$$i.json || exit 1; \
 	done
-	$(GO) run ./cmd/benchjson -gate bench_gate_*.json > $(BENCH_OUT)
+	@$(GO) run ./cmd/benchjson -gate bench_gate_*.json > bench_gate.tmp || { rm -f bench_gate.tmp; exit 1; }
+	@mv bench_gate.tmp $(BENCH_OUT)
 	@rm -f bench_gate_*.json
 	@echo "bench-gate: accepted -> $(BENCH_OUT)"
 
@@ -146,5 +157,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_new.json bench_gate_*.json
+	rm -f cover.out test_output.txt bench_output.txt bench_new.json bench_gate_*.json bench_gate.tmp bench_json.tmp
 	rm -rf pramd.state

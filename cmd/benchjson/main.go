@@ -2,7 +2,9 @@
 // machine-readable JSON on stdout. The Makefile's bench-json target pipes
 // the kernel and tick-throughput benchmarks through it to regenerate
 // BENCH_baseline.json, so performance baselines can be diffed across
-// commits by tooling instead of by eye.
+// commits by tooling instead of by eye. Input with no benchmark result
+// lines is an error and writes nothing, so a failed run cannot leave an
+// empty report behind.
 //
 // Usage:
 //
@@ -31,6 +33,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -160,6 +163,11 @@ func run(in io.Reader, out io.Writer) error {
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("read bench output: %w", err)
+	}
+	// An empty report is the 0-byte-artifact failure mode in another
+	// form (loadReport refuses it too): fail before writing anything.
+	if len(rep.Benchmarks) == 0 {
+		return errors.New("no benchmark results in the input")
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")

@@ -302,6 +302,21 @@ func TestParseLineRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestRunRejectsEmpty pins the same contract on the way in: bench
+// output with no result lines (a failed or filtered-out run) must fail
+// the conversion and write nothing, not produce an empty report.
+func TestRunRejectsEmpty(t *testing.T) {
+	for _, in := range []string{"", "PASS\nok  \trepro/internal/pram\t0.1s\n", "BenchmarkBroken --- SKIP\n"} {
+		var out bytes.Buffer
+		if err := run(strings.NewReader(in), &out); err == nil {
+			t.Errorf("run(%q) succeeded, want an error", in)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) wrote %q, want nothing", in, out.String())
+		}
+	}
+}
+
 // TestLoadReportRejectsEmpty pins the loud-failure contract: a 0-byte
 // or benchmark-less baseline must error out of -compare/-gate instead
 // of vacuously passing (the BENCH_pr8.json 0-byte-artifact bug).

@@ -81,6 +81,45 @@ type spinFillProc struct{}
 func (spinFillProc) Cycle(ctx *Ctx) Status                       { return Continue }
 func (spinFillProc) CycleBatch(b *BatchCtx, k int) (int, Status) { return k, Continue }
 
+// stripeFill is the in-package twin of writeall's trivial algorithm:
+// processor pid writes cells pid, pid+P, pid+2P, ..., one per cycle, and
+// commits a window's cycles with one FillStride, so the strides of a
+// failure-free window coalesce into one stripe.
+type stripeFill struct{ seqFill }
+
+func (stripeFill) Name() string { return "stripe-fill" }
+func (stripeFill) NewProcessor(pid, n, p int) Processor {
+	return &stripeFillProc{pid: pid, n: n, p: p}
+}
+
+type stripeFillProc struct{ pid, n, p, k int }
+
+func (s *stripeFillProc) Cycle(ctx *Ctx) Status {
+	addr := s.pid + s.k*s.p
+	if addr >= s.n {
+		return Halt
+	}
+	ctx.Write(addr, 1)
+	s.k++
+	return Continue
+}
+
+func (s *stripeFillProc) CycleBatch(b *BatchCtx, k int) (int, Status) {
+	first, cnt := s.pid+s.k*s.p, 0
+	if first < s.n {
+		cnt = min(k, (s.n-first+s.p-1)/s.p)
+	}
+	if cnt > 0 {
+		b.FillStride(first, s.p, cnt)
+		b.Charge(0, 1)
+		s.k += cnt
+	}
+	if cnt < k {
+		return cnt + 1, Halt
+	}
+	return k, Continue
+}
+
 // TestQuietWindowEngages guards against the batch fast path silently
 // never firing (everything would still pass equivalence via the Step
 // fallback): under a quiescent adversary and a batchable algorithm the
@@ -105,44 +144,54 @@ func TestQuietWindowEngages(t *testing.T) {
 // TestDoneHintExactAcrossBatches is the regression for the done-hint
 // counter under batching: after every TickBatch call the remaining-unset
 // counter must equal an actual recount of zero cells in the hinted
-// prefix (FillOnes decrements it once per committed word by popcount,
-// not once per cell), and the hinted run must finish at the same tick,
-// with the same metrics, as a per-tick run that polls Done directly.
+// prefix (FillOnes and FillStride stripes decrement it once per
+// committed word by popcount, not once per cell), and the hinted run
+// must finish at the same tick, with the same metrics, as a per-tick run
+// that polls Done directly. The stripe-fill row's P = 7 leaves a short
+// last row and rows that straddle words.
 func TestDoneHintExactAcrossBatches(t *testing.T) {
-	cfg := Config{N: 300, P: 4}
-	for _, packed := range []bool{false, true} {
-		cfg.Packed = packed
+	for _, c := range []struct {
+		alg Algorithm
+		cfg Config
+	}{
+		{seqFill{}, Config{N: 300, P: 4}},
+		{stripeFill{}, Config{N: 300, P: 7}},
+	} {
+		for _, packed := range []bool{false, true} {
+			cfg := c.cfg
+			cfg.Packed = packed
 
-		m := mustMachine(t, cfg, seqFill{}, quietAdv{})
-		for {
-			_, done, err := m.TickBatch(17)
+			m := mustMachine(t, cfg, c.alg, quietAdv{})
+			for {
+				_, done, err := m.TickBatch(17)
+				if err != nil {
+					t.Fatalf("%s packed=%v: TickBatch: %v", c.alg.Name(), packed, err)
+				}
+				if recount := m.mem.zerosIn(0, m.hintLen); m.remaining != recount {
+					t.Fatalf("%s packed=%v at tick %d: remaining = %d, recount = %d",
+						c.alg.Name(), packed, m.tick, m.remaining, recount)
+				}
+				if done {
+					break
+				}
+			}
+			hinted := m.Metrics()
+			m.Close()
+
+			// The polled twin: DisableDoneHint forces per-tick stepping (no
+			// hint, no quiet windows) and a full Done scan every tick.
+			polled := cfg
+			polled.DisableDoneHint = true
+			pm := mustMachine(t, polled, c.alg, quietAdv{})
+			pmMetrics, err := pm.Run()
 			if err != nil {
-				t.Fatalf("packed=%v: TickBatch: %v", packed, err)
+				t.Fatalf("%s packed=%v: polled Run: %v", c.alg.Name(), packed, err)
 			}
-			if recount := m.mem.zerosIn(0, m.hintLen); m.remaining != recount {
-				t.Fatalf("packed=%v at tick %d: remaining = %d, recount = %d",
-					packed, m.tick, m.remaining, recount)
+			pm.Close()
+			if hinted != pmMetrics {
+				t.Errorf("%s packed=%v: hinted-Done and polled-Done runs diverge:\nhinted %+v\npolled %+v",
+					c.alg.Name(), packed, hinted, pmMetrics)
 			}
-			if done {
-				break
-			}
-		}
-		hinted := m.Metrics()
-		m.Close()
-
-		// The polled twin: DisableDoneHint forces per-tick stepping (no
-		// hint, no quiet windows) and a full Done scan every tick.
-		polled := cfg
-		polled.DisableDoneHint = true
-		pm := mustMachine(t, polled, seqFill{}, quietAdv{})
-		pmMetrics, err := pm.Run()
-		if err != nil {
-			t.Fatalf("packed=%v: polled Run: %v", packed, err)
-		}
-		pm.Close()
-		if hinted != pmMetrics {
-			t.Errorf("packed=%v: hinted-Done and polled-Done runs diverge:\nhinted %+v\npolled %+v",
-				packed, hinted, pmMetrics)
 		}
 	}
 }
@@ -225,20 +274,35 @@ func TestPlainSinkDisablesBatching(t *testing.T) {
 }
 
 // TestTickBatchAllocationFree keeps the batch hot path off the heap: a
-// steady-state TickBatch loop must not allocate.
+// steady-state TickBatch loop must not allocate, with or without
+// FillStride stripes to commit.
 func TestTickBatchAllocationFree(t *testing.T) {
-	m := mustMachine(t, Config{N: 4096, P: 8, Packed: true, MaxTicks: 1 << 60}, spinFill{}, quietAdv{})
-	defer m.Close()
-	if _, _, err := m.TickBatch(256); err != nil { // warm up scratch state
-		t.Fatalf("TickBatch: %v", err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := m.TickBatch(256); err != nil {
-			t.Fatalf("TickBatch: %v", err)
+	for _, c := range []struct {
+		alg Algorithm
+		n   int
+	}{
+		{spinFill{}, 4096},
+		// 2^18 cells at P = 8 take 32768 ticks to fill: more than the
+		// warm-up and the measured batches of 256 ticks.
+		{stripeFill{}, 1 << 18},
+	} {
+		m := mustMachine(t, Config{N: c.n, P: 8, Packed: true, MaxTicks: 1 << 60}, c.alg, quietAdv{})
+		if _, _, err := m.TickBatch(256); err != nil { // warm up scratch state
+			t.Fatalf("%s: TickBatch: %v", c.alg.Name(), err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("TickBatch allocates %.1f times per 256-tick batch, want 0", allocs)
+		stripes := m.bctx.stripes
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, done, err := m.TickBatch(256); done || err != nil {
+				t.Fatalf("%s: TickBatch: done=%v err=%v", c.alg.Name(), done, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: TickBatch allocates %.1f times per 256-tick batch, want 0", c.alg.Name(), allocs)
+		}
+		if _, ok := c.alg.(stripeFill); ok && m.bctx.stripes == stripes {
+			t.Errorf("%s: no stripe committed in the measured batches", c.alg.Name())
+		}
+		m.Close()
 	}
 }
 

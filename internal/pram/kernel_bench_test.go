@@ -96,15 +96,18 @@ func bigNMachine(tb testing.TB, n, p int, packed bool) *Machine {
 	return m
 }
 
-// BenchmarkSteadyStateTickBigN is the tentpole measurement at Write-All
-// production scale: per-tick cost at N = 10⁷ with P = 1024, per-tick
-// stepping on unpacked memory (serial-step) versus the bit-packed layout
-// driven through TickBatch quiet windows (packed-batch). The packed-batch
-// row amortizes the per-tick bookkeeping over completion-distance-sized
-// windows (~N/(2P) ticks), so its ns/op must be at least an order of
-// magnitude below serial-step's; BENCH_pr8.json pins that ratio. The
-// n=1e8 row runs packed only — unpacked at that size would allocate
-// 800 MB for cells the packed layout keeps in 12.5 MB of bit words.
+// BenchmarkSteadyStateTickBigN measures the per-tick bookkeeping at
+// Write-All production scale: per-tick cost at N = 10⁷ with P = 1024,
+// per-tick stepping on unpacked memory (serial-step) versus the
+// bit-packed layout driven through TickBatch quiet windows
+// (packed-batch). The packed-batch row amortizes the bookkeeping over
+// completion-distance-sized windows (~N/(2P) ticks), so its ns/op should
+// sit orders of magnitude below serial-step's. spinFill writes nothing,
+// so no row pays for filling cells: BenchmarkTrivialFillBigN measures
+// that. The n=1e8 row runs packed only — unpacked at that size would
+// allocate 800 MB for cells the packed layout keeps in 12.5 MB of bit
+// words. These rows are tracked by make bench-compare and bench-gate;
+// no gate-accepted report of them is committed.
 func BenchmarkSteadyStateTickBigN(b *testing.B) {
 	const p = 1024
 	b.Run("serial-step/n=1e7/p=1024", func(b *testing.B) {

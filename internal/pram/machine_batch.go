@@ -65,8 +65,10 @@ type BatchCycler interface {
 // BatchCtx carries one processor's access to the machine during a
 // CycleBatch call. Unlike Ctx, reads see writes already committed in
 // this window (harmless by the obliviousness contract) and writes
-// commit immediately through the machine's store path, so the done-hint
-// counter stays exact.
+// commit through the machine's store path, so the done-hint counter
+// stays exact. FillStride calls are the one deferred commit: they
+// coalesce across processors into a pending stripe, which is committed
+// before anything could observe memory (see FillStride).
 type BatchCtx struct {
 	m        *Machine
 	pid      int
@@ -79,6 +81,18 @@ type BatchCtx struct {
 
 	maxReads  int
 	maxWrites int
+
+	stripe stripe
+	// stripes counts committed stripes, so tests can pin that a
+	// failure-free window coalesces into one.
+	stripes int
+}
+
+// stripe is a pending run of coalesced FillStride calls: rows
+// [row, row+count) by columns [lo, hi) of memory viewed as rows of
+// stride cells, i.e. the cells r·stride+c. count == 0 means empty.
+type stripe struct {
+	stride, row, count, lo, hi int
 }
 
 // PID returns the processor's permanent identifier in [0, P).
@@ -106,10 +120,16 @@ func (b *BatchCtx) SetStable(v Word) {
 }
 
 // Read returns the current value of shared cell addr.
-func (b *BatchCtx) Read(addr int) Word { return b.m.mem.Load(addr) }
+func (b *BatchCtx) Read(addr int) Word {
+	b.flush()
+	return b.m.mem.Load(addr)
+}
 
 // Write commits a write of v to shared cell addr immediately.
-func (b *BatchCtx) Write(addr int, v Word) { b.m.store(addr, v) }
+func (b *BatchCtx) Write(addr int, v Word) {
+	b.flush()
+	b.m.store(addr, v)
+}
 
 // FillOnes sets every cell in [start, end) to 1 — the batched form of
 // the Write-All assignment. The packed prefix is filled a word per op
@@ -121,6 +141,61 @@ func (b *BatchCtx) FillOnes(start, end int) {
 	if start < 0 || end > m.mem.Size() || start > end {
 		panic(fmt.Sprintf("pram: FillOnes [%d,%d) out of range (memory size %d)", start, end, m.mem.Size()))
 	}
+	b.flush()
+	m.fillOnes(start, end)
+}
+
+// FillStride sets cells first + j·stride, j < count, to 1 — the batched
+// form of a strided Write-All assignment such as the trivial
+// algorithm's. Consecutive calls with the same stride, start row
+// (first/stride) and count, each starting at the column (first%stride)
+// after the last, coalesce into one pending stripe. Processors run in
+// PID order, so the strides of a failure-free window tile whole rows
+// and commit as a single FillOnes, 64 cells per word op; any other
+// stripe commits as one short fill per row. The stripe is committed
+// before the next Read, Write or FillOnes and when the window's
+// processor loop ends, so reads, the done hint and everything after the
+// loop see exactly what per-cell writes would have left.
+func (b *BatchCtx) FillStride(first, stride, count int) {
+	size := b.m.mem.Size()
+	if first < 0 || stride < 1 || count < 0 ||
+		count > 0 && (first >= size || count-1 > (size-1-first)/stride) {
+		panic(fmt.Sprintf("pram: FillStride(%d, %d, %d) out of range (memory size %d)", first, stride, count, size))
+	}
+	if count == 0 {
+		return
+	}
+	row, col := first/stride, first%stride
+	s := &b.stripe
+	if s.count == count && s.stride == stride && s.row == row && s.hi == col {
+		s.hi++
+		return
+	}
+	b.flush()
+	*s = stripe{stride: stride, row: row, count: count, lo: col, hi: col + 1}
+}
+
+// flush commits the pending stripe, if any: whole rows as one
+// contiguous fill, a partial column range as one fill per row.
+func (b *BatchCtx) flush() {
+	s := &b.stripe
+	if s.count == 0 {
+		return
+	}
+	if s.lo == 0 && s.hi == s.stride {
+		b.m.fillOnes(s.row*s.stride, (s.row+s.count)*s.stride)
+	} else {
+		for r := s.row; r < s.row+s.count; r++ {
+			b.m.fillOnes(r*s.stride+s.lo, r*s.stride+s.hi)
+		}
+	}
+	*s = stripe{}
+	b.stripes++
+}
+
+// fillOnes commits 1 to every cell in [start, end), which the caller
+// guarantees lies in memory, keeping the done-hint counter exact.
+func (m *Machine) fillOnes(start, end int) {
 	if pl := m.mem.PackedLen(); start < pl {
 		pe := min(end, pl)
 		if hl := m.hintLen; start < hl {
@@ -261,6 +336,9 @@ func (m *Machine) runQuietWindow(w int) (bool, error) {
 	b.m = m
 	b.fromTick = fromTick
 	b.window = w
+	// A CycleBatch panic that a caller recovered from may have left a
+	// stripe pending on this pooled machine; it must not commit here.
+	b.stripe = stripe{}
 	for pid := 0; pid < m.cfg.P; pid++ {
 		if m.states[pid] != Alive {
 			continue
@@ -279,6 +357,7 @@ func (m *Machine) runQuietWindow(w int) (bool, error) {
 			ran = w
 		}
 		if err := m.validateBatch(pid); err != nil {
+			b.flush()
 			return false, m.fail(err)
 		}
 		m.metrics.Completed += int64(ran)
@@ -295,6 +374,7 @@ func (m *Machine) runQuietWindow(w int) (bool, error) {
 			maxRan = ran
 		}
 	}
+	b.flush()
 	end := w
 	if !anyAlive {
 		end = maxRan

@@ -55,19 +55,24 @@ func (t *trivialProc) Cycle(ctx *pram.Ctx) pram.Status {
 // CycleBatch implements pram.BatchCycler: up to k stride cycles
 // committed in one call. Stride cells are disjoint across processors
 // and never read, so the cycles are oblivious over any failure-free
-// window; a stride is non-contiguous, so cells are written one at a
-// time (the machine's store keeps the done-hint counter exact either
-// way).
+// window. The cycles' cells go to one FillStride, which the machine
+// merges with the other processors' strides of the window into whole
+// rows filled a word per op; the done-hint counter stays exact either
+// way.
 func (t *trivialProc) CycleBatch(b *pram.BatchCtx, k int) (int, pram.Status) {
-	for ran := 0; ran < k; ran++ {
-		addr := t.pid + t.k*t.p
-		if addr >= t.n {
-			// The halting cycle completes (it just writes nothing).
-			return ran + 1, pram.Halt
-		}
-		b.Write(addr, 1)
+	first, cnt := t.pid+t.k*t.p, 0
+	if first < t.n {
+		cnt = min(k, (t.n-first+t.p-1)/t.p)
+	}
+	if cnt > 0 {
+		b.FillStride(first, t.p, cnt)
 		b.Charge(0, 1)
-		t.k++
+		t.k += cnt
+	}
+	if cnt < k {
+		// The stride ran out: the next cycle completes as the halting
+		// one (it just writes nothing).
+		return cnt + 1, pram.Halt
 	}
 	return k, pram.Continue
 }

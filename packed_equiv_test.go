@@ -144,10 +144,19 @@ func assertOutcomesEqual(t *testing.T, label string, want, got kernelRun) {
 // committing multiple ticks per bookkeeping round — finish with the same
 // metrics, tick count, and memory as per-tick stepping, across batchable
 // algorithms, adversaries with and without scheduled failures, chunk
-// sizes, and both memory representations.
+// sizes, both memory representations, and machine shapes. The shapes
+// beyond 256/16 put trivial's coalesced stride fills under the check:
+// P = 96 rows straddle words and N = 1000 leaves a short last row, and
+// the failing PIDs break the stripes of the windows they are dead in.
 func TestTickBatchEquivalence(t *testing.T) {
-	const n, p = 256, 16
-	base := Config{N: n, P: p, MaxTicks: 4000}
+	shapes := []struct {
+		suffix string
+		cfg    Config
+	}{
+		{"", Config{N: 256, P: 16, MaxTicks: 4000}},
+		{"/n=1000/p=96", Config{N: 1000, P: 96, MaxTicks: 20000}},
+		{"/n=4096/p=128", Config{N: 4096, P: 128, MaxTicks: 20000}},
+	}
 
 	// A scheduled pattern with quiescent gaps on both sides: the batch
 	// kernel must stop windows short of tick 5 and 9, fall back to
@@ -179,18 +188,20 @@ func TestTickBatchEquivalence(t *testing.T) {
 		{"random-budgeted", func() Adversary { return BudgetedRandomFailures(0.3, 0.7, 13, 16) }},
 	}
 
-	for _, alg := range algs {
-		for _, adv := range advs {
-			for _, packed := range []bool{false, true} {
-				for _, chunk := range []int{5, 64, 4096} {
-					name := fmt.Sprintf("%s/%s/packed=%v/chunk=%d", alg.name, adv.name, packed, chunk)
-					t.Run(name, func(t *testing.T) {
-						cfg := base
-						cfg.Packed = packed
-						perTick := runUnderKernel(t, alg.mk, adv.mk, cfg, SerialKernel, 0)
-						batched := runBatched(t, alg.mk, adv.mk, cfg, chunk)
-						assertOutcomesEqual(t, "batched", perTick, batched)
-					})
+	for _, shape := range shapes {
+		for _, alg := range algs {
+			for _, adv := range advs {
+				for _, packed := range []bool{false, true} {
+					for _, chunk := range []int{5, 64, 4096} {
+						name := fmt.Sprintf("%s/%s/packed=%v/chunk=%d%s", alg.name, adv.name, packed, chunk, shape.suffix)
+						t.Run(name, func(t *testing.T) {
+							cfg := shape.cfg
+							cfg.Packed = packed
+							perTick := runUnderKernel(t, alg.mk, adv.mk, cfg, SerialKernel, 0)
+							batched := runBatched(t, alg.mk, adv.mk, cfg, chunk)
+							assertOutcomesEqual(t, "batched", perTick, batched)
+						})
+					}
 				}
 			}
 		}
