@@ -41,12 +41,27 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# race-equiv runs just the kernel/pooling/checkpoint determinism
-# contracts under the race detector: the parallel kernel's sharded
-# attempt phase, the pooled Runner's buffer reuse, and snapshot/resume's
-# state capture are the places a data race could hide.
+# race-equiv runs the determinism contracts under the race detector:
+# the pooled Runner's buffer reuse, the run loop's batching, packed
+# memory, the done hint and snapshot/resume's state capture are where
+# state could leak between runs or ticks. RACE_EQUIV_ROOT runs on the
+# root package, RACE_EQUIV_PRAM on internal/pram. `go test -run` passes
+# when nothing matches, so each name is first checked against
+# `go test -list`: a renamed contract fails the gate instead of
+# silently dropping out of it.
+RACE_EQUIV_ROOT = TestPooledRun|TestDoneHint|TestResumeEquivalence|TestPackedEquivalence|TestPackedResumeEquivalence|TestTickBatchEquivalence
+RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches
+
 race-equiv:
-	$(GO) test -race -run 'TestKernelEquivalence|TestPooledRun|TestDoneHint|TestResumeEquivalence' .
+	@for spec in '.=$(RACE_EQUIV_ROOT)' './internal/pram=$(RACE_EQUIV_PRAM)'; do \
+		pkg=$${spec%%=*}; \
+		tests=$$($(GO) test -list . $$pkg | grep '^Test') || exit 1; \
+		for name in $$(echo "$${spec#*=}" | tr '|' ' '); do \
+			echo "$$tests" | grep -q -- "$$name" || { echo "race-equiv: no test in $$pkg matches $$name"; exit 1; }; \
+		done; \
+	done
+	$(GO) test -race -run '$(RACE_EQUIV_ROOT)' .
+	$(GO) test -race -run '$(RACE_EQUIV_PRAM)' ./internal/pram
 
 # obs-check runs the observability layer's concurrency-sensitive tests
 # under the race detector — the metrics registry, the shared event sink,

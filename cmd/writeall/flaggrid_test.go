@@ -19,7 +19,7 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 	extras := [][]string{
 		nil,
 		{"-p", "16", "-seed", "9", "-ticks", "500", "-events", "100"},
-		{"-parallel", "4", "-csv", "out.csv"},
+		{"-csv", "out.csv"},
 		{"-trace", "t.jsonl", "-trace-ticks", "-trace-sample", "8"},
 		{"-snapshot", "run.snap", "-snapshot-every", "64", "-record", "pat.json"},
 		{"-replay", "pat.json"},
@@ -63,6 +63,7 @@ func TestParseSpecRejectsFlagShapedErrors(t *testing.T) {
 		{"-snapshot", "s.snap", "-snapshot-every", "0"},
 		{"-trace-sample", "0"},
 		{"-not-a-flag"},
+		{"-parallel", "4"}, // removed: there is one tick path
 	} {
 		if _, _, err := parseSpec(args); err == nil {
 			t.Errorf("parseSpec(%v) accepted invalid flags", args)

@@ -36,8 +36,6 @@ type (
 	Algorithm = pram.Algorithm
 	// Adversary is an on-line failure/restart adversary.
 	Adversary = pram.Adversary
-	// Kernel selects the tick-execution strategy (Config.Kernel).
-	Kernel = pram.Kernel
 	// MemoryView is a read-only view of the shared memory, as handed to
 	// Algorithm.Done and adversaries.
 	MemoryView = pram.MemoryView
@@ -84,19 +82,6 @@ const (
 	CREW = pram.CREW
 	// EREW forbids concurrent reads and writes.
 	EREW = pram.EREW
-)
-
-// Tick kernels (Config.Kernel): how a machine executes the attempt phase
-// of each tick. All produce bit-identical runs.
-const (
-	// SerialKernel attempts cycles one PID at a time (the default).
-	SerialKernel = pram.SerialKernel
-	// ParallelKernel shards the attempt phase across worker goroutines
-	// (Config.Workers; commit stays serial in PID order).
-	ParallelKernel = pram.ParallelKernel
-	// AutoKernel picks serial vs. sharded execution from P, the worker
-	// count, and periodic timed probes of both engines.
-	AutoKernel = pram.AutoKernel
 )
 
 // NewProcTracker returns a ProcTracker for p processors; pass it as

@@ -228,14 +228,14 @@ func runWA(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Ad
 	}
 
 	// Watchdog mode: run the point on its own goroutine under a
-	// deadline. Cancellation is cooperative (the runner polls every 64
-	// ticks), so the normal overrun path is the goroutine returning a
-	// context error shortly after the deadline. The grace window covers
-	// that return trip; a machine that is truly wedged inside one tick
-	// never observes cancellation, and after the grace expires the point
-	// is abandoned: its goroutine and runner are deliberately leaked
-	// (the runner must not return to the pool mid-run) and the point
-	// reports a deadline error.
+	// deadline. Cancellation is cooperative (the runner polls once per
+	// batch, every tick unless BatchTicks > 1), so the normal overrun
+	// path is the goroutine returning a context error shortly after the
+	// deadline. The grace window covers that return trip; a machine that
+	// is truly wedged inside one tick never observes cancellation, and
+	// after the grace expires the point is abandoned: its goroutine and
+	// runner are deliberately leaked (the runner must not return to the
+	// pool mid-run) and the point reports a deadline error.
 	tctx, cancel := context.WithTimeout(ctx, d)
 	defer cancel()
 	r := runners.Get().(*pram.Runner)

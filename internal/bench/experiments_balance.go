@@ -47,13 +47,7 @@ func E16LoadBalance(ctx context.Context, s Scale) []Table {
 			pointID := fmt.Sprintf("%s vs %s", alg.Name(), adv.Name())
 			tracker := pram.NewProcTracker(p)
 			r := runners.Get().(*pram.Runner)
-			mach, err := r.Machine(pram.Config{N: n, P: p, Sink: tracker}, alg, adv)
-			if err != nil {
-				runners.Put(r)
-				t.fail(pointID, err)
-				continue
-			}
-			got, err := mach.RunCtx(ctx)
+			got, err := r.RunCtx(ctx, pram.Config{N: n, P: p, Sink: tracker}, alg, adv)
 			runners.Put(r)
 			if err != nil {
 				t.fail(pointID, err)

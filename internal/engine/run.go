@@ -100,17 +100,13 @@ func takeRunner() *pram.Runner {
 }
 
 // parkRunner keeps r for the next ExecuteRun when the slot is free and
-// closes it otherwise. A parallel kernel's worker pool is closed, not
-// kept waiting.
-func parkRunner(r *pram.Runner, parallel bool) {
-	if !parallel {
-		select {
-		case idle <- r:
-			return
-		default:
-		}
+// closes it otherwise.
+func parkRunner(r *pram.Runner) {
+	select {
+	case idle <- r:
+	default:
+		r.Close()
 	}
-	r.Close()
 }
 
 // ExecuteRun validates spec and drives one Write-All run to completion:
@@ -166,10 +162,6 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 	}
 
 	cfg := failstop.Config{N: spec.N, P: spec.P, MaxTicks: spec.MaxTicks, Packed: spec.Packed}
-	if spec.Workers != 0 {
-		cfg.Kernel = pram.ParallelKernel
-		cfg.Workers = spec.Workers // non-positive means GOMAXPROCS
-	}
 
 	var sinks pram.MultiSink
 	if spec.CSVPath != "" {
@@ -247,7 +239,7 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 		every = DefaultCheckpointEvery
 	}
 	runner := takeRunner()
-	defer parkRunner(runner, spec.Workers != 0)
+	defer parkRunner(runner)
 	runner.CheckpointPath, runner.CheckpointEvery = spec.CheckpointPath, every
 	runner.BatchTicks, runner.Log = spec.BatchTicks, opt.Logf
 

@@ -10,7 +10,7 @@ import (
 // ExecuteRun: a run's result must not depend on which earlier run's
 // machine it inherits. Each spec runs after a different predecessor in
 // the forward and reverse passes — other algorithms, shapes, memory
-// layouts, kernels and batch settings — and must reproduce its result
+// layouts and batch settings — and must reproduce its result
 // exactly. A result's violation records must also survive later runs
 // that reuse the machine's records.
 func TestExecuteRunReuseIsInvisible(t *testing.T) {
@@ -22,7 +22,7 @@ func TestExecuteRunReuseIsInvisible(t *testing.T) {
 		// Two runs that record different violations back to back.
 		{Algorithm: "X", Adversary: "random", N: 32, P: 4, Seed: 5, FailProb: 0.95, RestartProb: 0.2},
 		{Algorithm: "X", Adversary: "random", N: 32, P: 4, Seed: 7, FailProb: 0.5, RestartProb: 0.2},
-		{Algorithm: "W", Adversary: "thrashing", N: 64, P: 64, Workers: 2},
+		{Algorithm: "W", Adversary: "thrashing", N: 64, P: 64},
 		{Algorithm: "trivial", Adversary: "random", N: 512, P: 64, Seed: 9, FailProb: 0.1, RestartProb: 0.5, MaxEvents: 40, Packed: true, BatchTicks: 4096},
 	}
 	run := func(spec RunSpec) RunResult {

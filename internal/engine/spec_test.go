@@ -50,7 +50,6 @@ func randomRunSpec(rng *rand.Rand) RunSpec {
 		Seed:            rng.Int63n(1 << 32),
 		MaxEvents:       pick(rng, int64(0), 10, 100000),
 		MaxTicks:        pick(rng, 0, 1, 4096),
-		Workers:         pick(rng, 0, -1, 2, 8),
 		CSVPath:         pick(rng, "", "profile.csv"),
 		TracePath:       pick(rng, "", "trace.jsonl"),
 		TraceTicksOnly:  rng.Intn(2) == 0,
@@ -229,13 +228,13 @@ func TestSpecWireFormat(t *testing.T) {
 	run := RunSpec{
 		Algorithm: "X", Adversary: "random", N: 64, P: 8, Seed: 1,
 		FailProb: 0.1, RestartProb: 0.5, MaxEvents: 1, MaxTicks: 1,
-		Workers: 2, CSVPath: "a", TracePath: "b", TraceTicksOnly: true,
+		CSVPath: "a", TracePath: "b", TraceTicksOnly: true,
 		TraceSample: 2, RecordPath: "c", ReplayPath: "d",
 		CheckpointPath: "e", CheckpointEvery: 1, RestorePath: "f",
 	}
 	for _, key := range []string{
 		"algorithm", "adversary", "n", "p", "seed", "fail_prob",
-		"restart_prob", "max_events", "max_ticks", "workers", "csv",
+		"restart_prob", "max_events", "max_ticks", "csv",
 		"trace", "trace_ticks", "trace_sample", "record", "replay",
 		"checkpoint", "checkpoint_every", "restore",
 	} {

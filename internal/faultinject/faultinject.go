@@ -1,10 +1,10 @@
 // Package faultinject is a deterministic, seedable failpoint registry
 // for the harness's own I/O and execution layers. The paper's subject is
 // surviving failures; this package holds the harness's recovery
-// machinery (snapshot files, the sweep journal, the parallel tick
-// kernel) to the same standard by letting tests and chaos runs inject
-// write/fsync/rename errors, torn writes, silent bit corruption, and
-// worker panics at named failpoints.
+// machinery (snapshot files, the sweep journal, the simulator's
+// update-cycle attempts) to the same standard by letting tests and chaos
+// runs inject write/fsync/rename errors, torn writes, silent bit
+// corruption, and panics at named failpoints.
 //
 // A failpoint is a named site in harness code (e.g. "snapshot.write",
 // "journal.sync", "kernel.cycle"). Production code resolves the point

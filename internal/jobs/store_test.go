@@ -221,11 +221,45 @@ func TestCloseDrainsAndReopenResumes(t *testing.T) {
 	if onDisk.State != StateQueued || !onDisk.Resume {
 		t.Fatalf("drained job on disk = %s resume=%v, want queued resume=true", onDisk.State, onDisk.Resume)
 	}
+	// A state dir written before the kernel knob was removed carries
+	// "workers" in its run specs; recovery must still read them.
+	for _, name := range []string{"spec.json", "status.json"} {
+		addRunSpecField(t, filepath.Join(dir, "jobs", job.ID, name), "workers", 2)
+	}
 
 	s2 := openStore(t, dir)
 	defer s2.Kill()
 	if got := waitTerminal(t, s2, job.ID); got.State != StateDone {
 		t.Fatalf("resumed job state = %s (error %q), want done", got.State, got.Error)
+	}
+}
+
+// addRunSpecField adds key: v to the run spec inside the JSON file at
+// path, which holds either a Spec or a Job embedding one.
+func addRunSpecField(t *testing.T, path, key string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	spec := doc
+	if inner, ok := doc["spec"].(map[string]any); ok {
+		spec = inner
+	}
+	run, ok := spec["run"].(map[string]any)
+	if !ok {
+		t.Fatalf("%s holds no run spec", path)
+	}
+	run[key] = v
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

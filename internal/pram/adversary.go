@@ -63,8 +63,7 @@ type WriteOp struct {
 // View is the adversary's complete, read-only view of the machine at the
 // start of a tick. It is built from the same immutable MemoryView and
 // StateView handed to update cycles: an adversary physically cannot
-// mutate machine state, which is what keeps the parallel tick kernel
-// race-free.
+// mutate machine state; it acts only through the Decision it returns.
 type View struct {
 	// Tick is the global clock value.
 	Tick int

@@ -36,6 +36,11 @@ type seqFillProc struct{ pid, n int }
 
 func (s *seqFillProc) Reset(pid, n, p int) { *s = seqFillProc{pid: pid, n: n} }
 
+// SnapshotState and RestoreState implement Snapshotter: the sweep
+// position lives in the stable counter, which the machine captures.
+func (s *seqFillProc) SnapshotState() []Word           { return nil }
+func (s *seqFillProc) RestoreState(state []Word) error { return nil }
+
 func (s *seqFillProc) Cycle(ctx *Ctx) Status {
 	if s.pid != 0 {
 		return Halt
@@ -93,6 +98,16 @@ func (stripeFill) NewProcessor(pid, n, p int) Processor {
 }
 
 type stripeFillProc struct{ pid, n, p, k int }
+
+func (s *stripeFillProc) SnapshotState() []Word { return []Word{Word(s.k)} }
+
+func (s *stripeFillProc) RestoreState(state []Word) error {
+	if len(state) != 1 {
+		return StateLenError("stripe-fill processor", len(state), 1)
+	}
+	s.k = int(state[0])
+	return nil
+}
 
 func (s *stripeFillProc) Cycle(ctx *Ctx) Status {
 	addr := s.pid + s.k*s.p

@@ -7,13 +7,13 @@ import (
 
 // spinMachine builds a machine whose processors run empty cycles forever:
 // the pure per-tick overhead of the simulator, nothing else.
-func spinMachine(tb testing.TB, p int, kern Kernel, workers int) *Machine {
+func spinMachine(tb testing.TB, p int) *Machine {
 	tb.Helper()
 	spin := &testAlg{
 		name:  "spin",
 		cycle: func(pid int, ctx *Ctx) Status { return Continue },
 	}
-	m, err := New(Config{N: p, P: p, Kernel: kern, Workers: workers}, spin, &funcAdversary{name: "none"})
+	m, err := New(Config{N: p, P: p}, spin, &funcAdversary{name: "none"})
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
@@ -28,58 +28,38 @@ func stepOnce(tb testing.TB, m *Machine) {
 }
 
 // TestSteadyStateTicksAllocationFree is the scratch-buffer contract: after
-// warm-up, a tick allocates nothing under either kernel. Intents, write
-// buffers, contexts, schedule masks and the parallel kernel's worker pool
-// are all reused across ticks.
+// warm-up, a tick allocates nothing. Intents, write buffers, contexts and
+// schedule masks are all reused across ticks.
 func TestSteadyStateTicksAllocationFree(t *testing.T) {
-	kernels := []struct {
-		name    string
-		kern    Kernel
-		workers int
-	}{
-		{"serial", SerialKernel, 0},
-		{"parallel-2", ParallelKernel, 2},
-	}
-	for _, k := range kernels {
-		t.Run(k.name, func(t *testing.T) {
-			m := spinMachine(t, 64, k.kern, k.workers)
-			defer m.Close()
-			for i := 0; i < 16; i++ { // warm up pools and lazy buffers
-				stepOnce(t, m)
-			}
-			avg := testing.AllocsPerRun(200, func() { stepOnce(t, m) })
-			if avg != 0 {
-				t.Errorf("steady-state tick allocates %.2f objects/op, want 0", avg)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		m := spinMachine(t, 64)
+		defer m.Close()
+		for i := 0; i < 16; i++ { // warm up lazy buffers
+			stepOnce(t, m)
+		}
+		avg := testing.AllocsPerRun(200, func() { stepOnce(t, m) })
+		if avg != 0 {
+			t.Errorf("steady-state tick allocates %.2f objects/op, want 0", avg)
+		}
+	})
 }
 
 // BenchmarkSteadyStateTick measures per-tick cost and (via -benchmem)
-// proves the zero-allocation steady state of both kernels.
+// proves the zero-allocation steady state.
 func BenchmarkSteadyStateTick(b *testing.B) {
-	for _, k := range []struct {
-		name    string
-		kern    Kernel
-		workers int
-	}{
-		{"serial", SerialKernel, 0},
-		{"parallel-gomaxprocs", ParallelKernel, 0},
-	} {
-		for _, p := range []int{64, 1024} {
-			b.Run(fmt.Sprintf("%s/p=%d", k.name, p), func(b *testing.B) {
-				m := spinMachine(b, p, k.kern, k.workers)
-				defer m.Close()
-				for i := 0; i < 4; i++ {
-					stepOnce(b, m)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stepOnce(b, m)
-				}
-			})
-		}
+	for _, p := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("serial/p=%d", p), func(b *testing.B) {
+			m := spinMachine(b, p)
+			defer m.Close()
+			for i := 0; i < 4; i++ {
+				stepOnce(b, m)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stepOnce(b, m)
+			}
+		})
 	}
 }
 
@@ -147,86 +127,40 @@ func BenchmarkSteadyStateTickBigN(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCrossover pins the serial/parallel crossover that the
-// adaptive kernel navigates: steady-state tick cost for each engine at
-// P from well below the shard size to well above it. The regression this
-// guards against: at small-to-medium P the parallel kernel's wake/park
-// handshake used to cost more than the whole serial walk, yet was still
-// selected (notably parallel-gomaxprocs at p=1024 losing to serial). The
-// auto rows must track whichever engine wins at each P, modulo its
-// periodic probe overhead.
-func BenchmarkKernelCrossover(b *testing.B) {
-	for _, k := range []struct {
-		name    string
-		kern    Kernel
-		workers int
-	}{
-		{"serial", SerialKernel, 0},
-		{"parallel-gomaxprocs", ParallelKernel, 0},
-		{"auto-gomaxprocs", AutoKernel, 0},
-	} {
-		for _, p := range []int{64, 256, 1024, 4096} {
-			b.Run(fmt.Sprintf("%s/p=%d", k.name, p), func(b *testing.B) {
-				m := spinMachine(b, p, k.kern, k.workers)
-				defer m.Close()
-				for i := 0; i < 16; i++ {
-					stepOnce(b, m)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stepOnce(b, m)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkKernelWriteAll compares end-to-end Write-All runs under both
-// kernels: algorithm X, failure-free, P = N/4. On a multi-core host the
-// parallel kernel's attempt phase shards across workers; on a single-core
-// host the two should be within noise of each other (the determinism
-// contract keeps the work identical either way).
+// BenchmarkKernelWriteAll measures end-to-end Write-All runs: a strided
+// writer, failure-free, P = N/4, each run on a fresh machine.
 func BenchmarkKernelWriteAll(b *testing.B) {
 	const n = 4096
 	p := n / 4
-	for _, k := range []struct {
-		name string
-		kern Kernel
-	}{
-		{"serial", SerialKernel},
-		{"parallel-gomaxprocs", ParallelKernel},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var lastS int64
-			for i := 0; i < b.N; i++ {
-				alg := &testAlg{
-					name: "stride",
-					cycle: func(pid int, ctx *Ctx) Status {
-						j := int(ctx.Stable())
-						addr := pid + j*p
-						if addr >= n {
-							return Halt
-						}
-						ctx.Write(addr, 1)
-						ctx.SetStable(Word(j + 1))
-						return Continue
-					},
-					done: func(mem MemoryView, _, _ int) bool { return mem.Load(n-1) != 0 },
-				}
-				m, err := New(Config{N: n, P: p, Kernel: k.kern}, alg, &funcAdversary{name: "none"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				got, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Close()
-				lastS = got.S()
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		var lastS int64
+		for i := 0; i < b.N; i++ {
+			alg := &testAlg{
+				name: "stride",
+				cycle: func(pid int, ctx *Ctx) Status {
+					j := int(ctx.Stable())
+					addr := pid + j*p
+					if addr >= n {
+						return Halt
+					}
+					ctx.Write(addr, 1)
+					ctx.SetStable(Word(j + 1))
+					return Continue
+				},
+				done: func(mem MemoryView, _, _ int) bool { return mem.Load(n-1) != 0 },
 			}
-			b.ReportMetric(float64(lastS), "work-S/op")
-		})
-	}
+			m, err := New(Config{N: n, P: p}, alg, &funcAdversary{name: "none"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := m.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Close()
+			lastS = got.S()
+		}
+		b.ReportMetric(float64(lastS), "work-S/op")
+	})
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/faultinject"
 )
@@ -48,10 +46,6 @@ type Config struct {
 	// one PRAM instruction inside a leaf visit expands the update cycle
 	// by the paper's fixed fetch/decode/execute constant.
 	CycleReadBudget, CycleWriteBudget int
-	// Kernel selects the tick execution engine; the zero value means
-	// SerialKernel. All kernels are observationally identical; see the
-	// Kernel type for when ParallelKernel and AutoKernel pay off.
-	Kernel Kernel
 	// DisableDoneHint forces the polled Done predicate every tick even
 	// when the algorithm implements ArrayDoneHinter, disabling the
 	// incremental O(1) completion counter. The equivalence tests use it
@@ -68,14 +62,10 @@ type Config struct {
 	// independent of DisableDoneHint and a no-op for algorithms without
 	// an array hint.
 	Packed bool
-	// Workers is the ParallelKernel worker count; non-positive means
-	// GOMAXPROCS. Ignored by SerialKernel.
-	Workers int
 	// Sink, if non-nil, receives the machine's instrumentation stream:
 	// one CycleEvent per attempted update cycle, one TickEvent per tick,
 	// and one RunEvent at termination. All sink methods are invoked from
-	// the serial commit phase in deterministic order, under either
-	// kernel.
+	// the commit phase on the stepping goroutine, in deterministic order.
 	Sink Sink
 	// Scheduler, if non-nil, selects which live processors execute a
 	// cycle at each tick; unscheduled processors idle (uncharged,
@@ -85,13 +75,12 @@ type Config struct {
 	// asynchrony. If the schedule leaves no live processor runnable, the
 	// machine runs all of them (a schedule cannot stop the clock). The
 	// machine resolves the schedule once per tick on the stepping
-	// goroutine, so the function is never called concurrently, under
-	// either kernel.
+	// goroutine, so the function is never called concurrently.
 	Scheduler func(tick, pid int) bool
 	// Faults, if non-nil, overrides the process-default fault-injection
 	// registry (faultinject.Active()) for this machine. The machine
-	// consults the kernel.cycle failpoint to inject worker panics; nil
-	// points cost one nil check per attempted cycle.
+	// consults the kernel.cycle failpoint to inject update-cycle panics;
+	// nil points cost one nil check per tick.
 	Faults *faultinject.Registry
 }
 
@@ -131,14 +120,7 @@ type Machine struct {
 	cfg  Config
 	alg  Algorithm
 	adv  Adversary
-	kern tickKernel
 	sink Sink
-
-	// kernKind/kernWorkers identify the installed kernel so Reset can
-	// keep it (and its worker pool) when the configuration still wants
-	// the same one.
-	kernKind    Kernel
-	kernWorkers int
 
 	mem     *Memory
 	states  []ProcState
@@ -162,7 +144,7 @@ type Machine struct {
 	metrics Metrics
 	ended   bool
 
-	// per-tick scratch, reused across ticks by both kernels
+	// per-tick scratch, reused across ticks
 	intents  []*Intent
 	intentsB []Intent
 	pending  []pendingCommit
@@ -183,11 +165,10 @@ type Machine struct {
 	failDirty bool
 
 	// fiCycle is the resolved kernel.cycle failpoint (nil when fault
-	// injection is off); cyclePanic holds the tick's pending recovered
-	// cycle panic (lowest PID wins), guarded by panicMu because parallel
-	// workers may panic concurrently.
+	// injection is off); cyclePanic holds the tick's first recovered
+	// cycle panic, which is the lowest-PID one because attempts run in
+	// PID order.
 	fiCycle    *faultinject.Point
-	panicMu    sync.Mutex
 	cyclePanic *CyclePanicError
 
 	// violations records adversary liveness-rule breaches (capped at
@@ -220,9 +201,9 @@ func New(cfg Config, alg Algorithm, adv Adversary) (*Machine, error) {
 
 // Reset reinitializes the machine for a fresh run of alg against adv,
 // reusing every allocation the previous run left behind: shared memory,
-// contexts, scratch buffers, the kernel worker pool, and — when alg is
-// the same Algorithm value as the previous run and its processors
-// implement Resettable — the processors themselves. A reset machine is
+// contexts, scratch buffers, and — when alg is the same Algorithm value
+// as the previous run and its processors implement Resettable — the
+// processors themselves. A reset machine is
 // bit-identical in behavior to one built by New with the same arguments
 // (the pooled-equivalence property test holds it to that); the only
 // intentional exception is algorithms whose NewProcessor draws fresh
@@ -243,18 +224,6 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	}
 	if cfg.Legality == 0 {
 		cfg.Legality = VetoSpare
-	}
-	if cfg.Kernel == 0 {
-		cfg.Kernel = SerialKernel
-	}
-	if err := m.setKernel(cfg.Kernel, normalWorkers(cfg.Workers, cfg.P)); err != nil {
-		return err
-	}
-	if ak, ok := m.kern.(*autoKernel); ok {
-		// A kept AutoKernel still carries the previous run's probe
-		// timings and engine commitment, which describe that run's
-		// workload, not this one's.
-		ak.resetProbe()
 	}
 	sameAlg := algSameInstance(m.alg, alg)
 	m.cfg, m.alg, m.adv, m.sink = cfg, alg, adv, cfg.Sink
@@ -341,32 +310,6 @@ func algSameInstance(a, b Algorithm) bool {
 	return a == b
 }
 
-// setKernel installs the tick kernel for kind/workers, keeping the
-// current kernel (and its worker pool and adaptive state) when it already
-// matches.
-func (m *Machine) setKernel(kind Kernel, workers int) error {
-	if m.kern != nil && kind == m.kernKind && workers == m.kernWorkers {
-		return nil
-	}
-	kern, err := newKernel(kind, workers)
-	if err != nil {
-		return err
-	}
-	if m.kern != nil {
-		runtime.SetFinalizer(m, nil)
-		m.kern.close()
-	}
-	m.kern, m.kernKind, m.kernWorkers = kern, kind, workers
-	if kind != SerialKernel {
-		// Reclaim the worker pool of machines that are dropped without
-		// Close. The closure must capture the kernel, not the machine,
-		// or the finalizer could never fire; the pool keeps no reference
-		// back to the machine while idle.
-		runtime.SetFinalizer(m, func(*Machine) { kern.close() })
-	}
-	return nil
-}
-
 // nextProcessor picks processor pid's initial state for a fresh run: with
 // the same algorithm instance as the previous run, a processor stranded
 // by that run (live in procs or stashed in retired) is recycled through
@@ -450,21 +393,12 @@ func (m *Machine) isDone() bool {
 	return m.alg.Done(m.mem.View(), m.cfg.N, m.cfg.P)
 }
 
-// Close releases the resources of a machine with a worker-pool kernel; it
-// is a no-op for serial machines. Close must not be called concurrently
-// with Step, Run, or Reset. Machines that are simply dropped are
-// reclaimed by a finalizer, so calling Close is optional but makes
-// cleanup deterministic (e.g. in tests that build many machines).
-func (m *Machine) Close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
-	runtime.SetFinalizer(m, nil)
-	if m.kern != nil {
-		m.kern.close()
-	}
-}
+// Close retires the machine: Reset, Snapshot and RestoreSnapshot refuse
+// it afterwards, so a machine its owner has let go (Runner.Close) cannot
+// be recycled by mistake. A machine holds nothing but memory, so calling
+// Close is optional. Close must not be called concurrently with Step,
+// Run, or Reset.
+func (m *Machine) Close() { m.closed = true }
 
 // Memory exposes the machine's shared memory, e.g. for inspecting results.
 func (m *Machine) Memory() *Memory { return m.mem }
@@ -506,34 +440,37 @@ func (m *Machine) Step() (bool, error) {
 	}
 	before := m.metrics
 
-	// Phase 1 (the kernel's attempt phase): compute every live, scheduled
-	// processor's intent by executing its cycle against the tick-start
-	// memory view. The serial kernel walks PIDs in order; the parallel
-	// kernel fans PID shards across workers. Both publish identical
-	// intents because attempts are isolated: reads observe the immutable
-	// pre-tick view, writes are buffered per processor.
+	// Phase 1 (the attempt phase): every live, scheduled processor
+	// executes its cycle against the tick-start memory, in PID order,
+	// and publishes the outcome as its intent. Reads observe the
+	// pre-tick memory and writes are buffered, so no cycle sees another
+	// cycle of the same tick: the synchronous semantics of Section 2.1,
+	// under which the adversary below also sees every intent before any
+	// write lands.
 	m.resolveSchedule()
-	alive := m.kern.attempt(m)
+	m.attemptRange(0, m.cfg.P)
 	if e := m.takeCyclePanic(); e != nil {
 		// A cycle panicked (naturally or injected); the attempt published
 		// no intent. Fail the run with the recovered panic rather than
 		// crashing the process or silently dropping the processor.
 		return false, m.fail(e)
 	}
-	if alive == 0 {
-		// No processor can complete a cycle; the adversary must restart
-		// someone. Give it the chance, then enforce liveness.
-		return m.deadTick()
-	}
-	// Validate cycles serially in PID order so that budget-violation
-	// errors and the metrics maxima are kernel-independent.
+	// Validate the published cycles in PID order, counting them: alive
+	// is the number of processors executing an update cycle this tick.
+	alive := 0
 	for pid := 0; pid < m.cfg.P; pid++ {
 		if m.intents[pid] == nil {
 			continue
 		}
+		alive++
 		if err := m.validateCycle(m.ctxs[pid]); err != nil {
 			return false, m.fail(err)
 		}
+	}
+	if alive == 0 {
+		// No processor can complete a cycle; the adversary must restart
+		// someone. Give it the chance, then enforce liveness.
+		return m.deadTick()
 	}
 
 	// Phase 2: the adversary moves. It sees the same immutable pre-tick
@@ -635,8 +572,7 @@ func (m *Machine) Step() (bool, error) {
 	}
 
 	// Phase 5: resolve and commit all surviving writes synchronously,
-	// serially in PID order - the semantics-critical phase that both
-	// kernels share.
+	// in PID order.
 	if err := m.commitWrites(); err != nil {
 		return false, m.fail(err)
 	}
@@ -672,6 +608,29 @@ func (m *Machine) Step() (bool, error) {
 		return false, m.fail(fmt.Errorf("%w (algorithm=%s)", ErrAllHalted, m.alg.Name()))
 	}
 	return false, nil
+}
+
+// attemptOne executes processor pid's update cycle against the tick-start
+// memory and publishes its intent. Writes and stable updates are
+// buffered, so nothing it does is visible to the other cycles of the
+// tick; private-state mutation is harmless because any killed processor
+// loses private state.
+func (m *Machine) attemptOne(pid int) {
+	ctx := m.ctxs[pid]
+	ctx.reset(m.tick, m.stables[pid])
+	status := m.procs[pid].Cycle(ctx)
+	in := &m.intentsB[pid]
+	in.Reads = ctx.readAddrs() // aliases Ctx storage; valid through the tick
+	in.Writes = ctx.writeOps()
+	in.Halts = status == Halt
+	in.Snapshot = ctx.snapshots > 0
+	m.intents[pid] = in
+}
+
+// runnable reports whether pid is scheduled this tick (m.sched is the
+// schedule resolved at the top of the tick; nil means everyone runs).
+func (m *Machine) runnable(pid int) bool {
+	return m.sched == nil || m.sched[pid]
 }
 
 // fail routes a terminal error through the run-level sink event exactly

@@ -265,6 +265,10 @@ func (m *Machine) TickBatch(k int) (ran int, done bool, err error) {
 // clears at most alive*writeBudget hinted cells, so completion is only
 // reachable at the window's final tick, where it is checked.
 func (m *Machine) quietWindow(maxW int) int {
+	if maxW < 2 {
+		// A one-tick batch is a plain Step: no quiescence probing.
+		return 0
+	}
 	if m.ended || m.hintLen == 0 || m.remaining == 0 || m.cfg.Scheduler != nil {
 		return 0
 	}

@@ -52,6 +52,11 @@ func (p *testProc) Cycle(ctx *Ctx) Status { return p.cycle(p.pid, ctx) }
 // algorithm's cycle closure, which same-instance gating keeps valid.
 func (p *testProc) Reset(pid, n, pp int) { p.pid = pid }
 
+// SnapshotState and RestoreState implement Snapshotter for the same
+// reason: a testProc has no private state a snapshot must carry.
+func (p *testProc) SnapshotState() []Word           { return nil }
+func (p *testProc) RestoreState(state []Word) error { return nil }
+
 // funcAdversary adapts a closure to the Adversary interface.
 type funcAdversary struct {
 	name string

@@ -1,7 +1,6 @@
 package pram
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -10,16 +9,16 @@ import (
 )
 
 // ErrWorkerPanic reports an update cycle that panicked during the
-// attempt phase. The machine recovers the panic in the worker (under
-// either kernel), publishes no intent for the panicked processor, and
-// fails the run with a CyclePanicError instead of crashing the process.
+// attempt phase. The machine recovers the panic, publishes no intent for
+// the panicked processor, and fails the run with a CyclePanicError
+// instead of crashing the process.
 var ErrWorkerPanic = errors.New("pram: update cycle panicked")
 
 // CyclePanicError is the run error produced when a processor's Cycle
 // panics — whether naturally (an algorithm bug) or injected through the
 // kernel.cycle failpoint. It wraps ErrWorkerPanic and carries enough to
 // locate the crash: the processor, the tick, the recovered value, and
-// the worker stack.
+// the stack of the panicking cycle.
 type CyclePanicError struct {
 	// PID and Tick locate the crashed update cycle.
 	PID, Tick int
@@ -37,13 +36,13 @@ func (e *CyclePanicError) Error() string {
 // Unwrap makes errors.Is(err, ErrWorkerPanic) hold.
 func (e *CyclePanicError) Unwrap() error { return ErrWorkerPanic }
 
-// attemptRange is the panic-isolating path every kernel uses to run a
-// contiguous span of update cycles: it recovers injected and natural
-// panics so a crashing cycle fails the run, not the process, and it
-// hosts the kernel.cycle failpoint. Isolation is per span, not per
-// cycle, so the no-panic hot path pays one defer per kernel shard
-// instead of one per processor; a panic costs one extra attemptSpan
-// call and the remaining pids still attempt.
+// attemptRange runs the update cycles of pids [lo, hi) in PID order,
+// isolating panics: it recovers injected and natural panics so a
+// crashing cycle fails the run, not the process, and it hosts the
+// kernel.cycle failpoint. Isolation is per span, not per cycle, so the
+// no-panic hot path pays one defer per tick instead of one per
+// processor; a panic costs one extra attemptSpan call and the remaining
+// pids still attempt.
 func (m *Machine) attemptRange(lo, hi int) {
 	for next := lo; next < hi; {
 		next = m.attemptSpan(next, hi)
@@ -53,8 +52,8 @@ func (m *Machine) attemptRange(lo, hi int) {
 // attemptSpan attempts pids [lo, hi) and returns hi, or — when a cycle
 // panics — records the crash and returns the pid after the panicked
 // one. The injection decision is keyed on (tick, pid), not on a hit
-// counter, so a given fault schedule fires at the same logical sites
-// under the serial and parallel kernels.
+// counter, so a fault schedule names logical sites: it fires at the
+// same cycles in a resumed run as in an uninterrupted one.
 func (m *Machine) attemptSpan(lo, hi int) (next int) {
 	pid := lo
 	defer func() {
@@ -64,15 +63,11 @@ func (m *Machine) attemptSpan(lo, hi int) (next int) {
 		}
 		// A panicked attempt publishes nothing (attemptOne publishes
 		// last, so m.intents[pid] is still nil from the loop top).
-		e := &CyclePanicError{PID: pid, Tick: m.tick, Value: v, Stack: debug.Stack()}
-		m.panicMu.Lock()
-		// Concurrent workers may panic in the same tick; the lowest PID
-		// wins so the reported error is deterministic across kernels
-		// and worker interleavings.
-		if m.cyclePanic == nil || pid < m.cyclePanic.PID {
-			m.cyclePanic = e
+		// Attempts run in PID order, so the first panic of the tick is
+		// the lowest-PID one; it is the one the run reports.
+		if m.cyclePanic == nil {
+			m.cyclePanic = &CyclePanicError{PID: pid, Tick: m.tick, Value: v, Stack: debug.Stack()}
 		}
-		m.panicMu.Unlock()
 		next = pid + 1
 	}()
 	inject := m.fiCycle.Mode() != faultinject.Off
@@ -90,8 +85,7 @@ func (m *Machine) attemptSpan(lo, hi int) (next int) {
 }
 
 // takeCyclePanic returns and clears the tick's pending cycle panic, if
-// any. Called from Step after the kernel's workers have drained, so no
-// lock is needed.
+// any. Called from Step after the attempt phase.
 func (m *Machine) takeCyclePanic() *CyclePanicError {
 	e := m.cyclePanic
 	m.cyclePanic = nil
@@ -180,32 +174,4 @@ func (m *Machine) resetRobustness() {
 	m.cyclePanic = nil
 	m.violations = m.violations[:0]
 	m.violationCount = 0
-}
-
-// RunCtx is Run with cooperative cancellation: it executes ticks until
-// completion or until ctx is done, whichever comes first. Cancellation
-// is polled every 64 ticks so the hot path stays allocation- and
-// syscall-free; a canceled run returns the metrics collected so far and
-// an error wrapping ctx.Err().
-func (m *Machine) RunCtx(ctx context.Context) (Metrics, error) {
-	done := ctx.Done()
-	if done == nil {
-		return m.Run()
-	}
-	for i := 0; ; i++ {
-		if i&63 == 0 {
-			select {
-			case <-done:
-				return m.metrics, fmt.Errorf("pram: run canceled at tick %d: %w", m.tick, ctx.Err())
-			default:
-			}
-		}
-		finished, err := m.Step()
-		if err != nil {
-			return m.metrics, err
-		}
-		if finished {
-			return m.metrics, nil
-		}
-	}
 }

@@ -49,44 +49,31 @@ func killAllFrom(from int) *funcAdversary {
 }
 
 // TestInjectedCyclePanicFailsRun arms the kernel.cycle failpoint and
-// checks both kernels convert the injected worker panic into a run
-// error naming the same (lowest) PID and tick — no process crash, and
-// kernel-independent attribution because the panic is keyed by
-// (tick, pid), not goroutine arrival order.
+// checks the injected panic becomes a run error naming the lowest PID
+// and the tick the (tick, pid)-keyed schedule selects — no process
+// crash.
 func TestInjectedCyclePanicFailsRun(t *testing.T) {
 	const failTick = 3
-	runOne := func(kernel Kernel, workers int) *CyclePanicError {
-		t.Helper()
-		reg := faultinject.New(1)
-		reg.Set("kernel.cycle", faultinject.Spec{Mode: faultinject.Panic, After: failTick << 32})
-		m := mustMachine(t, Config{
-			N: 16, P: 8, MaxTicks: 100,
-			Kernel: kernel, Workers: workers, Faults: reg,
-		}, spinAlg(), &funcAdversary{name: "none"})
-		defer m.Close()
-		_, err := m.Run()
-		if !errors.Is(err, ErrWorkerPanic) {
-			t.Fatalf("Run err = %v, want ErrWorkerPanic", err)
-		}
-		var cpe *CyclePanicError
-		if !errors.As(err, &cpe) {
-			t.Fatalf("Run err %v does not unwrap to *CyclePanicError", err)
-		}
-		return cpe
+	reg := faultinject.New(1)
+	reg.Set("kernel.cycle", faultinject.Spec{Mode: faultinject.Panic, After: failTick << 32})
+	m := mustMachine(t, Config{N: 16, P: 8, MaxTicks: 100, Faults: reg}, spinAlg(), &funcAdversary{name: "none"})
+	defer m.Close()
+	_, err := m.Run()
+	if !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("Run err = %v, want ErrWorkerPanic", err)
 	}
-
-	serial := runOne(SerialKernel, 0)
-	parallel := runOne(ParallelKernel, 4)
-	for name, cpe := range map[string]*CyclePanicError{"serial": serial, "parallel": parallel} {
-		if cpe.Tick != failTick {
-			t.Errorf("%s: panic tick = %d, want %d", name, cpe.Tick, failTick)
-		}
-		if cpe.PID != 0 {
-			t.Errorf("%s: panic pid = %d, want 0 (lowest PID wins)", name, cpe.PID)
-		}
-		if inj, ok := cpe.Value.(faultinject.Injected); !ok || inj.Point != "kernel.cycle" {
-			t.Errorf("%s: panic value = %#v, want faultinject.Injected{kernel.cycle}", name, cpe.Value)
-		}
+	var cpe *CyclePanicError
+	if !errors.As(err, &cpe) {
+		t.Fatalf("Run err %v does not unwrap to *CyclePanicError", err)
+	}
+	if cpe.Tick != failTick {
+		t.Errorf("panic tick = %d, want %d", cpe.Tick, failTick)
+	}
+	if cpe.PID != 0 {
+		t.Errorf("panic pid = %d, want 0 (lowest PID wins)", cpe.PID)
+	}
+	if inj, ok := cpe.Value.(faultinject.Injected); !ok || inj.Point != "kernel.cycle" {
+		t.Errorf("panic value = %#v, want faultinject.Injected{kernel.cycle}", cpe.Value)
 	}
 }
 
@@ -104,34 +91,24 @@ func TestNaturalCyclePanicRecovered(t *testing.T) {
 			return Continue
 		},
 	}
-	for _, tc := range []struct {
-		name    string
-		kernel  Kernel
-		workers int
-	}{
-		{"serial", SerialKernel, 0},
-		{"parallel", ParallelKernel, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := mustMachine(t, Config{N: 8, P: 4, MaxTicks: 50, Kernel: tc.kernel, Workers: tc.workers},
-				alg, &funcAdversary{name: "none"})
-			defer m.Close()
-			_, err := m.Run()
-			var cpe *CyclePanicError
-			if !errors.As(err, &cpe) {
-				t.Fatalf("Run err = %v, want *CyclePanicError", err)
-			}
-			if cpe.PID != 2 || cpe.Tick != 0 {
-				t.Errorf("panic at pid=%d tick=%d, want pid=2 tick=0", cpe.PID, cpe.Tick)
-			}
-			if cpe.Value != "boom" {
-				t.Errorf("panic value = %v, want \"boom\"", cpe.Value)
-			}
-			if !strings.Contains(err.Error(), "pid=2") {
-				t.Errorf("error %q does not name the worker", err)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		m := mustMachine(t, Config{N: 8, P: 4, MaxTicks: 50}, alg, &funcAdversary{name: "none"})
+		defer m.Close()
+		_, err := m.Run()
+		var cpe *CyclePanicError
+		if !errors.As(err, &cpe) {
+			t.Fatalf("Run err = %v, want *CyclePanicError", err)
+		}
+		if cpe.PID != 2 || cpe.Tick != 0 {
+			t.Errorf("panic at pid=%d tick=%d, want pid=2 tick=0", cpe.PID, cpe.Tick)
+		}
+		if cpe.Value != "boom" {
+			t.Errorf("panic value = %v, want \"boom\"", cpe.Value)
+		}
+		if !strings.Contains(err.Error(), "pid=2") {
+			t.Errorf("error %q does not name the worker", err)
+		}
+	})
 }
 
 // TestKillAllViolationRecordedAtOffendingTick checks the runtime
@@ -432,8 +409,8 @@ func TestRunnerResumeLatestFallsBack(t *testing.T) {
 // and (c) resuming it completes with the uninterrupted run's metrics.
 func TestRunCtxCancelFlushesFinalCheckpoint(t *testing.T) {
 	// 100 strides per processor with a sparse failure schedule: long
-	// enough (>100 ticks) to outlast the 64-tick cancellation polling
-	// granularity, sparse enough that cursor-resetting restarts cannot
+	// enough (>100 ticks) that the cancel at tick 10 lands well inside
+	// the run, sparse enough that cursor-resetting restarts cannot
 	// livelock the strided writers.
 	sparseChurn := func() *funcAdversary {
 		return &funcAdversary{name: "sparse-churn", f: func(v *View) Decision {
@@ -495,14 +472,19 @@ func TestRunCtxCancelFlushesFinalCheckpoint(t *testing.T) {
 	}
 }
 
-// TestMachineRunCtxHonorsCancellation checks the machine-level context
-// path (no checkpointing) also stops at a tick boundary.
+// TestMachineRunCtxHonorsCancellation checks the run loop without
+// checkpointing also stops on cancellation: a pre-canceled context ends
+// the run before its first tick.
 func TestMachineRunCtxHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := mustMachine(t, Config{N: 16, P: 4, MaxTicks: 1 << 20}, spinAlg(), &funcAdversary{name: "none"})
-	defer m.Close()
-	if _, err := m.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+	r := &Runner{}
+	defer r.Close()
+	m, err := r.RunCtx(ctx, Config{N: 16, P: 4, MaxTicks: 1 << 20}, spinAlg(), &funcAdversary{name: "none"})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunCtx err = %v, want context.Canceled", err)
+	}
+	if m.Ticks != 0 {
+		t.Errorf("canceled run advanced to tick %d, want 0", m.Ticks)
 	}
 }

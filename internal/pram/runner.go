@@ -9,13 +9,12 @@ import (
 
 // Runner executes many runs on one pooled Machine, so sweep drivers (the
 // experiment tables, bench.Points, benchmarks) stop reconstructing the
-// world per run: shared memory, contexts, scratch buffers, the kernel
-// worker pool, and — for Resettable processors of a reused Algorithm
-// instance — per-processor private state all carry over. Runs are
-// bit-identical to fresh Machines (see Machine.Reset). The zero value is
-// ready to use; a Runner must not be used concurrently, but independent
-// Runners are safe in parallel (bench.Points keeps one per goroutine via
-// a sync.Pool).
+// world per run: shared memory, contexts, scratch buffers, and — for
+// Resettable processors of a reused Algorithm instance — per-processor
+// private state all carry over. Runs are bit-identical to fresh Machines
+// (see Machine.Reset). The zero value is ready to use; a Runner must not
+// be used concurrently, but independent Runners are safe in parallel
+// (bench.Points keeps one per goroutine via a sync.Pool).
 type Runner struct {
 	m *Machine
 
@@ -28,12 +27,13 @@ type Runner struct {
 	CheckpointEvery int
 	// CheckpointPath is the checkpoint file location; see CheckpointEvery.
 	CheckpointPath string
-	// BatchTicks, when > 1, drives runs through Machine.TickBatch in
-	// chunks of up to BatchTicks ticks, amortizing per-tick bookkeeping
-	// over quiescent stretches (see TickBatch for the exact fallback
-	// rules; runs remain tick-for-tick equivalent to per-tick stepping).
-	// Checkpoint boundaries cap the chunk so checkpoints land on the
-	// same ticks they would per-tick.
+	// BatchTicks is the most ticks one iteration of the run loop
+	// advances through Machine.TickBatch. Above 1 it amortizes per-tick
+	// bookkeeping over quiescent stretches (see TickBatch for the exact
+	// fallback rules; runs remain tick-for-tick equivalent to per-tick
+	// stepping); 0 or 1 makes every iteration a single Step. Checkpoint
+	// boundaries cap the batch so checkpoints land on the same ticks at
+	// any BatchTicks.
 	BatchTicks int
 	// Log receives human-readable notices the Runner emits when it
 	// degrades gracefully — falling back to the previous checkpoint,
@@ -58,9 +58,10 @@ func (r *Runner) Run(cfg Config, alg Algorithm, adv Adversary) (Metrics, error) 
 }
 
 // RunCtx is Run with cooperative cancellation: when ctx is canceled the
-// run stops at the next tick boundary, flushes a final checkpoint (if
-// checkpointing is configured) so the interrupted run stays resumable,
-// and returns an error wrapping ctx.Err().
+// run stops at the end of the current batch (the current tick when
+// BatchTicks <= 1), flushes a final checkpoint (if checkpointing is
+// configured) so the interrupted run stays resumable, and returns an
+// error wrapping ctx.Err().
 func (r *Runner) RunCtx(ctx context.Context, cfg Config, alg Algorithm, adv Adversary) (Metrics, error) {
 	m, err := r.Machine(cfg, alg, adv)
 	if err != nil {
@@ -116,75 +117,34 @@ func (r *Runner) ResumeLatestCtx(ctx context.Context, cfg Config, alg Algorithm,
 	return r.ResumeCtx(ctx, cfg, alg, adv, snap)
 }
 
-// runCtx drives m to completion, checkpointing and honoring ctx.
+// runCtx is the Runner's one drive loop. Each iteration polls ctx once,
+// advances m by one TickBatch of up to max(BatchTicks, 1) ticks, capped
+// at the next checkpoint tick, and checkpoints when one is due. A batch
+// of one tick is exactly one Step, so per-tick runs keep their exact
+// event stream.
 func (r *Runner) runCtx(ctx context.Context, m *Machine) (Metrics, error) {
-	if r.BatchTicks > 1 {
-		return r.runBatchCtx(ctx, m)
-	}
-	if r.CheckpointEvery <= 0 || r.CheckpointPath == "" {
-		return m.RunCtx(ctx)
-	}
 	done := ctx.Done()
+	checkpointing := r.CheckpointEvery > 0 && r.CheckpointPath != ""
+	batch := max(r.BatchTicks, 1)
 	next := m.Tick() + r.CheckpointEvery
-	for i := 0; ; i++ {
-		if done != nil && i&63 == 0 {
-			select {
-			case <-done:
+	for {
+		select {
+		case <-done:
+			if checkpointing {
 				// Flush a final checkpoint so the canceled run resumes
 				// from here rather than the last periodic checkpoint.
 				if err := r.checkpoint(m); err != nil {
 					r.logf("pram: final checkpoint on cancel failed: %v", err)
 				}
-				return m.Metrics(), fmt.Errorf("pram: run canceled at tick %d: %w", m.Tick(), ctx.Err())
-			default:
 			}
+			return m.Metrics(), fmt.Errorf("pram: run canceled at tick %d: %w", m.Tick(), ctx.Err())
+		default:
 		}
-		finished, err := m.Step()
-		if err != nil {
-			return m.Metrics(), err
-		}
-		if finished {
-			return m.Metrics(), nil
-		}
-		if m.Tick() >= next {
-			if err := r.checkpoint(m); err != nil {
-				return m.Metrics(), err
-			}
-			next = m.Tick() + r.CheckpointEvery
-		}
-	}
-}
-
-// runBatchCtx drives m to completion through TickBatch in BatchTicks
-// chunks. Cancellation is polled once per chunk (a chunk is bounded, so
-// the poll stays off the per-tick hot path); with checkpointing
-// configured, chunks are capped at the next checkpoint boundary so
-// checkpoints land on the same ticks a per-tick run would produce.
-func (r *Runner) runBatchCtx(ctx context.Context, m *Machine) (Metrics, error) {
-	done := ctx.Done()
-	checkpointing := r.CheckpointEvery > 0 && r.CheckpointPath != ""
-	next := m.Tick() + r.CheckpointEvery
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				if checkpointing {
-					if err := r.checkpoint(m); err != nil {
-						r.logf("pram: final checkpoint on cancel failed: %v", err)
-					}
-				}
-				return m.Metrics(), fmt.Errorf("pram: run canceled at tick %d: %w", m.Tick(), ctx.Err())
-			default:
-			}
-		}
-		k := r.BatchTicks
+		k := batch
 		if checkpointing {
-			if rem := next - m.Tick(); rem < k {
-				k = rem
-			}
-		}
-		if k < 1 {
-			k = 1
+			// TickBatch never runs past k ticks, so the next checkpoint
+			// is always at least one tick ahead here.
+			k = min(k, next-m.Tick())
 		}
 		_, finished, err := m.TickBatch(k)
 		if err != nil {
@@ -245,9 +205,8 @@ func (r *Runner) Violations() []Violation {
 	return r.m.Violations()
 }
 
-// Close releases the pooled machine's resources (its kernel worker pool,
-// if any). The Runner is reusable afterwards; the next run builds a fresh
-// machine.
+// Close retires the pooled machine (see Machine.Close). The Runner is
+// reusable afterwards; the next run builds a fresh machine.
 func (r *Runner) Close() {
 	if r.m != nil {
 		r.m.Close()

@@ -9,8 +9,8 @@ import (
 // CycleEvent describes the outcome of one processor's update-cycle attempt
 // in one tick: whether it completed, where the adversary struck, and how
 // many of its buffered writes committed. Events are emitted in PID order
-// during the (serial) commit phase, so sinks never need locking, under
-// either tick kernel.
+// during the commit phase on the stepping goroutine, so sinks never need
+// locking.
 type CycleEvent struct {
 	// Tick is the clock value of the tick the attempt ran in.
 	Tick int `json:"tick"`
@@ -59,8 +59,8 @@ type RunEvent struct {
 // Sink observes a machine run. It is the single instrumentation seam of
 // the simulator: per-cycle outcomes, per-tick profiles, and the run
 // result all flow through it. The machine invokes every method from the
-// serial commit phase of a tick - never concurrently - so implementations
-// need no synchronization even under the parallel tick kernel.
+// commit phase of a tick on the stepping goroutine - never concurrently -
+// so implementations need no synchronization.
 //
 // A nil Config.Sink disables instrumentation at zero cost.
 type Sink interface {

@@ -223,9 +223,6 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	m.failDirty = true
 	m.initDoneHint()
 	m.resetRobustness()
-	if ak, ok := m.kern.(*autoKernel); ok {
-		ak.resetProbe()
-	}
 	return nil
 }
 

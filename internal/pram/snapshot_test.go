@@ -224,36 +224,3 @@ func TestRunnerCheckpointAndResume(t *testing.T) {
 		t.Errorf("resumed metrics diverge:\nresumed  %+v\nbaseline %+v", resumed, baseline)
 	}
 }
-
-// TestResetRestartsAutoKernelProbe is the regression test for the
-// auto-kernel pooling bug: a pooled machine's adaptive kernel used to
-// carry the previous run's probe timings and committed engine choice
-// through Machine.Reset, so a reused runner could start a small run
-// committed to the losing engine for a full 4096-tick window. Reset (and
-// RestoreSnapshot) must return the probe state machine to its initial
-// serial-probe mode.
-func TestResetRestartsAutoKernelProbe(t *testing.T) {
-	cfg := Config{N: 256, P: 64, MaxTicks: 8000, Kernel: AutoKernel, Workers: 3}
-	r := &Runner{}
-	defer r.Close()
-	if _, err := r.Run(cfg, snapAlg{}, churnAdversary()); err != nil {
-		t.Fatalf("first Run: %v", err)
-	}
-
-	m, err := r.Machine(cfg, snapAlg{}, churnAdversary())
-	if err != nil {
-		t.Fatalf("Machine: %v", err)
-	}
-	ak, ok := m.kern.(*autoKernel)
-	if !ok {
-		t.Fatalf("kernel is %T, want *autoKernel", m.kern)
-	}
-	if ak.mode != autoProbeSerial || ak.left != autoProbeTicks {
-		t.Errorf("after Reset: mode=%d left=%d, want fresh serial probe (mode=%d left=%d)",
-			ak.mode, ak.left, autoProbeSerial, autoProbeTicks)
-	}
-	if ak.useParallel || ak.serialNS != 0 || ak.parNS != 0 {
-		t.Errorf("after Reset: stale probe data useParallel=%v serialNS=%d parNS=%d",
-			ak.useParallel, ak.serialNS, ak.parNS)
-	}
-}

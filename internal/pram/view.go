@@ -5,8 +5,8 @@ package pram
 // rather than the *Memory itself: within a tick all writes are buffered
 // and committed synchronously afterwards, so every reader of the view
 // observes the same pre-tick snapshot. Because a MemoryView cannot write,
-// the parallel tick kernel may hand it to many attempt-phase workers at
-// once without synchronization.
+// no cycle or adversary holding one can disturb what the others of the
+// same tick read.
 type MemoryView struct {
 	mem *Memory
 }

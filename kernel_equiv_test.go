@@ -1,6 +1,7 @@
 package failstop
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -39,11 +40,11 @@ type kernelRun struct {
 	err     string
 }
 
-func runUnderKernel(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, base Config, kern Kernel, workers int) kernelRun {
+// runStepped runs alg against adv on a fresh machine through the bare
+// Step loop (Machine.Run): the reference every equivalence grid compares
+// against.
+func runStepped(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config) kernelRun {
 	t.Helper()
-	cfg := base
-	cfg.Kernel = kern
-	cfg.Workers = workers
 	var out kernelRun
 	cfg.Sink = &out.trace
 	m, err := pram.New(cfg, mkAlg(), mkAdv())
@@ -59,12 +60,39 @@ func runUnderKernel(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary
 	return out
 }
 
-// TestKernelEquivalence is the determinism contract of the tick kernels:
-// for every Write-All algorithm x adversary pairing, a serial-kernel run
-// and a parallel-kernel run with identical seeds produce bit-identical
-// metrics, final memory, event traces, and errors. Runs that legitimately
-// do not terminate (V under the rotating thrasher) are compared at the
-// tick-budget cutoff, which must also coincide.
+// runLoop runs alg against adv through the Runner's drive loop
+// (Runner.RunCtx) with the given BatchTicks, capturing the same
+// observables as runStepped.
+func runLoop(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config, batch int) kernelRun {
+	t.Helper()
+	r := &pram.Runner{BatchTicks: batch}
+	defer r.Close()
+	// RunCtx resets and reruns the Runner's pooled machine, so taking
+	// the machine first (with throwaway components) leaves its handle
+	// holding the run's final memory.
+	m, err := r.Machine(cfg, mkAlg(), mkAdv())
+	if err != nil {
+		t.Fatalf("Runner.Machine: %v", err)
+	}
+	var out kernelRun
+	cfg.Sink = &out.trace
+	out.metrics, err = r.RunCtx(context.Background(), cfg, mkAlg(), mkAdv())
+	if err != nil {
+		out.err = err.Error()
+	}
+	out.mem = m.Memory().CopyInto(nil)
+	return out
+}
+
+// TestKernelEquivalence is the determinism contract of the tick kernel's
+// one run loop: for every Write-All algorithm x adversary pairing, a run
+// driven by Runner.RunCtx, which advances through Machine.TickBatch, is
+// bit-identical to a bare Step loop in metrics, final memory, event
+// traces, and errors, at BatchTicks 1 (one Step per iteration) and 64.
+// The recording sink is not a BatchSink, so even 64-tick batches must
+// deliver the exact per-tick event stream. Runs that legitimately do not terminate
+// (V under the rotating thrasher) are compared at the tick-budget
+// cutoff, which must also coincide.
 func TestKernelEquivalence(t *testing.T) {
 	const n, p = 64, 16
 	base := Config{N: n, P: p, MaxTicks: 4000}
@@ -102,13 +130,7 @@ func TestKernelEquivalence(t *testing.T) {
 	for _, alg := range algs {
 		for _, adv := range advs {
 			t.Run(alg.name+"/"+adv.name, func(t *testing.T) {
-				serial := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, SerialKernel, 0)
-				for _, workers := range []int{1, 3, 0 /* GOMAXPROCS */} {
-					par := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, ParallelKernel, workers)
-					assertRunsEqual(t, fmt.Sprintf("workers=%d", workers), serial, par)
-				}
-				auto := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, AutoKernel, 3)
-				assertRunsEqual(t, "auto/workers=3", serial, auto)
+				assertLoopMatchesStep(t, alg.mk, adv.mk, alg.cfg)
 			})
 		}
 	}
@@ -125,66 +147,48 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for _, adv := range treeAdvs {
 		t.Run("X/"+adv.name, func(t *testing.T) {
-			serial := runUnderKernel(t, NewX, adv.mk, base, SerialKernel, 0)
-			par := runUnderKernel(t, NewX, adv.mk, base, ParallelKernel, 4)
-			assertRunsEqual(t, "workers=4", serial, par)
+			assertLoopMatchesStep(t, NewX, adv.mk, base)
 		})
 	}
 }
 
-func assertRunsEqual(t *testing.T, label string, serial, par kernelRun) {
+// assertLoopMatchesStep holds the Runner's loop at BatchTicks 1 and 64
+// to the bare Step loop's outcome.
+func assertLoopMatchesStep(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config) {
 	t.Helper()
-	if serial.err != par.err {
-		t.Fatalf("%s: err = %q, serial = %q", label, par.err, serial.err)
+	stepped := runStepped(t, mkAlg, mkAdv, cfg)
+	for _, batch := range []int{1, 64} {
+		looped := runLoop(t, mkAlg, mkAdv, cfg, batch)
+		assertRunsEqual(t, fmt.Sprintf("BatchTicks=%d", batch), stepped, looped)
 	}
-	if serial.metrics != par.metrics {
-		t.Errorf("%s: metrics diverge:\nserial   %+v\nparallel %+v", label, serial.metrics, par.metrics)
+}
+
+func assertRunsEqual(t *testing.T, label string, want, got kernelRun) {
+	t.Helper()
+	if want.err != got.err {
+		t.Fatalf("%s: err = %q, want %q", label, got.err, want.err)
 	}
-	if !reflect.DeepEqual(serial.mem, par.mem) {
+	if want.metrics != got.metrics {
+		t.Errorf("%s: metrics diverge:\nwant %+v\ngot  %+v", label, want.metrics, got.metrics)
+	}
+	if !reflect.DeepEqual(want.mem, got.mem) {
 		t.Errorf("%s: final memory diverges", label)
 	}
-	if !reflect.DeepEqual(serial.trace.ticks, par.trace.ticks) {
-		t.Errorf("%s: tick traces diverge (serial %d events, parallel %d)",
-			label, len(serial.trace.ticks), len(par.trace.ticks))
+	if !reflect.DeepEqual(want.trace.ticks, got.trace.ticks) {
+		t.Errorf("%s: tick traces diverge (want %d events, got %d)",
+			label, len(want.trace.ticks), len(got.trace.ticks))
 	}
-	if !reflect.DeepEqual(serial.trace.cycles, par.trace.cycles) {
-		t.Errorf("%s: cycle traces diverge (serial %d events, parallel %d)",
-			label, len(serial.trace.cycles), len(par.trace.cycles))
+	if !reflect.DeepEqual(want.trace.cycles, got.trace.cycles) {
+		t.Errorf("%s: cycle traces diverge (want %d events, got %d)",
+			label, len(want.trace.cycles), len(got.trace.cycles))
 	}
-	if !reflect.DeepEqual(serial.trace.runs, par.trace.runs) {
-		t.Errorf("%s: run events diverge: %+v vs %+v", label, serial.trace.runs, par.trace.runs)
-	}
-}
-
-// TestKernelEquivalenceAutoProbing repeats the contract for AutoKernel at
-// a P large enough (several shards, several workers) that the adaptive
-// kernel actually runs its timed serial and parallel probe windows rather
-// than short-circuiting to the serial walk. Probe timing must never leak
-// into results — only into engine choice.
-func TestKernelEquivalenceAutoProbing(t *testing.T) {
-	const n, p = 256, 256
-	base := Config{N: n, P: p, MaxTicks: 8000}
-	for _, tc := range []struct {
-		name  string
-		mk    func() Algorithm
-		mkAdv func() Adversary
-	}{
-		{"X/random", NewX, func() Adversary { return RandomFailures(0.2, 0.6, 7) }},
-		{"trivial/thrashing", NewTrivial, func() Adversary { return ThrashingAdversary(false) }},
-		{"V/none", NewV, NoFailures},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := runUnderKernel(t, tc.mk, tc.mkAdv, base, SerialKernel, 0)
-			for _, workers := range []int{2, 3} {
-				auto := runUnderKernel(t, tc.mk, tc.mkAdv, base, AutoKernel, workers)
-				assertRunsEqual(t, fmt.Sprintf("auto/workers=%d", workers), serial, auto)
-			}
-		})
+	if !reflect.DeepEqual(want.trace.runs, got.trace.runs) {
+		t.Errorf("%s: run events diverge: want %+v, got %+v", label, want.trace.runs, got.trace.runs)
 	}
 }
 
-// TestKernelEquivalenceSquare repeats the contract at P = N, where every
-// processor owns one cell and write conflicts peak.
+// TestKernelEquivalenceSquare repeats the run-loop contract at P = N,
+// where every processor owns one cell and write conflicts peak.
 func TestKernelEquivalenceSquare(t *testing.T) {
 	const n = 32
 	base := Config{N: n, P: n, MaxTicks: 4000}
@@ -198,9 +202,7 @@ func TestKernelEquivalenceSquare(t *testing.T) {
 	} {
 		t.Run(alg.name, func(t *testing.T) {
 			mkAdv := func() Adversary { return RandomFailures(0.25, 0.5, 3) }
-			serial := runUnderKernel(t, alg.mk, mkAdv, base, SerialKernel, 0)
-			par := runUnderKernel(t, alg.mk, mkAdv, base, ParallelKernel, 5)
-			assertRunsEqual(t, "workers=5", serial, par)
+			assertLoopMatchesStep(t, alg.mk, mkAdv, base)
 		})
 	}
 }

@@ -62,13 +62,11 @@ func TestPackedEquivalence(t *testing.T) {
 	for _, alg := range packedGridAlgs(base, snapshot) {
 		for _, adv := range advs {
 			t.Run(alg.name+"/"+adv.name, func(t *testing.T) {
-				unpacked := runUnderKernel(t, alg.mk, adv.mk, alg.cfg, SerialKernel, 0)
+				unpacked := runStepped(t, alg.mk, adv.mk, alg.cfg)
 				pcfg := alg.cfg
 				pcfg.Packed = true
-				packed := runUnderKernel(t, alg.mk, adv.mk, pcfg, SerialKernel, 0)
+				packed := runStepped(t, alg.mk, adv.mk, pcfg)
 				assertRunsEqual(t, "packed", unpacked, packed)
-				packedPar := runUnderKernel(t, alg.mk, adv.mk, pcfg, ParallelKernel, 3)
-				assertRunsEqual(t, "packed/workers=3", unpacked, packedPar)
 			})
 		}
 	}
@@ -85,10 +83,10 @@ func TestPackedEquivalence(t *testing.T) {
 	}
 	for _, adv := range treeAdvs {
 		t.Run("X/"+adv.name, func(t *testing.T) {
-			unpacked := runUnderKernel(t, NewX, adv.mk, base, SerialKernel, 0)
+			unpacked := runStepped(t, NewX, adv.mk, base)
 			pcfg := base
 			pcfg.Packed = true
-			packed := runUnderKernel(t, NewX, adv.mk, pcfg, SerialKernel, 0)
+			packed := runStepped(t, NewX, adv.mk, pcfg)
 			assertRunsEqual(t, "packed", unpacked, packed)
 		})
 	}
@@ -197,7 +195,7 @@ func TestTickBatchEquivalence(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							cfg := shape.cfg
 							cfg.Packed = packed
-							perTick := runUnderKernel(t, alg.mk, adv.mk, cfg, SerialKernel, 0)
+							perTick := runStepped(t, alg.mk, adv.mk, cfg)
 							batched := runBatched(t, alg.mk, adv.mk, cfg, chunk)
 							assertOutcomesEqual(t, "batched", perTick, batched)
 						})
@@ -213,7 +211,7 @@ func TestTickBatchEquivalence(t *testing.T) {
 // TickBatch, one tick at a time.
 func TestTickBatchFallsBackForNonBatchAlgorithms(t *testing.T) {
 	cfg := Config{N: 64, P: 16, MaxTicks: 4000}
-	perTick := runUnderKernel(t, NewX, NoFailures, cfg, SerialKernel, 0)
+	perTick := runStepped(t, NewX, NoFailures, cfg)
 	batched := runBatched(t, NewX, NoFailures, cfg, 64)
 	assertOutcomesEqual(t, "fallback", perTick, batched)
 }
@@ -227,7 +225,7 @@ func TestTickBatchFallsBackForNonBatchAlgorithms(t *testing.T) {
 func packedResume(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, base Config, srcPacked, dstPacked bool) (want, resumed kernelRun) {
 	t.Helper()
 
-	baseline := runUnderKernel(t, mkAlg, mkAdv, base, SerialKernel, 0)
+	baseline := runStepped(t, mkAlg, mkAdv, base)
 	splitTick := baseline.metrics.Ticks / 2
 
 	srcCfg := base

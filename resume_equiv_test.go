@@ -19,7 +19,7 @@ import (
 func resumeBaselineAndSuffix(t *testing.T, mkAlg func() Algorithm, mkAdv func() Adversary, cfg Config) (want, resumed kernelRun) {
 	t.Helper()
 
-	baseline := runUnderKernel(t, mkAlg, mkAdv, cfg, SerialKernel, 0)
+	baseline := runStepped(t, mkAlg, mkAdv, cfg)
 	splitTick := baseline.metrics.Ticks / 2
 
 	// Second machine: replay the first half of the run, snapshot.
