@@ -146,13 +146,16 @@ fuzz:
 	$(GO) test -fuzz FuzzWriteAllUnderRandomPatterns -fuzztime 30s ./internal/writeall/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 30s ./internal/adversary/
+	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 30s ./internal/rng/
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON) a brief randomized shake beyond their committed
+# failure-pattern JSON) and the random source's differential check
+# against math/rand a brief randomized shake beyond their committed
 # corpora; cheap enough to live inside `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
+	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 
 # chaos runs the randomized crash/resume grid: checkpointed runs under
 # injected snapshot-I/O faults (torn writes, bit corruption, failing
