@@ -50,7 +50,7 @@ race:
 # `go test -list`: a renamed contract fails the gate instead of
 # silently dropping out of it.
 RACE_EQUIV_ROOT = TestPooledRun|TestDoneHint|TestResumeEquivalence|TestPackedEquivalence|TestPackedResumeEquivalence|TestTickBatchEquivalence
-RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches
+RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches|TestMachineMatchesReference
 
 race-equiv:
 	@for spec in '.=$(RACE_EQUIV_ROOT)' './internal/pram=$(RACE_EQUIV_PRAM)'; do \
@@ -145,15 +145,18 @@ bench-check:
 fuzz:
 	$(GO) test -fuzz FuzzWriteAllUnderRandomPatterns -fuzztime 30s ./internal/writeall/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/pram/
+	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 30s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 30s ./internal/adversary/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 30s ./internal/rng/
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON) and the random source's differential check
-# against math/rand a brief randomized shake beyond their committed
-# corpora; cheap enough to live inside `make check`.
+# failure-pattern JSON), the random source's differential check against
+# math/rand and the machine's differential check against the reference
+# stepper a brief randomized shake beyond their committed corpora;
+# cheap enough to live inside `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
+	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 

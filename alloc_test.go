@@ -1,0 +1,70 @@
+package failstop
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/pram"
+	"repro/internal/writeall"
+)
+
+// TestSteadyStateTicksAllocationFreeUnderChurn extends internal/pram's
+// TestSteadyStateTicksAllocationFree to ticks with failures and
+// restarts, which need the real adversaries: after warm-up, ticks under
+// the thrasher (P−1 processors fail and restart every tick) and under
+// the post-order adversary (its park index updated every tick) allocate
+// nothing at all. Decisions reuse per-adversary buffers and restarts
+// recycle processors in place. The count is the total over the measured
+// ticks, not a rounded per-tick average, because post-order fails
+// processors on only ~7% of its ticks.
+func TestSteadyStateTicksAllocationFreeUnderChurn(t *testing.T) {
+	const n, p = 256, 64
+	for _, tc := range []struct {
+		name string
+		adv  pram.Adversary
+	}{
+		{"thrashing", &adversary.Thrashing{}},
+		{"rotating", &adversary.Thrashing{Rotate: true}},
+		{"postorder", writeall.NewPostOrder(writeall.NewX().Layout(n, p))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := pram.New(pram.Config{N: n, P: p}, writeall.NewX(), tc.adv)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer m.Close()
+			step := func() {
+				if done, err := m.Step(); done || err != nil {
+					t.Fatalf("Step at tick %d: done=%v err=%v", m.Tick(), done, err)
+				}
+			}
+			// Warm up lazy buffers and the runtime's per-call-site
+			// type-assertion caches, which the first kill and restart fill.
+			for i := 0; i < 64 || m.Metrics().Restarts == 0; i++ {
+				step()
+			}
+			before := m.Metrics()
+			if allocs := allocsOver(400, step); allocs != 0 {
+				t.Errorf("400 ticks allocate %d objects, want 0", allocs)
+			}
+			if got := m.Metrics(); got.Failures == before.Failures || got.Restarts == before.Restarts {
+				t.Errorf("no churn in the measured ticks (F %d→%d, R %d→%d); test is vacuous",
+					before.Failures, got.Failures, before.Restarts, got.Restarts)
+			}
+		})
+	}
+}
+
+// allocsOver returns the number of heap allocations runs calls of f make
+// in total, measured the way testing.AllocsPerRun measures.
+func allocsOver(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}

@@ -2,6 +2,7 @@ package failstop
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // per experiment table (indexed in DESIGN.md), each running that
 // experiment's representative configuration once per iteration and
 // reporting the completed work S (the paper's primary measure) as
-// work-S/op. `go run ./cmd/experiments` prints the corresponding full
-// tables.
+// work-S/op, with the run's length as ticks/op. `go run ./cmd/experiments`
+// prints the corresponding full tables.
 
 // benchWriteAll runs one Write-All configuration per iteration on a
 // pooled Runner. The algorithm is instantiated once and reused — Setup
@@ -31,16 +32,17 @@ func benchWriteAll(b *testing.B, n, p int, mkAlg func() pram.Algorithm, mkAdv fu
 	var runner pram.Runner
 	defer runner.Close()
 	alg := mkAlg()
-	var lastS int64
+	var last pram.Metrics
 	for i := 0; i < b.N; i++ {
 		cfg.N, cfg.P = n, p
 		got, err := runner.Run(cfg, alg, mkAdv())
 		if err != nil {
 			b.Fatal(err)
 		}
-		lastS = got.S()
+		last = got
 	}
-	b.ReportMetric(float64(lastS), "work-S/op")
+	b.ReportMetric(float64(last.S()), "work-S/op")
+	b.ReportMetric(float64(last.Ticks), "ticks/op")
 }
 
 // benchSim runs one robust execution per iteration.
@@ -66,7 +68,7 @@ func benchSim(b *testing.B, program core.Program, p int, mkAdv func() pram.Adver
 func BenchmarkE1Thrashing(b *testing.B) {
 	benchWriteAll(b, 128, 128,
 		func() pram.Algorithm { return writeall.NewTrivial() },
-		func() pram.Adversary { return adversary.Thrashing{} },
+		func() pram.Adversary { return &adversary.Thrashing{} },
 		Config{})
 }
 
@@ -111,12 +113,18 @@ func BenchmarkE5VRestart(b *testing.B) {
 		Config{})
 }
 
-// BenchmarkE6XWorstCase: Theorem 4.8, X under the post-order adversary.
+// BenchmarkE6XWorstCase: Theorem 4.8, X under the post-order adversary
+// at P = N. The n=4096 row is where the adversary parks ~96% of the
+// processors, so it measures ticks that cost O(live), not O(P).
 func BenchmarkE6XWorstCase(b *testing.B) {
-	benchWriteAll(b, 128, 128,
-		func() pram.Algorithm { return writeall.NewX() },
-		func() pram.Adversary { return writeall.NewPostOrder(writeall.NewX().Layout(128, 128)) },
-		Config{})
+	for _, n := range []int{128, 4096} {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			benchWriteAll(b, n, n,
+				func() pram.Algorithm { return writeall.NewX() },
+				func() pram.Adversary { return writeall.NewPostOrder(writeall.NewX().Layout(n, n)) },
+				Config{})
+		})
+	}
 }
 
 // BenchmarkE7XProcessorSweep: Theorem 4.7, X at P = N/4 under post-order.
@@ -128,12 +136,17 @@ func BenchmarkE7XProcessorSweep(b *testing.B) {
 }
 
 // BenchmarkE8Combined: Theorem 4.9, the combined V+X algorithm under the
-// rotating thrasher that starves V alone.
+// rotating thrasher that starves V alone. Every tick fails and restarts
+// P−1 processors, so the N=1024, P=256 row measures restart churn.
 func BenchmarkE8Combined(b *testing.B) {
-	benchWriteAll(b, 128, 128,
-		func() pram.Algorithm { return writeall.NewCombined() },
-		func() pram.Adversary { return adversary.Thrashing{Rotate: true} },
-		Config{})
+	for _, np := range [][2]int{{128, 128}, {1024, 256}} {
+		b.Run(fmt.Sprintf("n=%d/p=%d", np[0], np[1]), func(b *testing.B) {
+			benchWriteAll(b, np[0], np[1],
+				func() pram.Algorithm { return writeall.NewCombined() },
+				func() pram.Adversary { return &adversary.Thrashing{Rotate: true} },
+				Config{})
+		})
+	}
 }
 
 // BenchmarkE9Simulation: Theorem 4.1 / Cor 4.10, robust prefix sums.

@@ -125,9 +125,15 @@ func TestHTTPErrorMapping(t *testing.T) {
 	defer srv.Close()
 	defer store.Kill()
 
-	// Validation failure: 400.
-	if resp, raw := postJSON(t, srv.URL+"/v1/jobs", `{"kind":"run","run":{"algorithm":"nope","adversary":"none","n":8}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad spec status = %d, body %s", resp.StatusCode, raw)
+	// Validation failure: 400, for an unknown algorithm and for the
+	// post-order adversary against an algorithm without X's tree.
+	for _, body := range []string{
+		`{"kind":"run","run":{"algorithm":"nope","adversary":"none","n":8}}`,
+		`{"kind":"run","run":{"algorithm":"V","adversary":"postorder","n":64}}`,
+	} {
+		if resp, raw := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad spec status = %d for %s, body %s", resp.StatusCode, body, raw)
+		}
 	}
 	// Unknown field: 400, for a typo and for the removed kernel knob.
 	for _, body := range []string{

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,7 +15,9 @@ import (
 // validates and survives spec -> JSON -> spec unchanged. The CLI and
 // the daemon share the spec type, so this is the contract that any run
 // expressible at the command line is also expressible as a job
-// submission.
+// submission. The one pairing Validate rejects is the post-order
+// adversary against an algorithm without X's progress tree, which must
+// fail with engine.ErrPostOrderAlgorithm.
 func TestFlagGridMapsToValidSpecs(t *testing.T) {
 	extras := [][]string{
 		nil,
@@ -36,7 +39,15 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 					if err != nil {
 						t.Fatalf("parseSpec(%v): %v", args, err)
 					}
-					if err := spec.Validate(); err != nil {
+					err = spec.Validate()
+					if adv == "postorder" && spec.ReplayPath == "" && alg != "X" && alg != "combined" && alg != "ACC" {
+						// Post-order reads X's tree, which only X, combined and ACC have.
+						if !errors.Is(err, engine.ErrPostOrderAlgorithm) {
+							t.Fatalf("spec from %v: Validate() = %v, want %v", args, err, engine.ErrPostOrderAlgorithm)
+						}
+						return
+					}
+					if err != nil {
 						t.Fatalf("spec from %v does not validate: %v\nspec: %+v", args, err, spec)
 					}
 					data, err := json.Marshal(spec)

@@ -10,7 +10,8 @@
 //
 // Algorithms: X, V, combined, W, oblivious, ACC, trivial, sequential.
 // Adversaries: none, random, thrashing, rotating, halving, postorder,
-// stalking, stalking-failstop.
+// stalking, stalking-failstop. Post-order follows processors through X's
+// progress tree, so it runs only against X, combined and ACC.
 //
 // The command is a thin client of internal/engine: flags parse into an
 // engine.RunSpec, engine.ExecuteRun does the machine/Runner/sink

@@ -163,7 +163,7 @@ func BudgetedRandomFailures(failProb, restartProb float64, seed, maxEvents int64
 // read, all but one fail before writing, everyone restarts. With rotate
 // set the survivor rotates, which starves iterative algorithms like V.
 func ThrashingAdversary(rotate bool) Adversary {
-	return adversary.Thrashing{Rotate: rotate}
+	return &adversary.Thrashing{Rotate: rotate}
 }
 
 // HalvingAdversary returns the Theorem 3.1 pigeonhole lower-bound

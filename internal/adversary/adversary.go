@@ -55,16 +55,35 @@ type Event struct {
 // Scheduled replays a fixed failure pattern. It models an off-line
 // (non-adaptive) adversary: the pattern is chosen before the run.
 type Scheduled struct {
-	byTick map[int][]Event
+	byTick map[int]pram.Decision
 	ticks  []int // sorted unique event ticks, for QuiescentFor
 }
 
 // NewScheduled builds a replay adversary from a pattern. Events with the
-// same tick apply together in that tick.
+// same tick apply together in that tick; of several Fail events for one
+// PID in a tick, the last one sets the fail point.
 func NewScheduled(pattern []Event) *Scheduled {
-	byTick := make(map[int][]Event, len(pattern))
+	byTick := make(map[int]pram.Decision)
+	at := make(map[[2]int]int) // (tick, pid) -> index in that tick's Failures
 	for _, e := range pattern {
-		byTick[e.Tick] = append(byTick[e.Tick], e)
+		dec := byTick[e.Tick]
+		switch e.Kind {
+		case Fail:
+			p := e.Point
+			if p == pram.NoFailure {
+				p = pram.FailBeforeReads
+			}
+			key := [2]int{e.Tick, e.PID}
+			if i, ok := at[key]; ok {
+				dec.Failures[i].Point = p
+			} else {
+				at[key] = len(dec.Failures)
+				dec.Failures = append(dec.Failures, pram.Failure{PID: e.PID, Point: p})
+			}
+		case Restart:
+			dec.Restarts = append(dec.Restarts, e.PID)
+		}
+		byTick[e.Tick] = dec
 	}
 	ticks := make([]int, 0, len(byTick))
 	for t := range byTick {
@@ -77,27 +96,9 @@ func NewScheduled(pattern []Event) *Scheduled {
 // Name implements pram.Adversary.
 func (s *Scheduled) Name() string { return "scheduled" }
 
-// Decide implements pram.Adversary.
-func (s *Scheduled) Decide(v *pram.View) pram.Decision {
-	events := s.byTick[v.Tick]
-	if len(events) == 0 {
-		return pram.Decision{}
-	}
-	dec := pram.Decision{Failures: make(map[int]pram.FailPoint, len(events))}
-	for _, e := range events {
-		switch e.Kind {
-		case Fail:
-			p := e.Point
-			if p == pram.NoFailure {
-				p = pram.FailBeforeReads
-			}
-			dec.Failures[e.PID] = p
-		case Restart:
-			dec.Restarts = append(dec.Restarts, e.PID)
-		}
-	}
-	return dec
-}
+// Decide implements pram.Adversary: the tick's decision, built once at
+// construction.
+func (s *Scheduled) Decide(v *pram.View) pram.Decision { return s.byTick[v.Tick] }
 
 // QuiescentFor implements pram.Quiescence: the gap to the pattern's
 // next scheduled event tick. Decide is a pure lookup, so skipping it

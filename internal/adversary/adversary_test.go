@@ -92,7 +92,7 @@ func TestRandomRespectsEventBudget(t *testing.T) {
 }
 
 func TestThrashingAdmitsOneCyclePerTick(t *testing.T) {
-	got := runX(t, 32, 32, adversary.Thrashing{})
+	got := runX(t, 32, 32, &adversary.Thrashing{})
 	if got.Completed != int64(got.Ticks) {
 		t.Errorf("Completed = %d over %d ticks; want exactly one per tick",
 			got.Completed, got.Ticks)
@@ -106,7 +106,7 @@ func TestThrashingAdmitsOneCyclePerTick(t *testing.T) {
 func TestThrashingRotateSpreadsSurvivors(t *testing.T) {
 	// Under the rotating thrasher, survivors rotate with the clock; the
 	// run still finishes because X progresses one cycle per tick.
-	got := runX(t, 32, 32, adversary.Thrashing{Rotate: true})
+	got := runX(t, 32, 32, &adversary.Thrashing{Rotate: true})
 	if got.Completed != int64(got.Ticks) {
 		t.Errorf("Completed = %d over %d ticks; want exactly one per tick",
 			got.Completed, got.Ticks)
@@ -150,8 +150,8 @@ func TestAdversaryNames(t *testing.T) {
 	}{
 		{give: adversary.None{}, want: "none"},
 		{give: adversary.NewRandom(0, 0, 0), want: "random"},
-		{give: adversary.Thrashing{}, want: "thrashing"},
-		{give: adversary.Thrashing{Rotate: true}, want: "thrashing-rotating"},
+		{give: &adversary.Thrashing{}, want: "thrashing"},
+		{give: &adversary.Thrashing{Rotate: true}, want: "thrashing-rotating"},
 		{give: adversary.NewHalving(), want: "halving"},
 		{give: &adversary.Halving{NoRestarts: true}, want: "halving-failstop"},
 		{give: adversary.NewScheduled(nil), want: "scheduled"},

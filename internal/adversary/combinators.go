@@ -15,6 +15,13 @@ import (
 // churn plus a targeted strategy.
 type Composite struct {
 	parts []pram.Adversary
+
+	// decision buffers and per-PID marks (bit 0: failure taken, bit 1:
+	// restart listed), reused across ticks; marks are cleared at the
+	// entries set, so a tick costs its events, not P
+	fails    []pram.Failure
+	restarts []int
+	mark     []uint8
 }
 
 // NewComposite combines adversaries; order sets fail-point priority.
@@ -46,29 +53,34 @@ func (c *Composite) Name() string {
 
 // Decide implements pram.Adversary.
 func (c *Composite) Decide(v *pram.View) pram.Decision {
-	var out pram.Decision
-	restarted := make(map[int]bool)
+	c.fails, c.restarts = c.fails[:0], c.restarts[:0]
+	if len(c.mark) < v.P {
+		c.mark = make([]uint8, v.P)
+	}
 	for _, p := range c.parts {
 		dec := p.Decide(v)
-		for pid, fp := range dec.Failures {
-			if fp == pram.NoFailure {
+		for _, f := range dec.Failures {
+			if f.Point == pram.NoFailure || f.PID < 0 || f.PID >= v.P || c.mark[f.PID]&1 != 0 {
 				continue
 			}
-			if out.Failures == nil {
-				out.Failures = make(map[int]pram.FailPoint)
-			}
-			if _, taken := out.Failures[pid]; !taken {
-				out.Failures[pid] = fp
-			}
+			c.mark[f.PID] |= 1
+			c.fails = append(c.fails, f)
 		}
 		for _, pid := range dec.Restarts {
-			if !restarted[pid] {
-				restarted[pid] = true
-				out.Restarts = append(out.Restarts, pid)
+			if pid < 0 || pid >= v.P || c.mark[pid]&2 != 0 {
+				continue
 			}
+			c.mark[pid] |= 2
+			c.restarts = append(c.restarts, pid)
 		}
 	}
-	return out
+	for _, f := range c.fails {
+		c.mark[f.PID] = 0
+	}
+	for _, pid := range c.restarts {
+		c.mark[pid] = 0
+	}
+	return pram.Decision{Failures: c.fails, Restarts: c.restarts}
 }
 
 // SnapshotState implements pram.Snapshotter, concatenating each part's
@@ -237,6 +249,10 @@ type Targeted struct {
 	// Revive restarts attacked processors every tick (they die again on
 	// arrival); when false they stay dead after the first kill.
 	Revive bool
+
+	// decision buffers, reused across ticks
+	fails    []pram.Failure
+	restarts []int
 }
 
 // Name implements pram.Adversary. The configuration is part of the
@@ -273,7 +289,7 @@ func (t *Targeted) Name() string {
 
 // Decide implements pram.Adversary.
 func (t *Targeted) Decide(v *pram.View) pram.Decision {
-	var dec pram.Decision
+	t.fails, t.restarts = t.fails[:0], t.restarts[:0]
 	point := t.Point
 	if point == pram.NoFailure {
 		point = pram.FailBeforeReads
@@ -284,17 +300,14 @@ func (t *Targeted) Decide(v *pram.View) pram.Decision {
 		}
 		switch v.States.At(pid) {
 		case pram.Alive:
-			if dec.Failures == nil {
-				dec.Failures = make(map[int]pram.FailPoint)
-			}
-			dec.Failures[pid] = point
+			t.fails = append(t.fails, pram.Failure{PID: pid, Point: point})
 		case pram.Dead:
 			if t.Revive {
-				dec.Restarts = append(dec.Restarts, pid)
+				t.restarts = append(t.restarts, pid)
 			}
 		}
 	}
-	return dec
+	return pram.Decision{Failures: t.fails, Restarts: t.restarts}
 }
 
 var _ pram.Adversary = (*Targeted)(nil)

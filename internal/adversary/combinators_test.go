@@ -40,7 +40,7 @@ func TestCompositeFirstPartWinsFailPoints(t *testing.T) {
 }
 
 func TestWindowConfinesAttacks(t *testing.T) {
-	inner := adversary.Thrashing{}
+	inner := &adversary.Thrashing{}
 	w := adversary.NewWindow(inner, 2, 4)
 	got := runX(t, 32, 8, w)
 	if got.Failures == 0 {
@@ -173,7 +173,7 @@ func TestWindowQuiescence(t *testing.T) {
 
 	// A window over a non-Quiescence inner still reports the closed
 	// stretches but falls back to 0 inside the window.
-	opaque := adversary.NewWindow(adversary.Thrashing{}, 4, 8)
+	opaque := adversary.NewWindow(&adversary.Thrashing{}, 4, 8)
 	if got := opaque.QuiescentFor(0); got != 4 {
 		t.Errorf("opaque QuiescentFor(0) = %d, want 4", got)
 	}
@@ -206,7 +206,7 @@ func TestCompositeQuiescence(t *testing.T) {
 		t.Errorf("QuiescentFor(10) = %d, want forever", got)
 	}
 
-	mixed := adversary.NewComposite(a, adversary.Thrashing{})
+	mixed := adversary.NewComposite(a, &adversary.Thrashing{})
 	if _, ok := mixed.(pram.Quiescence); ok {
 		t.Error("composite with a non-Quiescence part must not claim pram.Quiescence")
 	}

@@ -23,9 +23,11 @@ type Halving struct {
 	// lower bound; experiment E13 uses it against algorithm X.
 	NoRestarts bool
 
-	// scratch, reused across ticks
-	writers map[int][]int
-	cells   []int
+	// scratch and decision buffers, reused across ticks
+	writers  map[int][]int
+	cells    []int
+	fails    []pram.Failure
+	restarts []int
 }
 
 // NewHalving returns a halving lower-bound adversary.
@@ -43,14 +45,13 @@ func (h *Halving) Name() string {
 
 // Decide implements pram.Adversary.
 func (h *Halving) Decide(v *pram.View) pram.Decision {
-	var dec pram.Decision
+	h.fails, h.restarts = h.fails[:0], h.restarts[:0]
 	if !h.NoRestarts {
-		for pid := 0; pid < v.States.Len(); pid++ {
-			if v.States.At(pid) == pram.Dead {
-				dec.Restarts = append(dec.Restarts, pid)
-			}
+		for pid := v.States.NextDead(0); pid >= 0; pid = v.States.NextDead(pid + 1) {
+			h.restarts = append(h.restarts, pid)
 		}
 	}
+	dec := pram.Decision{Restarts: h.restarts}
 
 	// Group the processors about to write an unvisited array cell by the
 	// cell they target.
@@ -90,12 +91,12 @@ func (h *Halving) Decide(v *pram.View) pram.Decision {
 		}
 		return a < b
 	})
-	dec.Failures = make(map[int]pram.FailPoint)
 	for _, cell := range h.cells[:len(h.cells)/2] {
 		for _, pid := range h.writers[cell] {
-			dec.Failures[pid] = pram.FailBeforeReads
+			h.fails = append(h.fails, pram.Failure{PID: pid, Point: pram.FailBeforeReads})
 		}
 	}
+	dec.Failures = h.fails
 	return dec
 }
 

@@ -25,6 +25,10 @@ type Random struct {
 	src    *rng.Counting
 	r      *rand.Rand
 	events int64
+
+	// decision buffers, reused across ticks
+	fails    []pram.Failure
+	restarts []int
 }
 
 // NewRandom returns a Random adversary with the given per-tick fail and
@@ -49,7 +53,7 @@ func (r *Random) ensure() {
 // Decide implements pram.Adversary.
 func (r *Random) Decide(v *pram.View) pram.Decision {
 	r.ensure()
-	var dec pram.Decision
+	r.fails, r.restarts = r.fails[:0], r.restarts[:0]
 	for pid := 0; pid < v.States.Len(); pid++ {
 		if r.MaxEvents > 0 && r.events >= r.MaxEvents {
 			break
@@ -57,20 +61,17 @@ func (r *Random) Decide(v *pram.View) pram.Decision {
 		switch v.States.At(pid) {
 		case pram.Alive:
 			if r.r.Float64() < r.FailProb {
-				if dec.Failures == nil {
-					dec.Failures = make(map[int]pram.FailPoint)
-				}
-				dec.Failures[pid] = r.point()
+				r.fails = append(r.fails, pram.Failure{PID: pid, Point: r.point()})
 				r.events++
 			}
 		case pram.Dead:
 			if r.r.Float64() < r.RestartProb {
-				dec.Restarts = append(dec.Restarts, pid)
+				r.restarts = append(r.restarts, pid)
 				r.events++
 			}
 		}
 	}
-	return dec
+	return pram.Decision{Failures: r.fails, Restarts: r.restarts}
 }
 
 // QuiescentFor implements pram.Quiescence. A budgeted adversary whose

@@ -14,6 +14,7 @@ type Recorder struct {
 	inner pram.Adversary
 
 	pattern []Event
+	failed  []bool // per-PID scratch: already recorded a failure this tick
 }
 
 // NewRecorder wraps inner, recording every decision it makes.
@@ -24,16 +25,26 @@ func NewRecorder(inner pram.Adversary) *Recorder {
 // Name implements pram.Adversary.
 func (r *Recorder) Name() string { return r.inner.Name() + "+recorded" }
 
-// Decide implements pram.Adversary.
+// Decide implements pram.Adversary. Failures are recorded in decision
+// order, each PID once with the fail point the machine applies (its
+// first entry), so a recording is a pure function of the run.
 func (r *Recorder) Decide(v *pram.View) pram.Decision {
 	dec := r.inner.Decide(v)
-	for pid, fp := range dec.Failures {
-		if fp == pram.NoFailure {
+	if len(r.failed) < v.P {
+		r.failed = make([]bool, v.P)
+	}
+	first := len(r.pattern)
+	for _, f := range dec.Failures {
+		if f.Point == pram.NoFailure || f.PID < 0 || f.PID >= v.P || r.failed[f.PID] {
 			continue
 		}
+		r.failed[f.PID] = true
 		r.pattern = append(r.pattern, Event{
-			Tick: v.Tick, PID: pid, Kind: Fail, Point: fp,
+			Tick: v.Tick, PID: f.PID, Kind: Fail, Point: f.Point,
 		})
+	}
+	for _, e := range r.pattern[first:] {
+		r.failed[e.PID] = false
 	}
 	for _, pid := range dec.Restarts {
 		r.pattern = append(r.pattern, Event{Tick: v.Tick, PID: pid, Kind: Restart})

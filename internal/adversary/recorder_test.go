@@ -2,6 +2,7 @@ package adversary_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,5 +150,46 @@ func TestRecordedPatternSurvivesFileRoundTrip(t *testing.T) {
 	replayed := runX(t, 64, 16, adversary.NewScheduled(pattern))
 	if orig != replayed {
 		t.Errorf("file round trip diverged:\n  orig     = %+v\n  replayed = %+v", orig, replayed)
+	}
+}
+
+// TestRecordedPatternIsDeterministic runs the same recorded run twice:
+// the pattern files and the Recorder snapshots must be byte-identical,
+// within ticks too, because the recorder follows the decision's order.
+func TestRecordedPatternIsDeterministic(t *testing.T) {
+	record := func() ([]byte, []pram.Word) {
+		rec := adversary.NewRecorder(adversary.NewRandom(0.3, 0.5, 1))
+		runX(t, 256, 64, rec)
+		var buf bytes.Buffer
+		if err := adversary.WritePattern(&buf, rec.Pattern()); err != nil {
+			t.Fatalf("WritePattern: %v", err)
+		}
+		return buf.Bytes(), rec.SnapshotState()
+	}
+	file1, snap1 := record()
+	file2, snap2 := record()
+	if !bytes.Equal(file1, file2) {
+		t.Error("two identical recorded runs wrote different pattern files")
+	}
+	if !slices.Equal(snap1, snap2) {
+		t.Error("two identical recorded runs left different Recorder snapshots")
+	}
+	if len(snap1) < 2 {
+		t.Error("no events recorded; test is vacuous")
+	}
+}
+
+// TestScheduledRepeatedPIDLastWins pins Scheduled's rule for a pattern
+// that fails one PID twice in a tick: the later event sets the point.
+func TestScheduledRepeatedPIDLastWins(t *testing.T) {
+	s := adversary.NewScheduled([]adversary.Event{
+		{Tick: 3, PID: 1, Kind: adversary.Fail, Point: pram.FailAfterReads},
+		{Tick: 3, PID: 2, Kind: adversary.Fail},
+		{Tick: 3, PID: 1, Kind: adversary.Fail, Point: pram.FailAfterWrite1},
+	})
+	dec := s.Decide(&pram.View{Tick: 3, P: 4})
+	want := []pram.Failure{{PID: 1, Point: pram.FailAfterWrite1}, {PID: 2, Point: pram.FailBeforeReads}}
+	if !slices.Equal(dec.Failures, want) {
+		t.Errorf("Failures = %v, want %v", dec.Failures, want)
 	}
 }

@@ -19,10 +19,14 @@ type Thrashing struct {
 	// Rotate makes the spared processor rotate each tick instead of
 	// always sparing the lowest-PID live processor.
 	Rotate bool
+
+	// decision buffers, reused across ticks
+	fails    []pram.Failure
+	restarts []int
 }
 
 // Name implements pram.Adversary.
-func (a Thrashing) Name() string {
+func (a *Thrashing) Name() string {
 	if a.Rotate {
 		return "thrashing-rotating"
 	}
@@ -30,38 +34,29 @@ func (a Thrashing) Name() string {
 }
 
 // Decide implements pram.Adversary.
-func (a Thrashing) Decide(v *pram.View) pram.Decision {
-	var dec pram.Decision
+func (a *Thrashing) Decide(v *pram.View) pram.Decision {
+	s := v.States
 	survivor := -1
 	if a.Rotate {
 		want := v.Tick % v.P
-		if v.States.At(want) == pram.Alive {
+		if s.At(want) == pram.Alive {
 			survivor = want
 		}
 	}
 	if survivor == -1 {
-		for pid := 0; pid < v.States.Len(); pid++ {
-			if v.States.At(pid) == pram.Alive {
-				survivor = pid
-				break
-			}
+		survivor = s.NextAlive(0)
+	}
+	a.fails = a.fails[:0]
+	for pid := s.NextAlive(0); pid >= 0; pid = s.NextAlive(pid + 1) {
+		if pid != survivor {
+			a.fails = append(a.fails, pram.Failure{PID: pid, Point: pram.FailAfterReads})
 		}
 	}
-	for pid := 0; pid < v.States.Len(); pid++ {
-		switch v.States.At(pid) {
-		case pram.Alive:
-			if pid == survivor {
-				continue
-			}
-			if dec.Failures == nil {
-				dec.Failures = make(map[int]pram.FailPoint, v.Alive)
-			}
-			dec.Failures[pid] = pram.FailAfterReads
-		case pram.Dead:
-			dec.Restarts = append(dec.Restarts, pid)
-		}
+	a.restarts = a.restarts[:0]
+	for pid := s.NextDead(0); pid >= 0; pid = s.NextDead(pid + 1) {
+		a.restarts = append(a.restarts, pid)
 	}
-	return dec
+	return pram.Decision{Failures: a.fails, Restarts: a.restarts}
 }
 
-var _ pram.Adversary = Thrashing{}
+var _ pram.Adversary = (*Thrashing)(nil)

@@ -35,6 +35,12 @@ type Compiled struct {
 	deadSince []int
 
 	perm []int // scratch for TargetRandom's partial Fisher-Yates
+
+	// decision buffers and per-PID marks (bit 0: failure taken, bit 1:
+	// restarted), reused across ticks and cleared at the entries set
+	fails    []pram.Failure
+	restarts []int
+	mark     []uint8
 }
 
 // ruleState is one rule's runtime state.
@@ -92,13 +98,16 @@ func (c *Compiled) ensure(p int) {
 	for len(c.deadSince) < p {
 		c.deadSince = append(c.deadSince, -1)
 	}
+	if len(c.mark) < p {
+		c.mark = make([]uint8, p)
+	}
 }
 
 // Decide implements pram.Adversary. Rules apply in order; the first
 // rule to claim a processor's fail point wins, like Composite.
 func (c *Compiled) Decide(v *pram.View) pram.Decision {
 	c.ensure(v.P)
-	var dec pram.Decision
+	c.fails, c.restarts = c.fails[:0], c.restarts[:0]
 
 	// The set-cell count backing progress/stall triggers is computed at
 	// most once per tick, and only on ticks where a live rule wants it.
@@ -114,22 +123,16 @@ func (c *Compiled) Decide(v *pram.View) pram.Decision {
 		}
 		return count
 	}
-	// The dead count backing Budget.MaxDead is likewise lazy; kills
-	// issued this tick are added as they are decided.
+	// The dead count backing Budget.MaxDead is read at its first use;
+	// kills and restarts issued from then on adjust it.
 	dead := -1
 	deadCount := func() int {
 		if dead < 0 {
-			dead = 0
-			for pid := 0; pid < v.States.Len(); pid++ {
-				if v.States.At(pid) == pram.Dead {
-					dead++
-				}
-			}
+			dead = v.States.NumDead()
 		}
 		return dead
 	}
 
-	restarted := make(map[int]bool)
 	for i := range c.spec.Rules {
 		rule := &c.spec.Rules[i]
 		st := &c.rules[i]
@@ -153,23 +156,21 @@ func (c *Compiled) Decide(v *pram.View) pram.Decision {
 					// processor is demonstrably alive, so forget it.
 					c.deadSince[pid] = -1
 				}
-				if _, taken := dec.Failures[pid]; taken {
+				if c.mark[pid]&1 != 0 {
 					continue
 				}
 				if rule.Budget.MaxDead > 0 && deadCount() >= rule.Budget.MaxDead {
 					continue
 				}
-				if dec.Failures == nil {
-					dec.Failures = make(map[int]pram.FailPoint)
-				}
-				dec.Failures[pid] = c.points[i]
+				c.mark[pid] |= 1
+				c.fails = append(c.fails, pram.Failure{PID: pid, Point: c.points[i]})
 				c.deadSince[pid] = v.Tick
 				st.events++
 				if dead >= 0 {
 					dead++
 				}
 			case pram.Dead:
-				if rule.RestartAfter <= 0 || restarted[pid] {
+				if rule.RestartAfter <= 0 || c.mark[pid]&2 != 0 {
 					continue
 				}
 				since := c.deadSince[pid]
@@ -182,8 +183,8 @@ func (c *Compiled) Decide(v *pram.View) pram.Decision {
 				if v.Tick-since < rule.RestartAfter {
 					continue
 				}
-				dec.Restarts = append(dec.Restarts, pid)
-				restarted[pid] = true
+				c.restarts = append(c.restarts, pid)
+				c.mark[pid] |= 2
 				c.deadSince[pid] = -1
 				st.events++
 				if dead >= 0 {
@@ -192,7 +193,13 @@ func (c *Compiled) Decide(v *pram.View) pram.Decision {
 			}
 		}
 	}
-	return dec
+	for _, f := range c.fails {
+		c.mark[f.PID] = 0
+	}
+	for _, pid := range c.restarts {
+		c.mark[pid] = 0
+	}
+	return pram.Decision{Failures: c.fails, Restarts: c.restarts}
 }
 
 // fires evaluates one rule's trigger at the view's tick, updating the

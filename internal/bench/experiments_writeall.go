@@ -60,7 +60,7 @@ func E1Thrashing(ctx context.Context, s Scale) []Table {
 	}
 	points := Points(len(jobs), func(i int) point {
 		alg := jobs[i].mk()
-		got, err := runWA(ctx, pram.Config{N: jobs[i].n, P: jobs[i].n}, alg, adversary.Thrashing{})
+		got, err := runWA(ctx, pram.Config{N: jobs[i].n, P: jobs[i].n}, alg, &adversary.Thrashing{})
 		return point{alg.Name(), got, err}
 	})
 	for i, pt := range points {
@@ -172,7 +172,7 @@ func E3Oblivious(ctx context.Context, s Scale) []Table {
 	}
 	mkAdvs := []func() pram.Adversary{
 		func() pram.Adversary { return adversary.NewHalving() },
-		func() pram.Adversary { return adversary.Thrashing{} },
+		func() pram.Adversary { return &adversary.Thrashing{} },
 		func() pram.Adversary { return adversary.None{} },
 	}
 	type job struct {
@@ -310,7 +310,7 @@ func E5VRestart(ctx context.Context, s Scale) []Table {
 func E6XWorstCase(ctx context.Context, s Scale) []Table {
 	sizes := []int{16, 32, 64, 128, 256}
 	if s == Full {
-		sizes = []int{16, 32, 64, 128, 256, 512, 1024}
+		sizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 	}
 	t := &Table{
 		ID:     "E6",
@@ -427,7 +427,7 @@ func E8Combined(ctx context.Context, s Scale) []Table {
 	advs := []func() pram.Adversary{
 		func() pram.Adversary { return adversary.None{} },
 		func() pram.Adversary { return adversary.NewHalving() },
-		func() pram.Adversary { return adversary.Thrashing{Rotate: true} },
+		func() pram.Adversary { return &adversary.Thrashing{Rotate: true} },
 		func() pram.Adversary {
 			r := adversary.NewRandom(0.3, 0.8, 23)
 			r.MaxEvents = int64(8 * n)

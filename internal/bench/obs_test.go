@@ -53,7 +53,7 @@ func TestEnableObsCountsPoints(t *testing.T) {
 	defer SetPointDeadline(0)
 	delta = benchDeltas(reg, obs.MetricPoints, obs.MetricPointsDeadline)
 	_, err := runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
-		writeall.NewV(), adversary.Thrashing{Rotate: true})
+		writeall.NewV(), &adversary.Thrashing{Rotate: true})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -91,7 +91,7 @@ func TestWatchdogDoesNotLeakGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		_, err := runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
-			writeall.NewV(), adversary.Thrashing{Rotate: true})
+			writeall.NewV(), &adversary.Thrashing{Rotate: true})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("point %d: err = %v, want DeadlineExceeded", i, err)
 		}

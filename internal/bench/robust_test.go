@@ -150,7 +150,7 @@ func TestPointDeadlineCancelsLivelockedRun(t *testing.T) {
 	// V under the rotating thrasher makes no progress; with an absurd
 	// tick budget only the wall-clock deadline can end the point.
 	_, err := runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
-		writeall.NewV(), adversary.Thrashing{Rotate: true})
+		writeall.NewV(), &adversary.Thrashing{Rotate: true})
 	if err == nil {
 		t.Fatal("livelocked point returned no error under a 50ms deadline")
 	}

@@ -156,7 +156,7 @@ func TestShapeCorollary411SigmaFallsWithF(t *testing.T) {
 
 func TestShapeExample22Quadratic(t *testing.T) {
 	const n = 128
-	got := mustWA(t, pram.Config{N: n, P: n}, writeall.NewTrivial(), adversary.Thrashing{})
+	got := mustWA(t, pram.Config{N: n, P: n}, writeall.NewTrivial(), &adversary.Thrashing{})
 	sPrimeRatio := float64(got.SPrime()) / float64(n*n)
 	sRatio := float64(got.S()) / float64(n)
 	if sPrimeRatio < 0.25 {

@@ -96,7 +96,7 @@ func TestExecutorThrashingRotatingBothEngines(t *testing.T) {
 	cp := prog.Assign{N: 32}
 	for _, engine := range []core.Engine{core.EngineVX, core.EngineX} {
 		t.Run(engine.String(), func(t *testing.T) {
-			executeEngine(t, cp, 32, adversary.Thrashing{Rotate: true}, engine)
+			executeEngine(t, cp, 32, &adversary.Thrashing{Rotate: true}, engine)
 		})
 	}
 }

@@ -85,7 +85,7 @@ func TestExecutorRunsProgramsUnderRandomFailuresAndRestarts(t *testing.T) {
 func TestExecutorRunsProgramsUnderThrashing(t *testing.T) {
 	for _, cp := range programs() {
 		t.Run(cp.Name(), func(t *testing.T) {
-			execute(t, cp, cp.Processors(), adversary.Thrashing{})
+			execute(t, cp, cp.Processors(), &adversary.Thrashing{})
 		})
 	}
 }

@@ -113,10 +113,7 @@ func (k *phaseBoundaryKiller) Decide(v *pram.View) pram.Decision {
 		}
 		for _, w := range in.Writes {
 			if w.Addr == 0 { // the phase counter cell
-				if dec.Failures == nil {
-					dec.Failures = make(map[int]pram.FailPoint)
-				}
-				dec.Failures[pid] = pram.FailAfterReads
+				dec.Failures = append(dec.Failures, pram.Failure{PID: pid, Point: pram.FailAfterReads})
 				k.kills++
 				break
 			}

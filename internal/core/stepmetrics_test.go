@@ -75,7 +75,7 @@ func TestMaxStepSigmaBoundedByLog2N(t *testing.T) {
 func TestStepMetricsSurfaceRunErrors(t *testing.T) {
 	cp := prog.PrefixSum{N: 16}
 	// Impossible budget: force a tick-limit error through the helper.
-	_, _, err := core.RunWithStepMetrics(cp, 1, adversary.Thrashing{Rotate: true},
+	_, _, err := core.RunWithStepMetrics(cp, 1, &adversary.Thrashing{Rotate: true},
 		pram.Config{MaxTicks: 3}, core.EngineVX)
 	if err == nil {
 		t.Fatal("want error from truncated run")

@@ -18,6 +18,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -96,6 +97,9 @@ func (s RunSpec) Validate() error {
 	if s.ReplayPath == "" {
 		if err := checkAdversaryName(s.Adversary); err != nil {
 			return err
+		}
+		if s.Adversary == "postorder" && !readsXTree(s.Algorithm) {
+			return fmt.Errorf("run spec: %w: algorithm %s (use X, combined or ACC)", ErrPostOrderAlgorithm, s.Algorithm)
 		}
 	}
 	if s.N <= 0 {
@@ -265,6 +269,16 @@ func NewAlgorithm(name string, seed int64) (failstop.Algorithm, bool, error) {
 		return nil, false, fmt.Errorf("unknown algorithm %q", name)
 	}
 }
+
+// ErrPostOrderAlgorithm rejects a run of the post-order adversary against
+// an algorithm it cannot read: the adversary follows processors through
+// algorithm X's progress tree at base N, which only X, combined and ACC
+// lay out.
+var ErrPostOrderAlgorithm = errors.New("adversary postorder needs X's progress tree")
+
+// readsXTree reports whether the named algorithm lays out X's progress
+// tree at base N, the memory the post-order adversary reads.
+func readsXTree(alg string) bool { return alg == "X" || alg == "combined" || alg == "ACC" }
 
 // checkAdversaryName validates an adversary name without constructing
 // it (construction wants the final N/P, which a restore may override).

@@ -62,6 +62,9 @@ func randomRunSpec(rng *rand.Rand) RunSpec {
 		spec.FailProb = float64(rng.Intn(101)) / 100
 		spec.RestartProb = float64(rng.Intn(101)) / 100
 	}
+	if spec.Adversary == "postorder" && !readsXTree(spec.Algorithm) {
+		spec.Algorithm = "X" // post-order reads X's tree; Validate rejects other pairings
+	}
 	return spec
 }
 
@@ -149,6 +152,7 @@ func TestRunSpecValidateRejects(t *testing.T) {
 		{"negative-max-ticks", func(s *RunSpec) { s.MaxTicks = -1 }, "max ticks"},
 		{"negative-trace-sample", func(s *RunSpec) { s.TraceSample = -1 }, "trace sample"},
 		{"negative-checkpoint-every", func(s *RunSpec) { s.CheckpointEvery = -1 }, "checkpoint interval"},
+		{"postorder-without-x-tree", func(s *RunSpec) { s.Algorithm = "V"; s.Adversary = "postorder" }, "needs X's progress tree"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -78,18 +78,42 @@ type View struct {
 	// unscheduled processors are nil. Adversaries must not modify the
 	// intents.
 	Intents []*Intent
-	// Alive is the number of processors in state Alive.
+	// Alive is the number of processors executing a cycle this tick.
 	Alive int
+	// Changed lists the PIDs whose state changed since the previous
+	// Decide on this machine — deaths, halts (quiet windows included),
+	// restarts and forced restarts — in the order they happened, a PID
+	// once per change. It lets an adversary that indexes processors by
+	// state update the index in O(changes) instead of rescanning States.
+	// The slice is machine-owned and valid only during the call.
+	Changed []int
+	// Resync is set on the first Decide after New, Reset or
+	// RestoreSnapshot, when Changed does not cover the machine's history.
+	// An adversary that keeps an index rebuilds it from States when
+	// Resync is set, and also when Tick is not one past its previous
+	// call: a Window wrapper or a quiet window may skip calls.
+	Resync bool
+}
+
+// Failure is one processor the adversary kills this tick, and where in
+// its update cycle.
+type Failure struct {
+	PID   int
+	Point FailPoint
 }
 
 // Decision is the adversary's move for one tick: which live processors to
 // fail (and where in their cycles), and which dead processors to restart.
 // Restarted processors resume from their initial state (plus stable
-// counter) on the next tick.
+// counter) on the next tick. The machine applies Failures in order: the
+// first entry for a PID wins, and entries with Point NoFailure are
+// ignored. Decision slices need only stay valid until the adversary's
+// next Decide, so an adversary may return per-instance buffers it
+// reuses; the machine never writes into them.
 type Decision struct {
-	// Failures maps PID to the point in this tick's cycle at which the
-	// processor is killed. PIDs absent from the map survive the tick.
-	Failures map[int]FailPoint
+	// Failures lists the processors killed this tick. Processors absent
+	// from it survive the tick.
+	Failures []Failure
 	// Restarts lists dead PIDs to revive.
 	Restarts []int
 }

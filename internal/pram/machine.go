@@ -3,6 +3,7 @@ package pram
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 
@@ -123,15 +124,19 @@ type Machine struct {
 	sink Sink
 
 	mem     *Memory
-	states  []ProcState
+	ps      procSet
 	procs   []Processor
 	stables []Word
 	ctxs    []*Ctx
 
 	// retired stashes Resettable processors of dead or halted PIDs so a
 	// later restart (or the next pooled run) can recycle them instead of
-	// allocating through Algorithm.NewProcessor.
+	// allocating through Algorithm.NewProcessor. resets[pid] is pid's
+	// processor (in procs or retired) as a Resettable, nil when it is
+	// not one; it is resolved once per processor, so kills and restarts
+	// make no type assertions.
 	retired []Processor
+	resets  []Resettable
 
 	// hintLen/remaining implement the incremental Done counter for
 	// ArrayDoneHinter algorithms: remaining counts zero cells in
@@ -157,12 +162,18 @@ type Machine struct {
 	// steady-state batched runs stay allocation-free.
 	bctx BatchCtx
 
-	// failBuf is the per-PID resolution of the adversary's failure map,
-	// rebuilt each tick the map is non-empty; failDirty tracks whether it
-	// holds stale entries. It replaces per-PID map lookups in the apply
-	// phase with an indexed read in PID order.
-	failBuf   []FailPoint
-	failDirty bool
+	// failBuf is the per-PID resolution of the adversary's failure list,
+	// so the apply phase reads each live PID's fail point by index;
+	// failSet lists the PIDs it holds a fail point for, so clearing it
+	// costs the tick's failures, not P.
+	failBuf []FailPoint
+	failSet []int
+
+	// changed accumulates the PIDs whose state changed since the last
+	// Decide, and resync is set until the first Decide after Reset or
+	// RestoreSnapshot; both are handed to the adversary in its View.
+	changed []int
+	resync  bool
 
 	// fiCycle is the resolved kernel.cycle failpoint (nil when fault
 	// injection is off); cyclePanic holds the tick's first recovered
@@ -229,15 +240,20 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	m.cfg, m.alg, m.adv, m.sink = cfg, alg, adv, cfg.Sink
 
 	p := cfg.P
-	m.states = grow(m.states, p)
+	m.ps.reset(p)
 	m.procs = grow(m.procs, p)
 	m.retired = grow(m.retired, p)
+	m.resets = grow(m.resets, p)
 	m.stables = grow(m.stables, p)
 	m.ctxs = grow(m.ctxs, p)
 	m.intents = grow(m.intents, p)
 	m.intentsB = grow(m.intentsB, p)
 	m.failBuf = grow(m.failBuf, p)
-	m.failDirty = true // grow does not clear; stale entries possible
+	if cap(m.changed) < 2*p {
+		// A tick kills or halts each live PID at most once and restarts
+		// each dead one at most once.
+		m.changed = make([]int, 0, 2*p)
+	}
 	if !sameAlg {
 		// Stale processors beyond the previous run's P could otherwise
 		// resurface in a later grow and be recycled for the wrong
@@ -245,6 +261,7 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 		// processor belongs to the current instance.
 		clear(m.procs[:cap(m.procs)])
 		clear(m.retired[:cap(m.retired)])
+		clear(m.resets[:cap(m.resets)])
 	}
 	if cap(m.pending) < p {
 		m.pending = make([]pendingCommit, 0, p)
@@ -265,7 +282,6 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 
 	view := m.mem.View()
 	for pid := 0; pid < p; pid++ {
-		m.states[pid] = Alive
 		m.stables[pid] = 0
 		m.intents[pid] = nil
 		m.procs[pid] = m.nextProcessor(pid, sameAlg)
@@ -280,9 +296,20 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	m.tick = 0
 	m.ended = false
 	m.metrics = Metrics{N: cfg.N, P: p}
+	m.resetTickState()
 	m.initDoneHint()
 	m.resetRobustness()
 	return nil
+}
+
+// resetTickState clears the cross-tick scratch for a fresh or restored
+// run: no fail points pending and no change list, and the next Decide
+// is told to resync.
+func (m *Machine) resetTickState() {
+	clear(m.failBuf)
+	m.failSet = m.failSet[:0]
+	m.changed = m.changed[:0]
+	m.resync = true
 }
 
 // grow returns s with length n, reusing capacity when possible. Elements
@@ -320,14 +347,22 @@ func (m *Machine) nextProcessor(pid int, sameAlg bool) Processor {
 		if cand == nil {
 			cand = m.retired[pid]
 		}
-		if rp, ok := cand.(Resettable); ok {
+		if rp := m.resets[pid]; cand != nil && rp != nil {
 			m.retired[pid] = nil
 			rp.Reset(pid, m.cfg.N, m.cfg.P)
 			return cand
 		}
 	}
 	m.retired[pid] = nil
-	return m.alg.NewProcessor(pid, m.cfg.N, m.cfg.P)
+	return m.newProcessor(pid)
+}
+
+// newProcessor builds processor pid's initial state through the
+// algorithm and records whether it can be reset in place.
+func (m *Machine) newProcessor(pid int) Processor {
+	proc := m.alg.NewProcessor(pid, m.cfg.N, m.cfg.P)
+	m.resets[pid], _ = proc.(Resettable)
+	return proc
 }
 
 // packedLen resolves the bit-packed prefix length for a run: the
@@ -410,7 +445,7 @@ func (m *Machine) Metrics() Metrics { return m.metrics }
 func (m *Machine) Tick() int { return m.tick }
 
 // State returns processor pid's liveness.
-func (m *Machine) State(pid int) ProcState { return m.states[pid] }
+func (m *Machine) State(pid int) ProcState { return m.ps.states[pid] }
 
 // Run executes ticks until the algorithm reports completion, returning the
 // final metrics. On error the metrics collected so far are still returned.
@@ -448,7 +483,8 @@ func (m *Machine) Step() (bool, error) {
 	// under which the adversary below also sees every intent before any
 	// write lands.
 	m.resolveSchedule()
-	m.attemptRange(0, m.cfg.P)
+	m.dropStaleIntents()
+	m.attemptRange()
 	if e := m.takeCyclePanic(); e != nil {
 		// A cycle panicked (naturally or injected); the attempt published
 		// no intent. Fail the run with the recovered panic rather than
@@ -458,13 +494,16 @@ func (m *Machine) Step() (bool, error) {
 	// Validate the published cycles in PID order, counting them: alive
 	// is the number of processors executing an update cycle this tick.
 	alive := 0
-	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.intents[pid] == nil {
-			continue
-		}
-		alive++
-		if err := m.validateCycle(m.ctxs[pid]); err != nil {
-			return false, m.fail(err)
+	for i, w := range m.ps.alive {
+		for ; w != 0; w &= w - 1 {
+			pid := i<<6 | bits.TrailingZeros64(w)
+			if m.intents[pid] == nil {
+				continue
+			}
+			alive++
+			if err := m.validateCycle(m.ctxs[pid]); err != nil {
+				return false, m.fail(err)
+			}
 		}
 	}
 	if alive == 0 {
@@ -475,37 +514,26 @@ func (m *Machine) Step() (bool, error) {
 
 	// Phase 2: the adversary moves. It sees the same immutable pre-tick
 	// views the cycles saw.
-	m.view = View{
-		Tick:    m.tick,
-		N:       m.cfg.N,
-		P:       m.cfg.P,
-		Mem:     m.mem.View(),
-		States:  StateView{states: m.states},
-		Intents: m.intents,
-		Alive:   alive,
-	}
-	dec := m.adv.Decide(&m.view)
+	dec := m.decide(alive)
 
-	// Phase 3: resolve the adversary's failure map into the per-PID
-	// failBuf (one indexed read per processor afterwards, no map lookups
-	// in PID loops) and enforce liveness: at least one alive, scheduled
-	// processor must complete its cycle this tick. Ticks without
-	// failures skip both loops entirely.
-	if m.failDirty {
-		clear(m.failBuf)
-		m.failDirty = false
+	// Phase 3: resolve the adversary's failure list into the per-PID
+	// failBuf (one indexed read per processor afterwards) and enforce
+	// liveness: at least one alive, scheduled processor must complete
+	// its cycle this tick.
+	for _, pid := range m.failSet {
+		m.failBuf[pid] = NoFailure
 	}
+	m.failSet = m.failSet[:0]
 	survivors := alive
-	if len(dec.Failures) > 0 {
-		m.failDirty = true
-		for pid, fp := range dec.Failures {
-			if fp == NoFailure || pid < 0 || pid >= m.cfg.P {
-				continue
-			}
-			m.failBuf[pid] = fp
-			if m.states[pid] == Alive && m.intents[pid] != nil {
-				survivors--
-			}
+	for _, f := range dec.Failures {
+		pid := f.PID
+		if f.Point == NoFailure || pid < 0 || pid >= m.cfg.P || m.failBuf[pid] != NoFailure {
+			continue
+		}
+		m.failBuf[pid] = f.Point
+		m.failSet = append(m.failSet, pid)
+		if m.ps.states[pid] == Alive && m.intents[pid] != nil {
+			survivors--
 		}
 	}
 	if survivors == 0 {
@@ -523,52 +551,48 @@ func (m *Machine) Step() (bool, error) {
 	// but its cycle never began: any fail point degrades to "nothing
 	// executed" and its stale context must not leak writes.
 	m.pending = m.pending[:0]
-	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.states[pid] != Alive {
-			continue
-		}
-		ctx := m.ctxs[pid]
-		fp := m.failBuf[pid]
-		if m.intents[pid] == nil {
-			// Unscheduled this tick: only death can happen.
+	for i, w := range m.ps.alive {
+		for ; w != 0; w &= w - 1 {
+			pid := i<<6 | bits.TrailingZeros64(w)
+			ctx := m.ctxs[pid]
+			fp := m.failBuf[pid]
+			if m.intents[pid] == nil {
+				// Unscheduled this tick: only death can happen.
+				if fp != NoFailure {
+					m.kill(pid)
+				}
+				continue
+			}
+			pc := pendingCommit{pid: pid, fail: fp}
+			switch fp {
+			case NoFailure:
+				pc.writes = ctx.writeOps()
+				pc.stableSet = ctx.stableSet
+				pc.stable = ctx.newStable
+				pc.halts = m.intents[pid].Halts
+				pc.completed = true
+				pc.started = true
+			case FailBeforeReads:
+				// The cycle never began: nothing executed, nothing charged.
+			case FailAfterReads:
+				pc.started = true
+			case FailAfterWrite1:
+				pc.started = true
+				if ctx.nWrites > 0 {
+					pc.writes = ctx.writeOps()[:1]
+				}
+			default:
+				return false, m.fail(fmt.Errorf("pram: adversary %s returned invalid fail point %d for pid %d",
+					m.adv.Name(), fp, pid))
+			}
 			if fp != NoFailure {
-				m.states[pid] = Dead
-				m.retire(pid)
-				m.metrics.Failures++
+				m.kill(pid)
+				if pc.started {
+					m.metrics.Incomplete++
+				}
 			}
-			continue
+			m.pending = append(m.pending, pc)
 		}
-		pc := pendingCommit{pid: pid, fail: fp}
-		switch fp {
-		case NoFailure:
-			pc.writes = ctx.writeOps()
-			pc.stableSet = ctx.stableSet
-			pc.stable = ctx.newStable
-			pc.halts = m.intents[pid].Halts
-			pc.completed = true
-			pc.started = true
-		case FailBeforeReads:
-			// The cycle never began: nothing executed, nothing charged.
-		case FailAfterReads:
-			pc.started = true
-		case FailAfterWrite1:
-			pc.started = true
-			if ctx.nWrites > 0 {
-				pc.writes = ctx.writeOps()[:1]
-			}
-		default:
-			return false, m.fail(fmt.Errorf("pram: adversary %s returned invalid fail point %d for pid %d",
-				m.adv.Name(), fp, pid))
-		}
-		if fp != NoFailure {
-			m.states[pid] = Dead
-			m.retire(pid)
-			m.metrics.Failures++
-			if pc.started {
-				m.metrics.Incomplete++
-			}
-		}
-		m.pending = append(m.pending, pc)
 	}
 
 	// Phase 5: resolve and commit all surviving writes synchronously,
@@ -586,7 +610,7 @@ func (m *Machine) Step() (bool, error) {
 			m.stables[pc.pid] = pc.stable
 		}
 		if pc.halts {
-			m.states[pc.pid] = Halted
+			m.setState(pc.pid, Halted)
 			m.retire(pc.pid)
 		}
 	}
@@ -608,6 +632,52 @@ func (m *Machine) Step() (bool, error) {
 		return false, m.fail(fmt.Errorf("%w (algorithm=%s)", ErrAllHalted, m.alg.Name()))
 	}
 	return false, nil
+}
+
+// decide hands the adversary this tick's view, with the PIDs whose state
+// changed since its previous call, and starts a fresh change list.
+func (m *Machine) decide(alive int) Decision {
+	m.view = View{
+		Tick:    m.tick,
+		N:       m.cfg.N,
+		P:       m.cfg.P,
+		Mem:     m.mem.View(),
+		States:  StateView{s: &m.ps},
+		Intents: m.intents,
+		Alive:   alive,
+		Changed: m.changed,
+		Resync:  m.resync,
+	}
+	dec := m.adv.Decide(&m.view)
+	m.changed = m.changed[:0]
+	m.resync = false
+	return dec
+}
+
+// setState moves pid to state st and notes the change for the next
+// Decide.
+func (m *Machine) setState(pid int, st ProcState) {
+	m.ps.set(pid, st)
+	m.changed = append(m.changed, pid)
+}
+
+// kill fails alive processor pid in the apply phase.
+func (m *Machine) kill(pid int) {
+	m.setState(pid, Dead)
+	m.retire(pid)
+	m.metrics.Failures++
+}
+
+// dropStaleIntents clears the intents of the PIDs that left the live set
+// since the last Decide, which kept them through the tick they died or
+// halted in (EREW's read check reads failed cycles' intents after the
+// apply phase); the attempt phase resets only the live PIDs' intents.
+func (m *Machine) dropStaleIntents() {
+	for _, pid := range m.changed {
+		if m.ps.states[pid] != Alive {
+			m.intents[pid] = nil
+		}
+	}
 }
 
 // attemptOne executes processor pid's update cycle against the tick-start
@@ -690,7 +760,7 @@ func (m *Machine) resolveSchedule() {
 	any := false
 	for pid := 0; pid < m.cfg.P; pid++ {
 		m.sched[pid] = m.cfg.Scheduler(m.tick, pid)
-		if m.sched[pid] && m.states[pid] == Alive {
+		if m.sched[pid] && m.ps.states[pid] == Alive {
 			any = true
 		}
 	}
@@ -720,36 +790,26 @@ func (m *Machine) emitTick(alive int, before Metrics) {
 // the machine force-restarts the lowest-PID dead processor if it does not.
 func (m *Machine) deadTick() (bool, error) {
 	before := m.metrics
-	m.view = View{
-		Tick:    m.tick,
-		N:       m.cfg.N,
-		P:       m.cfg.P,
-		Mem:     m.mem.View(),
-		States:  StateView{states: m.states},
-		Intents: m.intents,
-	}
-	dec := m.adv.Decide(&m.view)
+	dec := m.decide(0)
 	restarted := false
 	for _, pid := range dec.Restarts {
-		if pid >= 0 && pid < m.cfg.P && m.states[pid] == Dead {
+		if pid >= 0 && pid < m.cfg.P && m.ps.states[pid] == Dead {
 			restarted = true
 		}
 	}
-	if !restarted {
+	if restarted {
+		m.applyRestarts(dec.Restarts)
+	} else {
 		m.recordViolation(ViolationNoRestart)
 		if m.cfg.Legality == ErrorOnIllegal {
 			return false, m.fail(fmt.Errorf("%w: no alive processors and no restart at tick %d",
 				ErrIllegalAdversary, m.tick))
 		}
-		for pid := 0; pid < m.cfg.P; pid++ {
-			if m.states[pid] == Dead {
-				dec.Restarts = append(dec.Restarts, pid)
-				m.metrics.Vetoes++
-				break
-			}
+		if pid := nextSet(m.ps.dead, 0); pid >= 0 {
+			m.metrics.Vetoes++
+			m.restart(pid)
 		}
 	}
-	m.applyRestarts(dec.Restarts)
 	m.tick++
 	m.metrics.Ticks = m.tick
 	m.emitTick(0, before)
@@ -762,19 +822,24 @@ func (m *Machine) deadTick() (bool, error) {
 
 func (m *Machine) applyRestarts(restarts []int) {
 	for _, pid := range restarts {
-		if pid < 0 || pid >= m.cfg.P || m.states[pid] != Dead {
+		if pid < 0 || pid >= m.cfg.P || m.ps.states[pid] != Dead {
 			continue
 		}
-		m.states[pid] = Alive
-		m.procs[pid] = m.reviveProcessor(pid)
-		m.metrics.Restarts++
+		m.restart(pid)
 	}
+}
+
+// restart revives dead processor pid for the next tick.
+func (m *Machine) restart(pid int) {
+	m.setState(pid, Alive)
+	m.procs[pid] = m.reviveProcessor(pid)
+	m.metrics.Restarts++
 }
 
 // retire drops processor pid's private state (it died or halted),
 // stashing it for recycling when it supports in-place reinitialization.
 func (m *Machine) retire(pid int) {
-	if rp, ok := m.procs[pid].(Resettable); ok && rp != nil {
+	if m.resets[pid] != nil {
 		m.retired[pid] = m.procs[pid]
 	}
 	m.procs[pid] = nil
@@ -786,36 +851,30 @@ func (m *Machine) retire(pid int) {
 // PID and machine parameters), a fresh NewProcessor otherwise.
 func (m *Machine) reviveProcessor(pid int) Processor {
 	if cand := m.retired[pid]; cand != nil {
-		if rp, ok := cand.(Resettable); ok {
-			m.retired[pid] = nil
-			rp.Reset(pid, m.cfg.N, m.cfg.P)
-			return cand
-		}
+		m.retired[pid] = nil
+		m.resets[pid].Reset(pid, m.cfg.N, m.cfg.P)
+		return cand
 	}
-	return m.alg.NewProcessor(pid, m.cfg.N, m.cfg.P)
+	return m.newProcessor(pid)
 }
 
 // spareOne clears the failure of the lowest-PID targeted alive processor
 // that is actually executing this tick, so that at least one update cycle
 // completes. It adjusts only the machine's failBuf resolution, never the
-// adversary's own decision map.
+// adversary's own decision.
 func (m *Machine) spareOne() {
-	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.states[pid] == Alive && m.intents[pid] != nil && m.failBuf[pid] != NoFailure {
-			m.failBuf[pid] = NoFailure
-			return
+	for i, w := range m.ps.alive {
+		for ; w != 0; w &= w - 1 {
+			pid := i<<6 | bits.TrailingZeros64(w)
+			if m.intents[pid] != nil && m.failBuf[pid] != NoFailure {
+				m.failBuf[pid] = NoFailure
+				return
+			}
 		}
 	}
 }
 
-func (m *Machine) allHalted() bool {
-	for _, s := range m.states {
-		if s != Halted {
-			return false
-		}
-	}
-	return true
-}
+func (m *Machine) allHalted() bool { return m.ps.nHalted == m.cfg.P }
 
 func (m *Machine) validateCycle(ctx *Ctx) error {
 	if ctx.reads > m.metrics.MaxReads {

@@ -2,6 +2,7 @@ package pram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/faultinject"
 )
@@ -299,18 +300,16 @@ func (m *Machine) quietWindow(maxW int) int {
 	if w < 2 {
 		return 0
 	}
-	alive := 0
-	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.states[pid] != Alive {
-			continue
-		}
-		if _, ok := m.procs[pid].(BatchCycler); !ok {
-			return 0
-		}
-		alive++
-	}
+	alive := m.ps.nAlive
 	if alive == 0 {
 		return 0
+	}
+	for i, bw := range m.ps.alive {
+		for ; bw != 0; bw &= bw - 1 {
+			if _, ok := m.procs[i<<6|bits.TrailingZeros64(bw)].(BatchCycler); !ok {
+				return 0
+			}
+		}
 	}
 	writeBudget := MaxWritesPerCycle
 	if m.cfg.CycleWriteBudget > 0 {
@@ -343,39 +342,39 @@ func (m *Machine) runQuietWindow(w int) (bool, error) {
 	// A CycleBatch panic that a caller recovered from may have left a
 	// stripe pending on this pooled machine; it must not commit here.
 	b.stripe = stripe{}
-	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.states[pid] != Alive {
-			continue
-		}
-		alive++
-		b.pid = pid
-		b.stable = m.stables[pid]
-		b.newStable = 0
-		b.stableSet = false
-		b.maxReads, b.maxWrites = 0, 0
-		ran, st := m.procs[pid].(BatchCycler).CycleBatch(b, w)
-		if ran < 0 {
-			ran = 0
-		}
-		if ran > w {
-			ran = w
-		}
-		if err := m.validateBatch(pid); err != nil {
-			b.flush()
-			return false, m.fail(err)
-		}
-		m.metrics.Completed += int64(ran)
-		if b.stableSet {
-			m.stables[pid] = b.newStable
-		}
-		if st == Halt {
-			m.states[pid] = Halted
-			m.retire(pid)
-		} else {
-			anyAlive = true
-		}
-		if ran > maxRan {
-			maxRan = ran
+	for i, bw := range m.ps.alive {
+		for ; bw != 0; bw &= bw - 1 {
+			pid := i<<6 | bits.TrailingZeros64(bw)
+			alive++
+			b.pid = pid
+			b.stable = m.stables[pid]
+			b.newStable = 0
+			b.stableSet = false
+			b.maxReads, b.maxWrites = 0, 0
+			ran, st := m.procs[pid].(BatchCycler).CycleBatch(b, w)
+			if ran < 0 {
+				ran = 0
+			}
+			if ran > w {
+				ran = w
+			}
+			if err := m.validateBatch(pid); err != nil {
+				b.flush()
+				return false, m.fail(err)
+			}
+			m.metrics.Completed += int64(ran)
+			if b.stableSet {
+				m.stables[pid] = b.newStable
+			}
+			if st == Halt {
+				m.setState(pid, Halted)
+				m.retire(pid)
+			} else {
+				anyAlive = true
+			}
+			if ran > maxRan {
+				maxRan = ran
+			}
 		}
 	}
 	b.flush()

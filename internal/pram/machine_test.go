@@ -147,7 +147,7 @@ func TestFailBeforeReadsChargesNothing(t *testing.T) {
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		switch v.Tick {
 		case 0:
-			return Decision{Failures: map[int]FailPoint{1: FailBeforeReads}}
+			return Decision{Failures: []Failure{{PID: 1, Point: FailBeforeReads}}}
 		case 1:
 			return Decision{Restarts: []int{1}}
 		default:
@@ -175,7 +175,7 @@ func TestFailAfterReadsSuppressesWritesAndCountsIncomplete(t *testing.T) {
 	const n = 2
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		if v.Tick == 0 {
-			return Decision{Failures: map[int]FailPoint{1: FailAfterReads}}
+			return Decision{Failures: []Failure{{PID: 1, Point: FailAfterReads}}}
 		}
 		return Decision{Restarts: []int{1}}
 	}}
@@ -209,7 +209,7 @@ func TestFailAfterWrite1CommitsOnlyFirstWrite(t *testing.T) {
 	}
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		if v.Tick == 0 {
-			return Decision{Failures: map[int]FailPoint{0: FailAfterWrite1}}
+			return Decision{Failures: []Failure{{PID: 0, Point: FailAfterWrite1}}}
 		}
 		return Decision{}
 	}}
@@ -238,7 +238,7 @@ func TestHaltedProcessorsCannotFailOrRestart(t *testing.T) {
 			return Decision{}
 		}
 		return Decision{
-			Failures: map[int]FailPoint{0: FailBeforeReads},
+			Failures: []Failure{{PID: 0, Point: FailBeforeReads}},
 			Restarts: []int{0},
 		}
 	}}
@@ -298,7 +298,7 @@ func TestStableCounterSurvivesFailure(t *testing.T) {
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		var dec Decision
 		if v.Tick%3 == 2 && v.States.At(0) == Alive {
-			dec.Failures = map[int]FailPoint{0: FailAfterReads}
+			dec.Failures = []Failure{{PID: 0, Point: FailAfterReads}}
 		}
 		for pid := 0; pid < v.States.Len(); pid++ {
 			if v.States.At(pid) == Dead {
@@ -328,7 +328,7 @@ func TestStableUpdateDiscardedOnMidCycleFailure(t *testing.T) {
 	// after reads must not see its SetStable land.
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		if v.Tick == 0 {
-			return Decision{Failures: map[int]FailPoint{0: FailAfterReads}}
+			return Decision{Failures: []Failure{{PID: 0, Point: FailAfterReads}}}
 		}
 		return Decision{Restarts: []int{0}}
 	}}
@@ -360,11 +360,11 @@ func TestStableUpdateDiscardedOnMidCycleFailure(t *testing.T) {
 func TestLivenessVetoSparesOneProcessor(t *testing.T) {
 	const n = 4
 	killAll := &funcAdversary{name: "kill-all", f: func(v *View) Decision {
-		dec := Decision{Failures: make(map[int]FailPoint)}
+		dec := Decision{}
 		for pid := 0; pid < v.States.Len(); pid++ {
 			switch v.States.At(pid) {
 			case Alive:
-				dec.Failures[pid] = FailBeforeReads
+				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
 			case Dead:
 				dec.Restarts = append(dec.Restarts, pid)
 			}
@@ -386,10 +386,10 @@ func TestLivenessVetoSparesOneProcessor(t *testing.T) {
 
 func TestLivenessErrorModeRejectsKillAll(t *testing.T) {
 	killAll := &funcAdversary{name: "kill-all", f: func(v *View) Decision {
-		dec := Decision{Failures: make(map[int]FailPoint)}
+		dec := Decision{}
 		for pid := 0; pid < v.States.Len(); pid++ {
 			if v.States.At(pid) == Alive {
-				dec.Failures[pid] = FailBeforeReads
+				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
 			}
 		}
 		return dec
@@ -572,9 +572,9 @@ func TestDeadMachineForceRestartsWhenAdversaryStalls(t *testing.T) {
 	// restarting someone so that a legal computation continues.
 	adv := &funcAdversary{name: "stall", f: func(v *View) Decision {
 		if v.Tick == 0 {
-			dec := Decision{Failures: make(map[int]FailPoint)}
+			dec := Decision{}
 			for pid := 0; pid < v.States.Len(); pid++ {
-				dec.Failures[pid] = FailBeforeReads
+				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
 			}
 			return dec
 		}
@@ -650,7 +650,7 @@ func TestSinkReceivesPerTickProfile(t *testing.T) {
 	var stats []TickEvent
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		if v.Tick == 0 {
-			return Decision{Failures: map[int]FailPoint{0: FailBeforeReads}}
+			return Decision{Failures: []Failure{{PID: 0, Point: FailBeforeReads}}}
 		}
 		return Decision{Restarts: []int{0}}
 	}}
@@ -686,9 +686,9 @@ func TestDecisionEdgeCasesIgnored(t *testing.T) {
 	// dead processors must all be ignored without affecting metrics.
 	adv := &funcAdversary{name: "bogus", f: func(v *View) Decision {
 		return Decision{
-			Failures: map[int]FailPoint{
-				-1:  FailBeforeReads,
-				999: FailAfterReads,
+			Failures: []Failure{
+				{PID: -1, Point: FailBeforeReads},
+				{PID: 999, Point: FailAfterReads},
 			},
 			Restarts: []int{-5, 999, 0 /* alive */},
 		}
@@ -797,7 +797,7 @@ func TestFailPointStrings(t *testing.T) {
 
 func TestInvalidFailPointRejected(t *testing.T) {
 	adv := &funcAdversary{name: "bad", f: func(v *View) Decision {
-		return Decision{Failures: map[int]FailPoint{0: FailPoint(42)}}
+		return Decision{Failures: []Failure{{PID: 0, Point: FailPoint(42)}}}
 	}}
 	// Two processors so the liveness veto does not erase the bad entry.
 	m := mustMachine(t, Config{N: 2, P: 2}, oneShotWriter(), adv)
@@ -937,14 +937,14 @@ func TestDeadTickErrorModeRejectsStall(t *testing.T) {
 	// must report the adversary instead of force-restarting.
 	adv := &funcAdversary{name: "stall", f: func(v *View) Decision {
 		if v.Tick == 0 {
-			dec := Decision{Failures: make(map[int]FailPoint)}
+			dec := Decision{}
 			for pid := 1; pid < v.P; pid++ { // pid 0 survives tick 0
-				dec.Failures[pid] = FailBeforeReads
+				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
 			}
 			return dec
 		}
 		if v.Tick == 1 {
-			return Decision{Failures: map[int]FailPoint{0: FailBeforeReads}}
+			return Decision{Failures: []Failure{{PID: 0, Point: FailBeforeReads}}}
 		}
 		return Decision{}
 	}}

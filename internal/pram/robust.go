@@ -3,6 +3,7 @@ package pram
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 
 	"repro/internal/faultinject"
@@ -36,25 +37,25 @@ func (e *CyclePanicError) Error() string {
 // Unwrap makes errors.Is(err, ErrWorkerPanic) hold.
 func (e *CyclePanicError) Unwrap() error { return ErrWorkerPanic }
 
-// attemptRange runs the update cycles of pids [lo, hi) in PID order,
+// attemptRange runs the update cycles of the live PIDs in PID order,
 // isolating panics: it recovers injected and natural panics so a
 // crashing cycle fails the run, not the process, and it hosts the
 // kernel.cycle failpoint. Isolation is per span, not per cycle, so the
 // no-panic hot path pays one defer per tick instead of one per
 // processor; a panic costs one extra attemptSpan call and the remaining
 // pids still attempt.
-func (m *Machine) attemptRange(lo, hi int) {
-	for next := lo; next < hi; {
-		next = m.attemptSpan(next, hi)
+func (m *Machine) attemptRange() {
+	for next := 0; next >= 0; {
+		next = m.attemptSpan(next)
 	}
 }
 
-// attemptSpan attempts pids [lo, hi) and returns hi, or — when a cycle
-// panics — records the crash and returns the pid after the panicked
-// one. The injection decision is keyed on (tick, pid), not on a hit
-// counter, so a fault schedule names logical sites: it fires at the
-// same cycles in a resumed run as in an uninterrupted one.
-func (m *Machine) attemptSpan(lo, hi int) (next int) {
+// attemptSpan attempts the live pids from lo on and returns -1, or —
+// when a cycle panics — records the crash and returns the pid after the
+// panicked one. The injection decision is keyed on (tick, pid), not on
+// a hit counter, so a fault schedule names logical sites: it fires at
+// the same cycles in a resumed run as in an uninterrupted one.
+func (m *Machine) attemptSpan(lo int) (next int) {
 	pid := lo
 	defer func() {
 		v := recover()
@@ -71,17 +72,25 @@ func (m *Machine) attemptSpan(lo, hi int) (next int) {
 		next = pid + 1
 	}()
 	inject := m.fiCycle.Mode() != faultinject.Off
-	for ; pid < hi; pid++ {
-		m.intents[pid] = nil
-		if m.states[pid] != Alive || !m.runnable(pid) {
-			continue
+	live := m.ps.alive
+	for i := lo >> 6; i < len(live); i++ {
+		w := live[i]
+		if i == lo>>6 {
+			w &^= uint64(1)<<(lo&63) - 1
 		}
-		if inject && m.fiCycle.FireKeyed(uint64(m.tick)<<32|uint64(pid)) {
-			panic(faultinject.Injected{Point: "kernel.cycle"})
+		for ; w != 0; w &= w - 1 {
+			pid = i<<6 | bits.TrailingZeros64(w)
+			m.intents[pid] = nil
+			if !m.runnable(pid) {
+				continue
+			}
+			if inject && m.fiCycle.FireKeyed(uint64(m.tick)<<32|uint64(pid)) {
+				panic(faultinject.Injected{Point: "kernel.cycle"})
+			}
+			m.attemptOne(pid)
 		}
-		m.attemptOne(pid)
 	}
-	return hi
+	return -1
 }
 
 // takeCyclePanic returns and clears the tick's pending cycle panic, if

@@ -37,10 +37,9 @@ func killAllFrom(from int) *funcAdversary {
 			}
 		}
 		if v.Tick >= from {
-			dec.Failures = make(map[int]FailPoint)
 			for pid := 0; pid < v.States.Len(); pid++ {
 				if v.States.At(pid) == Alive {
-					dec.Failures[pid] = FailBeforeReads
+					dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
 				}
 			}
 		}
@@ -423,7 +422,7 @@ func TestRunCtxCancelFlushesFinalCheckpoint(t *testing.T) {
 			if v.Tick > 0 && v.Tick%40 == 0 {
 				target := (v.Tick / 40) % v.P
 				if v.States.At(target) == Alive {
-					dec.Failures = map[int]FailPoint{target: FailBeforeReads}
+					dec.Failures = []Failure{{PID: target, Point: FailBeforeReads}}
 				}
 			}
 			return dec

@@ -38,20 +38,20 @@ func TestRunnerFullRunAllocationFree(t *testing.T) {
 
 	// With failures and restarts the machine must still not allocate:
 	// dying processors are stashed (retire) and restarts reset them in
-	// place (reviveProcessor). The adversary reuses its decision map and
+	// place (reviveProcessor). The adversary reuses its failure slice and
 	// restart slice; the machine never mutates either.
 	t.Run("fail-restart", func(t *testing.T) {
 		var r Runner
 		defer r.Close()
 		alg := strideAlg()
-		failures := map[int]FailPoint{1: FailAfterReads}
+		failures := []Failure{{PID: 1, Point: FailAfterReads}}
 		restarts := []int{1}
 		adv := &funcAdversary{
 			name: "blinker",
 			f: func(v *View) Decision {
 				switch v.Tick % 4 {
 				case 1:
-					failures[1] = FailAfterReads
+					failures[0] = Failure{PID: 1, Point: FailAfterReads}
 					return Decision{Failures: failures}
 				case 3:
 					return Decision{Restarts: restarts}

@@ -80,7 +80,7 @@ func TestSchedulerKillOfUnscheduledProcessorLeaksNoWrites(t *testing.T) {
 	sched := func(tick, pid int) bool { return pid == 0 || tick == 0 }
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
 		if v.Tick == 2 {
-			return Decision{Failures: map[int]FailPoint{1: FailAfterWrite1}}
+			return Decision{Failures: []Failure{{PID: 1, Point: FailAfterWrite1}}}
 		}
 		return Decision{}
 	}}
@@ -141,11 +141,11 @@ func TestSchedulerVetoSparesAnExecutingProcessor(t *testing.T) {
 	const n, p = 8, 4
 	sched := func(tick, pid int) bool { return pid < 2 } // only 0,1 run
 	adv := &funcAdversary{name: "t", f: func(v *View) Decision {
-		dec := Decision{Failures: make(map[int]FailPoint)}
+		dec := Decision{}
 		for pid := 0; pid < v.States.Len(); pid++ {
 			switch v.States.At(pid) {
 			case Alive:
-				dec.Failures[pid] = FailBeforeReads
+				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
 			case Dead:
 				dec.Restarts = append(dec.Restarts, pid)
 			}

@@ -104,7 +104,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		Adversary: m.adv.Name(),
 		Tick:      m.tick,
 		Metrics:   m.metrics,
-		States:    append([]ProcState(nil), m.states...),
+		States:    append([]ProcState(nil), m.ps.states...),
 		Stables:   append([]Word(nil), m.stables...),
 		Procs:     make([][]Word, m.cfg.P),
 	}
@@ -118,7 +118,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		s.Mem = m.mem.CopyInto(nil)
 	}
 	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.states[pid] != Alive {
+		if m.ps.states[pid] != Alive {
 			continue
 		}
 		ps, ok := m.procs[pid].(Snapshotter)
@@ -178,11 +178,12 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	}
 
 	m.mem.RestoreParts(m.packedLen(s.MemSize()), s.PackedLen, s.PackedBits, s.Mem)
-	copy(m.states, s.States)
+	copy(m.ps.states, s.States)
+	m.ps.rebuild()
 	copy(m.stables, s.Stables)
 	for pid := 0; pid < m.cfg.P; pid++ {
 		m.intents[pid] = nil
-		if m.states[pid] != Alive {
+		if m.ps.states[pid] != Alive {
 			if m.procs[pid] != nil {
 				m.retire(pid)
 			}
@@ -203,7 +204,7 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 		}
 	}
 	for pid := 0; pid < m.cfg.P; pid++ {
-		if m.states[pid] != Alive {
+		if m.ps.states[pid] != Alive {
 			continue
 		}
 		ps, ok := m.procs[pid].(Snapshotter)
@@ -220,7 +221,7 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	m.metrics = s.Metrics
 	m.ended = false
 	m.pending = m.pending[:0]
-	m.failDirty = true
+	m.resetTickState()
 	m.initDoneHint()
 	m.resetRobustness()
 	return nil

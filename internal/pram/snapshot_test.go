@@ -72,7 +72,7 @@ func churnAdversary() *funcAdversary {
 			if v.Tick%5 == 0 {
 				target := (v.Tick / 5) % v.P
 				if v.States.At(target) == Alive {
-					dec.Failures = map[int]FailPoint{target: FailBeforeReads}
+					dec.Failures = []Failure{{PID: target, Point: FailBeforeReads}}
 				}
 			}
 			return dec

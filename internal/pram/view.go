@@ -29,13 +29,30 @@ func (v MemoryView) CopyInto(dst []Word) []Word { return v.mem.CopyInto(dst) }
 func (v MemoryView) Slice(start, n int) []Word { return v.mem.Slice(start, n) }
 
 // StateView is an immutable, read-only view of processor liveness at the
-// start of a tick.
+// start of a tick. It is one pointer wide, so passing it and calling its
+// methods copies nothing.
 type StateView struct {
-	states []ProcState
+	s *procSet
 }
 
 // Len returns the number of processors.
-func (s StateView) Len() int { return len(s.states) }
+func (v StateView) Len() int { return len(v.s.states) }
 
 // At returns processor pid's liveness.
-func (s StateView) At(pid int) ProcState { return s.states[pid] }
+func (v StateView) At(pid int) ProcState { return v.s.states[pid] }
+
+// NextAlive returns the smallest alive PID >= pid, or -1 if there is
+// none. Iterating with it visits only the alive processors.
+func (v StateView) NextAlive(pid int) int { return nextSet(v.s.alive, pid) }
+
+// NextDead returns the smallest dead PID >= pid, or -1 if there is none.
+func (v StateView) NextDead(pid int) int { return nextSet(v.s.dead, pid) }
+
+// NumAlive returns the number of processors in state Alive.
+func (v StateView) NumAlive() int { return v.s.nAlive }
+
+// NumDead returns the number of processors in state Dead.
+func (v StateView) NumDead() int { return v.s.nDead }
+
+// NumHalted returns the number of processors in state Halted.
+func (v StateView) NumHalted() int { return v.s.nHalted }

@@ -21,6 +21,10 @@ type Stalking struct {
 	lay       TreeLayout
 	target    int // stalked array element
 	noRestart bool
+
+	// decision buffers, reused across ticks
+	fails    []pram.Failure
+	restarts []int
 }
 
 // NewStalking returns the stalking adversary for a tree-layout algorithm
@@ -40,10 +44,10 @@ func (s *Stalking) Name() string {
 
 // Decide implements pram.Adversary.
 func (s *Stalking) Decide(v *pram.View) pram.Decision {
-	var dec pram.Decision
-
+	s.fails, s.restarts = s.fails[:0], s.restarts[:0]
 	alive := v.Alive
-	for pid, in := range v.Intents {
+	for pid := v.States.NextAlive(0); pid >= 0; pid = v.States.NextAlive(pid + 1) {
+		in := v.Intents[pid]
 		if in == nil {
 			continue
 		}
@@ -51,23 +55,18 @@ func (s *Stalking) Decide(v *pram.View) pram.Decision {
 			break
 		}
 		if s.touchesTarget(in) {
-			if dec.Failures == nil {
-				dec.Failures = make(map[int]pram.FailPoint)
-			}
-			dec.Failures[pid] = pram.FailAfterReads
+			s.fails = append(s.fails, pram.Failure{PID: pid, Point: pram.FailAfterReads})
 			if s.noRestart {
 				alive--
 			}
 		}
 	}
 	if !s.noRestart {
-		for pid := 0; pid < v.States.Len(); pid++ {
-			if v.States.At(pid) == pram.Dead {
-				dec.Restarts = append(dec.Restarts, pid)
-			}
+		for pid := v.States.NextDead(0); pid >= 0; pid = v.States.NextDead(pid + 1) {
+			s.restarts = append(s.restarts, pid)
 		}
 	}
-	return dec
+	return pram.Decision{Failures: s.fails, Restarts: s.restarts}
 }
 
 // touchesTarget reports whether the intended cycle writes the stalked

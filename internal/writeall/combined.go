@@ -69,10 +69,16 @@ type combinedProc struct {
 // Reset implements pram.Resettable, rebuilding both component
 // processors with Combined's clock mapping and stacked layouts (X's
 // tree at N, V's structures after it), matching Combined.NewProcessor.
+// The layouts are pure functions of (n, p), so they are kept when they
+// match.
 func (c *combinedProc) Reset(pid, n, p int) {
-	x := NewTreeLayout(n, p, n)
+	x, v := c.x.lay, c.v.lay
+	if x.N != n || x.P != p {
+		x = NewTreeLayout(n, p, n)
+		v = NewVLayout(n, p, x.Base+x.Size())
+	}
 	*c.x = xProc{pid: pid, lay: x}
-	*c.v = vProc{pid: pid, lay: NewVLayout(n, p, x.Base+x.Size()), tickDiv: 2}
+	*c.v = vProc{pid: pid, lay: v, tickDiv: 2}
 }
 
 // Cycle implements pram.Processor.

@@ -82,9 +82,14 @@ func newVProc(pid int, lay VLayout, tickShift, tickDiv int) *vProc {
 
 // Reset implements pram.Resettable for the standalone V algorithm,
 // matching V.NewProcessor (tickShift 0, tickDiv 1). Combined resets its
-// component vProc itself with its own clock mapping.
+// component vProc itself with its own clock mapping. The layout is a
+// pure function of (n, p), so it is kept when they match.
 func (v *vProc) Reset(pid, n, p int) {
-	*v = vProc{pid: pid, lay: NewVLayout(n, p, n), tickDiv: 1}
+	lay := v.lay
+	if lay.N != n || lay.P != p {
+		lay = NewVLayout(n, p, n)
+	}
+	*v = vProc{pid: pid, lay: lay, tickDiv: 1}
 }
 
 // Cycle implements pram.Processor. The phase is derived from the global

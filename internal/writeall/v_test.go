@@ -75,7 +75,7 @@ func TestVRestartedProcessorWaitsForWrapAround(t *testing.T) {
 func TestVStallsUnderRotatingThrasher(t *testing.T) {
 	const n = 64
 	m, err := pram.New(pram.Config{N: n, P: n, MaxTicks: 20 * n},
-		writeall.NewV(), adversary.Thrashing{Rotate: true})
+		writeall.NewV(), &adversary.Thrashing{Rotate: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestVStallsUnderRotatingThrasher(t *testing.T) {
 // TestVSurvivesFixedThrasher: with a fixed survivor, that survivor
 // completes iterations alone and V terminates.
 func TestVSurvivesFixedThrasher(t *testing.T) {
-	run(t, pram.Config{N: 64, P: 8}, writeall.NewV(), adversary.Thrashing{})
+	run(t, pram.Config{N: 64, P: 8}, writeall.NewV(), &adversary.Thrashing{})
 }
 
 // TestVWorkBoundFailureFree: Lemma 4.2's bound at M = 0 across processor

@@ -37,7 +37,7 @@ func TestXInPlaceFailureFreeWorkIsNLogN(t *testing.T) {
 func TestXInPlaceSurvivesWorstCaseAdversaries(t *testing.T) {
 	for _, mkAdv := range []func() pram.Adversary{
 		func() pram.Adversary { return adversary.NewHalving() },
-		func() pram.Adversary { return adversary.Thrashing{Rotate: true} },
+		func() pram.Adversary { return &adversary.Thrashing{Rotate: true} },
 	} {
 		adv := mkAdv()
 		t.Run(adv.Name(), func(t *testing.T) {

@@ -111,8 +111,15 @@ type wProc struct {
 	block  int // allocated leaf block (W3, W4)
 }
 
-// Reset implements pram.Resettable, matching W.NewProcessor.
-func (w *wProc) Reset(pid, n, p int) { *w = wProc{pid: pid, lay: NewWLayout(n, p)} }
+// Reset implements pram.Resettable, matching W.NewProcessor. The layout
+// is a pure function of (n, p), so it is kept when they match.
+func (w *wProc) Reset(pid, n, p int) {
+	lay := w.lay
+	if lay.N != n || lay.P != p {
+		lay = NewWLayout(n, p)
+	}
+	*w = wProc{pid: pid, lay: lay}
+}
 
 // Cycle implements pram.Processor.
 func (w *wProc) Cycle(ctx *pram.Ctx) pram.Status {

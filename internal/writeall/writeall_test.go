@@ -88,7 +88,7 @@ func TestAlgorithmsSolveWriteAllUnderRandomFailures(t *testing.T) {
 func TestAlgorithmsSolveWriteAllUnderThrashing(t *testing.T) {
 	for _, alg := range algorithms() {
 		t.Run(alg.Name(), func(t *testing.T) {
-			got := run(t, pram.Config{N: 32, P: 32}, alg, adversary.Thrashing{})
+			got := run(t, pram.Config{N: 32, P: 32}, alg, &adversary.Thrashing{})
 			// Thrashing admits exactly one completed cycle per tick.
 			if got.Completed != int64(got.Ticks) {
 				t.Errorf("Completed = %d, Ticks = %d; thrashing must admit one cycle per tick",
@@ -159,7 +159,7 @@ func TestObliviousSolvesWriteAll(t *testing.T) {
 		{adv: adversary.None{}},
 		{adv: adversary.NewRandom(0.3, 0.5, 9)},
 		{adv: adversary.NewHalving()},
-		{adv: adversary.Thrashing{}},
+		{adv: &adversary.Thrashing{}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.adv.Name(), func(t *testing.T) {
@@ -204,7 +204,7 @@ func TestTrivialUnderThrashingIsQuadraticInSPrime(t *testing.T) {
 	// Example 2.2: with P = N and the thrashing adversary, the trivial
 	// algorithm completes in ~N ticks with S ~ N but S' ~ N*P.
 	const n = 32
-	got := run(t, pram.Config{N: n, P: n}, writeall.NewTrivial(), adversary.Thrashing{})
+	got := run(t, pram.Config{N: n, P: n}, writeall.NewTrivial(), &adversary.Thrashing{})
 	if got.S() > 4*n {
 		t.Errorf("S = %d, want O(N) = about %d", got.S(), n)
 	}

@@ -99,9 +99,14 @@ const (
 
 // Reset implements pram.Resettable. Processor options are per-instance
 // algorithm configuration, and the machine recycles processors only for
-// the same Algorithm value, so keeping opts matches X.NewProcessor.
+// the same Algorithm value, so keeping opts matches X.NewProcessor. The
+// layout is a pure function of (n, p), so it is kept when they match.
 func (x *xProc) Reset(pid, n, p int) {
-	*x = xProc{pid: pid, lay: NewTreeLayout(n, p, n), opts: x.opts}
+	lay := x.lay
+	if lay.N != n || lay.P != p {
+		lay = NewTreeLayout(n, p, n)
+	}
+	*x = xProc{pid: pid, lay: lay, opts: x.opts}
 }
 
 // Cycle implements pram.Processor. It is a direct transcription of the

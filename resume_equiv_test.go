@@ -3,7 +3,6 @@ package failstop
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/adversary"
@@ -160,10 +159,8 @@ func TestResumeEquivalence(t *testing.T) {
 // adversary: a run snapshotted mid-way and resumed on a fresh machine
 // must record the exact failure pattern the uninterrupted run records,
 // so replay files from resumed runs are interchangeable with
-// uninterrupted ones. (The pattern comparison is order-sensitive only
-// across ticks; within a tick the recorder's order follows the decision
-// map, so we compare the sorted per-tick groups via the serialized
-// form.)
+// uninterrupted ones. The recorder follows the decision's order, so the
+// raw patterns must be equal, within ticks too.
 func TestResumeEquivalenceRecorded(t *testing.T) {
 	cfg := Config{N: 64, P: 16, MaxTicks: 4000}
 	const splitTick = 20
@@ -213,27 +210,9 @@ func TestResumeEquivalenceRecorded(t *testing.T) {
 		t.Fatalf("Run (resumed): %v", err)
 	}
 
-	want := sortedPattern(full.Pattern())
-	got := sortedPattern(resumed.Pattern())
+	want, got := full.Pattern(), resumed.Pattern()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("recorded patterns diverge:\nfull    %d events %+v\nresumed %d events %+v",
 			len(want), want, len(got), got)
 	}
-}
-
-// sortedPattern orders a recorded pattern by (tick, pid, kind) so runs
-// whose within-tick decision-map iteration order differs still compare
-// equal when they inflicted the same failures.
-func sortedPattern(events []adversary.Event) []adversary.Event {
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Tick != b.Tick {
-			return a.Tick < b.Tick
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		return a.Kind < b.Kind
-	})
-	return events
 }
