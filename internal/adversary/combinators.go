@@ -16,12 +16,12 @@ import (
 type Composite struct {
 	parts []pram.Adversary
 
-	// decision buffers and per-PID marks (bit 0: failure taken, bit 1:
-	// restart listed), reused across ticks; marks are cleared at the
-	// entries set, so a tick costs its events, not P
+	// decision buffers and per-PID restart-listed marks, reused across
+	// ticks; marks are cleared at the entries set, so a tick costs its
+	// events, not P
 	fails    []pram.Failure
 	restarts []int
-	mark     []uint8
+	listed   []bool
 }
 
 // NewComposite combines adversaries; order sets fail-point priority.
@@ -51,34 +51,27 @@ func (c *Composite) Name() string {
 	return name + ")"
 }
 
-// Decide implements pram.Adversary.
+// Decide implements pram.Adversary. The parts' failures are listed in
+// part order; the machine applies the first entry for a PID, which is
+// the fail-point priority. Restarts are listed once per PID.
 func (c *Composite) Decide(v *pram.View) pram.Decision {
 	c.fails, c.restarts = c.fails[:0], c.restarts[:0]
-	if len(c.mark) < v.P {
-		c.mark = make([]uint8, v.P)
+	if len(c.listed) < v.P {
+		c.listed = make([]bool, v.P)
 	}
 	for _, p := range c.parts {
 		dec := p.Decide(v)
-		for _, f := range dec.Failures {
-			if f.Point == pram.NoFailure || f.PID < 0 || f.PID >= v.P || c.mark[f.PID]&1 != 0 {
-				continue
-			}
-			c.mark[f.PID] |= 1
-			c.fails = append(c.fails, f)
-		}
+		c.fails = append(c.fails, dec.Failures...)
 		for _, pid := range dec.Restarts {
-			if pid < 0 || pid >= v.P || c.mark[pid]&2 != 0 {
+			if pid < 0 || pid >= v.P || c.listed[pid] {
 				continue
 			}
-			c.mark[pid] |= 2
+			c.listed[pid] = true
 			c.restarts = append(c.restarts, pid)
 		}
 	}
-	for _, f := range c.fails {
-		c.mark[f.PID] = 0
-	}
 	for _, pid := range c.restarts {
-		c.mark[pid] = 0
+		c.listed[pid] = false
 	}
 	return pram.Decision{Failures: c.fails, Restarts: c.restarts}
 }

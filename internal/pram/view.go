@@ -48,11 +48,5 @@ func (v StateView) NextAlive(pid int) int { return nextSet(v.s.alive, pid) }
 // NextDead returns the smallest dead PID >= pid, or -1 if there is none.
 func (v StateView) NextDead(pid int) int { return nextSet(v.s.dead, pid) }
 
-// NumAlive returns the number of processors in state Alive.
-func (v StateView) NumAlive() int { return v.s.nAlive }
-
 // NumDead returns the number of processors in state Dead.
 func (v StateView) NumDead() int { return v.s.nDead }
-
-// NumHalted returns the number of processors in state Halted.
-func (v StateView) NumHalted() int { return v.s.nHalted }

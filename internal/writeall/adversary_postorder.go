@@ -48,12 +48,6 @@ func (a *PostOrder) Decide(v *pram.View) pram.Decision {
 			a.lastLeaf = e
 		}
 	}
-	if v.Mem.Size() <= l.W(v.P-1) {
-		// The w array does not fit the memory: the algorithm has no X
-		// tree at base N. The scan reads (and faults on) exactly the
-		// cells it always has.
-		return a.scan(v, pos0)
-	}
 	if cap(a.restarts) < v.P {
 		// Each list holds a PID at most once: sized once, never grown.
 		a.fails, a.restarts = make([]pram.Failure, 0, v.P), make([]int, 0, v.P)
