@@ -10,9 +10,9 @@ import (
 	"repro/internal/writeall"
 )
 
-// TestPostOrderWorkPinned pins the post-order adversary's exact counts,
-// as the full-scan adversary produced them before Decide was indexed
-// (the P = N rows of X are E6's table).
+// TestPostOrderWorkPinned pins the post-order adversary's exact S and
+// event counts to the values its full-scan definition produces (the
+// P = N rows of X are E6's table).
 func TestPostOrderWorkPinned(t *testing.T) {
 	cases := []struct {
 		alg                string
