@@ -41,25 +41,26 @@ test-short:
 race:
 	$(GO) test -race ./...
 
+# check-names guards a named test list: `go test -run` passes when
+# nothing matches, so each name is first checked against `go test -list`
+# and a renamed test fails its gate instead of silently dropping out of
+# it. Usage: $(call check-names,<target>,<names joined by |>,<packages>).
+check-names = tests=$$($(GO) test -list . $(3) | grep '^Test') || exit 1; \
+	for name in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$tests" | grep -q -- "$$name" || { echo "$(1): no test in $(3) matches $$name"; exit 1; }; \
+	done
+
 # race-equiv runs the determinism contracts under the race detector:
 # the pooled Runner's buffer reuse, the run loop's batching, packed
 # memory, the done hint and snapshot/resume's state capture are where
 # state could leak between runs or ticks. RACE_EQUIV_ROOT runs on the
-# root package, RACE_EQUIV_PRAM on internal/pram. `go test -run` passes
-# when nothing matches, so each name is first checked against
-# `go test -list`: a renamed contract fails the gate instead of
-# silently dropping out of it.
+# root package, RACE_EQUIV_PRAM on internal/pram.
 RACE_EQUIV_ROOT = TestPooledRun|TestDoneHint|TestResumeEquivalence|TestPackedEquivalence|TestPackedResumeEquivalence|TestTickBatchEquivalence
 RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches|TestMachineMatchesReference
 
 race-equiv:
-	@for spec in '.=$(RACE_EQUIV_ROOT)' './internal/pram=$(RACE_EQUIV_PRAM)'; do \
-		pkg=$${spec%%=*}; \
-		tests=$$($(GO) test -list . $$pkg | grep '^Test') || exit 1; \
-		for name in $$(echo "$${spec#*=}" | tr '|' ' '); do \
-			echo "$$tests" | grep -q -- "$$name" || { echo "race-equiv: no test in $$pkg matches $$name"; exit 1; }; \
-		done; \
-	done
+	@$(call check-names,race-equiv,$(RACE_EQUIV_ROOT),.)
+	@$(call check-names,race-equiv,$(RACE_EQUIV_PRAM),./internal/pram)
 	$(GO) test -race -run '$(RACE_EQUIV_ROOT)' .
 	$(GO) test -race -run '$(RACE_EQUIV_PRAM)' ./internal/pram
 
@@ -67,9 +68,12 @@ race-equiv:
 # under the race detector — the metrics registry, the shared event sink,
 # and the sweep-progress hooks all take concurrent writers — plus go vet
 # on the packages the layer touches.
+OBS_CHECK = TestJSONL|TestProcTracker|TestEnableObs|TestObsCounts|TestWatchdog
+
 obs-check:
 	$(GO) test -race ./internal/obs/
-	$(GO) test -race -run 'TestJSONL|TestProcTracker|TestEnableObs|TestObsCounts|TestWatchdog' ./internal/pram/ ./internal/bench/
+	@$(call check-names,obs-check,$(OBS_CHECK),./internal/pram/ ./internal/bench/)
+	$(GO) test -race -run '$(OBS_CHECK)' ./internal/pram/ ./internal/bench/
 	$(GO) vet ./internal/obs/ ./internal/pram/ ./internal/bench/ ./cmd/writeall/ ./cmd/experiments/
 
 # service-check runs the engine/jobs/daemon stack under the race
@@ -95,10 +99,13 @@ fabric-check:
 # acceptance run must reproduce exactly — a change anywhere in the
 # machine, the adversaries, or the lab that reorders them is a
 # behavior change and must be pinned deliberately.
+LAB_CHECK = TestFrontierPinnedOrdering|TestSearchBeatsHandWrittenGrid
+
 lab-check:
 	$(GO) test -race ./internal/advlab/ ./internal/adversary/
 	$(GO) vet ./internal/advlab/ ./internal/adversary/
-	$(GO) test -count=1 -run 'TestFrontierPinnedOrdering|TestSearchBeatsHandWrittenGrid' ./internal/advlab/
+	@$(call check-names,lab-check,$(LAB_CHECK),./internal/advlab/)
+	$(GO) test -count=1 -run '$(LAB_CHECK)' ./internal/advlab/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

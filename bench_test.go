@@ -292,7 +292,7 @@ func BenchmarkExperimentTables(b *testing.B) {
 		exp := e
 		b.Run(exp.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = exp.Run(context.Background(), bench.Quick)
+				_ = exp.Run(context.Background(), bench.Sweep{Scale: bench.Quick})
 			}
 		})
 	}

@@ -23,7 +23,10 @@
 // experiment tasks under leases, results commit at-most-once to the
 // fsync'd ledger in -fabric-state, and a re-run of the same sweep is
 // served entirely from that ledger (cache hits) unless -fabric-fresh
-// discards it. The output is bit-identical to a plain sweep.
+// discards it. The output is bit-identical to a plain sweep. Fabric
+// tasks run their points one at a time without a point deadline, and
+// the ledger is their checkpoint, so -fabric rejects -deadline,
+// -checkpoint-dir and -resume, and ignores -parallel.
 //
 // Without -run it executes every experiment; -full uses the (slower) sizes
 // recorded in EXPERIMENTS.md instead of the quick ones. With
@@ -171,9 +174,6 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if opts.fabricWorkers > 0 {
-		if spec.CheckpointDir != "" || spec.Resume {
-			return fmt.Errorf("-fabric replaces -checkpoint-dir/-resume: the fabric ledger is the checkpoint")
-		}
 		res, stats, err := fabric.RunSweep(ctx, spec, fabric.RunSweepOptions{
 			StateDir: opts.fabricState,
 			Workers:  opts.fabricWorkers,

@@ -107,6 +107,24 @@ func TestRunResumeRequiresCheckpointDir(t *testing.T) {
 	}
 }
 
+// TestRunFabricRejectsDroppedSettings checks that -fabric refuses the
+// flags its tasks would drop, before any experiment runs.
+func TestRunFabricRejectsDroppedSettings(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-deadline", "1s"},
+		{"-checkpoint-dir", "d"},
+	} {
+		state := filepath.Join(t.TempDir(), "fabric")
+		args := append([]string{"-run", "E1", "-fabric", "1", "-fabric-state", state}, flags...)
+		if err := run(context.Background(), args); err == nil {
+			t.Errorf("run(%v) succeeded; want the fabric to reject %s", args, flags[0])
+		}
+		if _, err := os.Stat(state); !os.IsNotExist(err) {
+			t.Errorf("run(%v) created the fabric state dir before rejecting %s", args, flags[0])
+		}
+	}
+}
+
 func TestRunWithDebugServerAndProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are slow")

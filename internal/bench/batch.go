@@ -1,38 +1,19 @@
 package bench
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// batchWorkers is the number of sweep points the harness evaluates
-// concurrently; 0 or 1 means serial (the default).
-var batchWorkers atomic.Int32
-
-// SetParallelism sets how many independent sweep points Points evaluates
-// concurrently. n <= 0 selects GOMAXPROCS. The default is 1 (serial), so
-// existing callers keep their single-threaded behavior unless a driver
-// opts in (cmd/experiments -parallel).
-func SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	batchWorkers.Store(int32(n))
-}
-
 // Points evaluates fn(0..n-1) and returns the results in index order,
-// running up to SetParallelism points concurrently. Each point must be
+// running up to s.Parallel points concurrently. Each point must be
 // independent: experiments satisfy this by constructing fresh algorithm
 // and adversary instances inside fn. Table assembly stays with the caller,
 // on one goroutine, so rendered output is identical at any parallelism.
 // If a point panics, Points re-panics after the remaining points drain.
-func Points[T any](n int, fn func(i int) T) []T {
+func Points[T any](s Sweep, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	workers := int(batchWorkers.Load())
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.Parallel, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = fn(i)

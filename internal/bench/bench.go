@@ -12,7 +12,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pram"
@@ -29,6 +28,27 @@ const (
 	// Full runs the sizes recorded in EXPERIMENTS.md.
 	Full
 )
+
+// Sweep holds the settings one sweep runs its experiments with. It
+// travels with the sweep down to each point, so sweeps, labs and fabric
+// tasks sharing a process cannot see each other's settings. The zero
+// Parallel and Deadline run points one at a time without a watchdog.
+type Sweep struct {
+	// Scale selects the experiment sizes.
+	Scale Scale
+	// Parallel is the number of points Points evaluates at once; 0 or 1
+	// runs them one at a time. Tables are identical at any setting.
+	Parallel int
+	// Deadline bounds the wall-clock time of each Write-All point; zero
+	// disables the watchdog. A point that exceeds it is canceled
+	// cooperatively; a point whose machine is stuck inside a single tick
+	// and cannot observe cancellation is abandoned (its goroutine and
+	// pooled runner leak, by design) and reported as a deadline error, so
+	// one hung run degrades that point rather than the whole sweep.
+	// MaxTicks bounds logical time; this bounds wall-clock time —
+	// livelocks burn ticks, hangs burn hours.
+	Deadline time.Duration
+}
 
 // Table is one rendered experiment result.
 type Table struct {
@@ -122,11 +142,12 @@ type Experiment struct {
 	ID string
 	// Title describes the experiment.
 	Title string
-	// Run executes the experiment at the given scale. Cancellation of
-	// ctx stops in-flight runs at the next tick boundary and drains the
-	// remaining points as canceled-point errors; the returned tables
-	// hold whatever rows completed, with failed points in Table.Errors.
-	Run func(ctx context.Context, s Scale) []Table
+	// Run executes the experiment with the sweep's settings.
+	// Cancellation of ctx stops in-flight runs at the next tick boundary
+	// and drains the remaining points as canceled-point errors; the
+	// returned tables hold whatever rows completed, with failed points in
+	// Table.Errors.
+	Run func(ctx context.Context, s Sweep) []Table
 }
 
 // All returns the full experiment registry in order.
@@ -184,22 +205,6 @@ func Slope(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// pointDeadlineNs is the per-point wall-clock budget in nanoseconds;
-// zero (the default) disables the watchdog and runs points inline.
-var pointDeadlineNs atomic.Int64
-
-// SetPointDeadline bounds the wall-clock time of each sweep point (one
-// runWA/runWACapped call). Zero or negative disables the watchdog. With
-// a deadline set, a point that exceeds it is canceled cooperatively; a
-// point whose machine is stuck inside a single tick and cannot observe
-// cancellation is abandoned (its goroutine and pooled runner leak, by
-// design) and reported as a deadline error, so one hung run degrades
-// that point rather than the whole sweep. MaxTicks bounds logical time;
-// this bounds wall-clock time — livelocks burn ticks, hangs burn hours.
-func SetPointDeadline(d time.Duration) {
-	pointDeadlineNs.Store(int64(d))
-}
-
 // outcome is one sweep point's result: the metrics, or the error that
 // replaced them. Experiments assemble rows from successful outcomes and
 // route errors into Table.Errors via Table.fail.
@@ -208,16 +213,16 @@ type outcome struct {
 	err error
 }
 
-// runWA executes one Write-All run and returns its metrics. A canceled
-// ctx drains the point immediately (so a sweep's remaining points fall
-// through fast after SIGINT); a run error — tick limit, budget
-// violation, worker panic — is returned for per-point capture instead
-// of aborting the experiment.
-func runWA(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) (pram.Metrics, error) {
+// runWA executes one Write-All run under the sweep's point deadline and
+// returns its metrics. A canceled ctx drains the point immediately (so a
+// sweep's remaining points fall through fast after SIGINT); a run error
+// — tick limit, budget violation, worker panic — is returned for
+// per-point capture instead of aborting the experiment.
+func (s Sweep) runWA(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) (pram.Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return pram.Metrics{}, fmt.Errorf("bench: point canceled: %w", err)
 	}
-	d := time.Duration(pointDeadlineNs.Load())
+	d := s.Deadline
 	if d <= 0 {
 		r := runners.Get().(*pram.Runner)
 		defer runners.Put(r)
@@ -261,13 +266,12 @@ func runWA(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Ad
 }
 
 // Run executes one Write-All run through the harness's sweep-point
-// machinery — the pooled Runner, the wall-clock point watchdog
-// (SetPointDeadline), and the obs point accounting. It is the primitive
-// the experiment registry and the adversary strategy lab
-// (internal/advlab) share: a lab matchup is accounted and degraded
-// exactly like a sweep point.
+// machinery — the pooled Runner and the obs point accounting — with no
+// point deadline. It is the primitive the experiment registry and the
+// adversary strategy lab (internal/advlab) share: a lab matchup is
+// accounted and degraded exactly like a sweep point.
 func Run(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) (pram.Metrics, error) {
-	return runWA(ctx, cfg, alg, adv)
+	return Sweep{}.runWA(ctx, cfg, alg, adv)
 }
 
 // runners pools pram.Runner values so the sweep grid reuses machine

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/pram"
 )
@@ -99,7 +101,7 @@ func TestQuickExperimentsProduceSaneTables(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			for _, tb := range e.Run(context.Background(), Quick) {
+			for _, tb := range e.Run(context.Background(), Sweep{Scale: Quick}) {
 				if len(tb.Rows) == 0 {
 					t.Error("table has no rows")
 				}
@@ -119,6 +121,56 @@ func TestQuickExperimentsProduceSaneTables(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPointsRunsParallelPointsAtOnce pins that Points takes its worker
+// count from the sweep: with Parallel 2 both points must be in flight at
+// once to pass the barrier. Run one at a time, the first point gives up
+// on the barrier after the timeout.
+func TestPointsRunsParallelPointsAtOnce(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	barrier := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(barrier)
+	}()
+	passed := Points(Sweep{Parallel: 2}, 2, func(int) bool {
+		arrived.Done()
+		select {
+		case <-barrier:
+			return true
+		case <-time.After(10 * time.Second):
+			return false
+		}
+	})
+	if !passed[0] || !passed[1] {
+		t.Fatalf("points passed the barrier = %v, want both: Parallel 2 ran them one at a time", passed)
+	}
+}
+
+// TestParallelSweepTablesIdentical checks that a sweep's parallelism
+// never reaches its tables: quick E1, E2 and E6 render byte-identically
+// at Parallel 4 and Parallel 1.
+func TestParallelSweepTablesIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweeps are slow")
+	}
+	for _, e := range All() {
+		if e.ID != "E1" && e.ID != "E2" && e.ID != "E6" {
+			continue
+		}
+		render := func(parallel int) string {
+			var sb strings.Builder
+			for _, tb := range e.Run(context.Background(), Sweep{Scale: Quick, Parallel: parallel}) {
+				tb.RenderMarkdown(&sb)
+			}
+			return sb.String()
+		}
+		if serial, parallel := render(1), render(4); parallel != serial {
+			t.Errorf("%s at Parallel 4 differs from Parallel 1:\n%s\nvs\n%s", e.ID, parallel, serial)
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // that are sufficient to assure efficient solutions?" - by auditing what
 // each algorithm actually uses. The machine records per-cycle maxima;
 // the paper's exposition budget is <= 4 reads and <= 2 writes.
-func E17CycleAudit(ctx context.Context, s Scale) []Table {
+func E17CycleAudit(ctx context.Context, s Sweep) []Table {
 	n := 128
-	if s == Full {
+	if s.Scale == Full {
 		n = 512
 	}
 	t := &Table{
@@ -46,7 +46,7 @@ func E17CycleAudit(ctx context.Context, s Scale) []Table {
 		adv := adversary.NewRandom(0.1, 0.6, 53)
 		adv.MaxEvents = int64(n)
 		cfg := pram.Config{N: n, P: n / 2, AllowSnapshot: e.snapshot}
-		got, err := runWA(ctx, cfg, alg, adv)
+		got, err := s.runWA(ctx, cfg, alg, adv)
 		if err != nil {
 			t.fail(alg.Name(), err)
 			continue

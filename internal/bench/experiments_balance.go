@@ -16,9 +16,9 @@ import (
 // the array-write contribution is the discriminating measure.) Balance is
 // the entire point of V's allocation phase (the Theorem 3.2-style
 // divide-and-conquer assignment); X makes only local decisions.
-func E16LoadBalance(ctx context.Context, s Scale) []Table {
+func E16LoadBalance(ctx context.Context, s Sweep) []Table {
 	n := 256
-	if s == Full {
+	if s.Scale == Full {
 		n = 1024
 	}
 	p := n / 8

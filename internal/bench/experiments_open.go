@@ -14,9 +14,9 @@ import (
 // S = O(N + P log^2 N / log log N), while "the exact analysis of algorithm
 // V without restarts is still open". We measure both algorithms under the
 // same no-restart halving attack and report their ratio.
-func E15WvsV(ctx context.Context, s Scale) []Table {
+func E15WvsV(ctx context.Context, s Sweep) []Table {
 	sizes := []int{128, 256, 512}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{256, 512, 1024, 2048, 4096}
 	}
 	t := &Table{
@@ -29,7 +29,7 @@ func E15WvsV(ctx context.Context, s Scale) []Table {
 	for _, n := range sizes {
 		advW := adversary.NewHalving()
 		advW.NoRestarts = true
-		sw, err := runWA(ctx, pram.Config{N: n, P: n}, writeall.NewW(), advW)
+		sw, err := s.runWA(ctx, pram.Config{N: n, P: n}, writeall.NewW(), advW)
 		if err != nil {
 			t.fail(fmt.Sprintf("W N=%d", n), err)
 			continue
@@ -37,7 +37,7 @@ func E15WvsV(ctx context.Context, s Scale) []Table {
 
 		advV := adversary.NewHalving()
 		advV.NoRestarts = true
-		sv, err := runWA(ctx, pram.Config{N: n, P: n}, writeall.NewV(), advV)
+		sv, err := s.runWA(ctx, pram.Config{N: n, P: n}, writeall.NewV(), advV)
 		if err != nil {
 			t.fail(fmt.Sprintf("V N=%d", n), err)
 			continue

@@ -19,10 +19,10 @@ import (
 // table reports wall-clock per mode and the step/batch ratio. At Full
 // scale the N=10⁸ unpacked-step cell is skipped: 10⁸ one-word cells is
 // 800 MB, the whole point of packing them into 12.5 MB of bit words.
-func E18PackedBatch(ctx context.Context, s Scale) []Table {
+func E18PackedBatch(ctx context.Context, s Sweep) []Table {
 	const p = 1024
 	sizes := []int{1 << 20, 1e7}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{1e7, 1e8}
 	}
 	t := &Table{

@@ -42,9 +42,9 @@ func stepOverhead(m pram.Metrics, tau int) float64 {
 // E9Simulation reproduces Theorem 4.1 / Corollary 4.10: simulating PRAM
 // steps on the restartable fail-stop machine with overhead ratio
 // O(log^2 N).
-func E9Simulation(ctx context.Context, s Scale) []Table {
+func E9Simulation(ctx context.Context, s Sweep) []Table {
 	sizes := []int{64, 128, 256, 512}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{128, 256, 512, 1024, 2048}
 	}
 	t := &Table{
@@ -83,9 +83,9 @@ func E9Simulation(ctx context.Context, s Scale) []Table {
 // E10OverheadRatio reproduces Corollary 4.11: the overhead ratio improves
 // as the failure pattern grows - O(log N) at |F| = Omega(N log N) and O(1)
 // at |F| = Omega(N^1.6).
-func E10OverheadRatio(ctx context.Context, s Scale) []Table {
+func E10OverheadRatio(ctx context.Context, s Sweep) []Table {
 	n := 128
-	if s == Full {
+	if s.Scale == Full {
 		n = 512
 	}
 	p := prog.ReduceSum{N: n}
@@ -129,9 +129,9 @@ func E10OverheadRatio(ctx context.Context, s Scale) []Table {
 // E11Optimality reproduces Corollary 4.12: with P <= N/log^2 N processors
 // and O(N/log N) failures per step, the simulation is work-optimal:
 // S = O(tau * N).
-func E11Optimality(ctx context.Context, s Scale) []Table {
+func E11Optimality(ctx context.Context, s Sweep) []Table {
 	sizes := []int{256, 512, 1024}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{256, 512, 1024, 2048, 4096}
 	}
 	t := &Table{
@@ -180,9 +180,9 @@ func E11Optimality(ctx context.Context, s Scale) []Table {
 // randomized ACC algorithm's expected work while algorithm X (deterministic,
 // position in shared memory) is unaffected, and ACC is efficient when the
 // adversary is off-line.
-func E12Stalking(ctx context.Context, s Scale) []Table {
+func E12Stalking(ctx context.Context, s Sweep) []Table {
 	n := 64
-	if s == Full {
+	if s.Scale == Full {
 		n = 256
 	}
 	t := &Table{
@@ -205,14 +205,14 @@ func E12Stalking(ctx context.Context, s Scale) []Table {
 	// Baselines: ACC without adversary and under an (off-line-style)
 	// random pattern.
 	accA := writeall.NewACC(101)
-	if m1, err := runWA(ctx, pram.Config{N: n, P: n}, accA, adversary.None{}); err != nil {
+	if m1, err := s.runWA(ctx, pram.Config{N: n, P: n}, accA, adversary.None{}); err != nil {
 		t.fail("ACC, failure-free", err)
 	} else {
 		addRow("ACC, failure-free", n, m1, true)
 	}
 
 	accB := writeall.NewACC(101)
-	if m2, err := runWA(ctx, pram.Config{N: n, P: n}, accB, adversary.NewRandom(0.1, 0.5, 43)); err != nil {
+	if m2, err := s.runWA(ctx, pram.Config{N: n, P: n}, accB, adversary.NewRandom(0.1, 0.5, 43)); err != nil {
 		t.fail("ACC, random failures", err)
 	} else {
 		addRow("ACC, random failures", n, m2, true)
@@ -222,7 +222,7 @@ func E12Stalking(ctx context.Context, s Scale) []Table {
 	// survivor. Record the pattern it inflicts.
 	accC := writeall.NewACC(101)
 	rec := adversary.NewRecorder(writeall.NewStalking(accC.Layout(n, n), false))
-	m3, err := runWA(ctx, pram.Config{N: n, P: n}, accC, rec)
+	m3, err := s.runWA(ctx, pram.Config{N: n, P: n}, accC, rec)
 	if err != nil {
 		// The replay row depends on the recorded pattern, so it degrades
 		// with this one.
@@ -236,7 +236,7 @@ func E12Stalking(ctx context.Context, s Scale) []Table {
 		// noise - the paper's point that ACC's guarantees hold only for
 		// off-line adversaries.
 		accOff := writeall.NewACC(999)
-		if mOff, err := runWA(ctx, pram.Config{N: n, P: n}, accOff, rec.Replay()); err != nil {
+		if mOff, err := s.runWA(ctx, pram.Config{N: n, P: n}, accOff, rec.Replay()); err != nil {
 			t.fail("ACC, same pattern replayed (off-line)", err)
 		} else {
 			addRow("ACC, same pattern replayed (off-line)", n, mOff, true)
@@ -254,7 +254,7 @@ func E12Stalking(ctx context.Context, s Scale) []Table {
 		const seeds = 5
 		for seed := int64(1); seed <= seeds; seed++ {
 			accD := writeall.NewACC(100 + seed)
-			m4, fin, err := runWACapped(ctx, pram.Config{N: n, P: p, MaxTicks: 200000},
+			m4, fin, err := s.runWACapped(ctx, pram.Config{N: n, P: p, MaxTicks: 200000},
 				accD, writeall.NewStalking(accD.Layout(n, p), true))
 			if err != nil {
 				t.fail(fmt.Sprintf("ACC, stalking (restart, P=%d, seed %d)", p, seed), err)
@@ -277,7 +277,7 @@ func E12Stalking(ctx context.Context, s Scale) []Table {
 	// X under the same stalker: its position lives in shared memory, so
 	// stalking cannot scatter it; the veto forces completion quickly.
 	algX := writeall.NewX()
-	if m5, fin, err := runWACapped(ctx, pram.Config{N: n, P: n, MaxTicks: 200000},
+	if m5, fin, err := s.runWACapped(ctx, pram.Config{N: n, P: n, MaxTicks: 200000},
 		algX, writeall.NewStalking(algX.Layout(n, n), true)); err != nil {
 		t.fail("X, stalking (restart)", err)
 	} else {

@@ -14,8 +14,8 @@ import (
 // runWACapped runs a Write-All instance that is allowed to hit the tick
 // limit (for demonstrating non-termination); finished reports whether the
 // task completed. Other run errors are returned for per-point capture.
-func runWACapped(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) (m pram.Metrics, finished bool, err error) {
-	got, err := runWA(ctx, cfg, alg, adv)
+func (s Sweep) runWACapped(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) (m pram.Metrics, finished bool, err error) {
+	got, err := s.runWA(ctx, cfg, alg, adv)
 	if err != nil {
 		if errors.Is(err, pram.ErrTickLimit) {
 			return got, false, nil
@@ -28,9 +28,9 @@ func runWACapped(ctx context.Context, cfg pram.Config, alg pram.Algorithm, adv p
 // E1Thrashing reproduces Example 2.2: under the thrashing adversary the
 // charge-everything work S' is Theta(N*P) while the completed work S stays
 // linear, which is why the paper charges only completed update cycles.
-func E1Thrashing(ctx context.Context, s Scale) []Table {
+func E1Thrashing(ctx context.Context, s Sweep) []Table {
 	sizes := []int{32, 64, 128, 256}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{128, 256, 512, 1024}
 	}
 	t := &Table{
@@ -58,9 +58,9 @@ func E1Thrashing(ctx context.Context, s Scale) []Table {
 		got  pram.Metrics
 		err  error
 	}
-	points := Points(len(jobs), func(i int) point {
+	points := Points(s, len(jobs), func(i int) point {
 		alg := jobs[i].mk()
-		got, err := runWA(ctx, pram.Config{N: jobs[i].n, P: jobs[i].n}, alg, &adversary.Thrashing{})
+		got, err := s.runWA(ctx, pram.Config{N: jobs[i].n, P: jobs[i].n}, alg, &adversary.Thrashing{})
 		return point{alg.Name(), got, err}
 	})
 	for i, pt := range points {
@@ -84,9 +84,9 @@ func E1Thrashing(ctx context.Context, s Scale) []Table {
 
 // E2LowerBound reproduces Theorem 3.1: the halving adversary forces
 // Omega(N log N) completed work on every algorithm.
-func E2LowerBound(ctx context.Context, s Scale) []Table {
+func E2LowerBound(ctx context.Context, s Sweep) []Table {
 	sizes := []int{64, 128, 256, 512}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{256, 512, 1024, 2048, 4096}
 	}
 	t := &Table{
@@ -109,9 +109,9 @@ func E2LowerBound(ctx context.Context, s Scale) []Table {
 			jobs = append(jobs, job{n, i})
 		}
 	}
-	points := Points(len(jobs), func(i int) outcome {
+	points := Points(s, len(jobs), func(i int) outcome {
 		n := jobs[i].n
-		got, err := runWA(ctx, pram.Config{N: n, P: n}, algs()[jobs[i].algIdx], adversary.NewHalving())
+		got, err := s.runWA(ctx, pram.Config{N: n, P: n}, algs()[jobs[i].algIdx], adversary.NewHalving())
 		return outcome{got, err}
 	})
 	for i, pt := range points {
@@ -159,9 +159,9 @@ func E2LowerBound(ctx context.Context, s Scale) []Table {
 
 // E3Oblivious reproduces Theorem 3.2: in the unit-cost snapshot model the
 // oblivious strategy matches the lower bound at O(N log N).
-func E3Oblivious(ctx context.Context, s Scale) []Table {
+func E3Oblivious(ctx context.Context, s Sweep) []Table {
 	sizes := []int{64, 128, 256, 512}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{128, 256, 512, 1024}
 	}
 	t := &Table{
@@ -184,9 +184,9 @@ func E3Oblivious(ctx context.Context, s Scale) []Table {
 			jobs = append(jobs, job{n, i})
 		}
 	}
-	points := Points(len(jobs), func(i int) outcome {
+	points := Points(s, len(jobs), func(i int) outcome {
 		cfg := pram.Config{N: jobs[i].n, P: jobs[i].n, AllowSnapshot: true}
-		got, err := runWA(ctx, cfg, writeall.NewOblivious(), mkAdvs[jobs[i].advIdx]())
+		got, err := s.runWA(ctx, cfg, writeall.NewOblivious(), mkAdvs[jobs[i].advIdx]())
 		return outcome{got, err}
 	})
 	var xs, ys []float64
@@ -214,9 +214,9 @@ func E3Oblivious(ctx context.Context, s Scale) []Table {
 
 // E4VFailStop reproduces Lemma 4.2: V's completed work under fail-stop
 // failures without restarts is O(N + P log^2 N).
-func E4VFailStop(ctx context.Context, s Scale) []Table {
+func E4VFailStop(ctx context.Context, s Sweep) []Table {
 	sizes := []int{128, 256, 512}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{256, 512, 1024, 2048, 4096}
 	}
 	t := &Table{
@@ -235,10 +235,10 @@ func E4VFailStop(ctx context.Context, s Scale) []Table {
 			jobs = append(jobs, job{n, p})
 		}
 	}
-	points := Points(len(jobs), func(i int) outcome {
+	points := Points(s, len(jobs), func(i int) outcome {
 		adv := adversary.NewRandom(0.02, 0, 5)
 		adv.MaxEvents = int64(jobs[i].p) / 2
-		got, err := runWA(ctx, pram.Config{N: jobs[i].n, P: jobs[i].p}, writeall.NewV(), adv)
+		got, err := s.runWA(ctx, pram.Config{N: jobs[i].n, P: jobs[i].p}, writeall.NewV(), adv)
 		return outcome{got, err}
 	})
 	for i, pt := range points {
@@ -261,9 +261,9 @@ func E4VFailStop(ctx context.Context, s Scale) []Table {
 
 // E5VRestart reproduces Theorem 4.3: each failure/restart event costs V at
 // most O(log N) extra completed work.
-func E5VRestart(ctx context.Context, s Scale) []Table {
+func E5VRestart(ctx context.Context, s Sweep) []Table {
 	n := 512
-	if s == Full {
+	if s.Scale == Full {
 		n = 2048
 	}
 	l2 := int(log2(n))
@@ -283,7 +283,7 @@ func E5VRestart(ctx context.Context, s Scale) []Table {
 			r.Points = []pram.FailPoint{pram.FailBeforeReads, pram.FailAfterReads}
 			adv = r
 		}
-		got, err := runWA(ctx, pram.Config{N: n, P: p}, writeall.NewV(), adv)
+		got, err := s.runWA(ctx, pram.Config{N: n, P: p}, writeall.NewV(), adv)
 		if err != nil {
 			t.fail(fmt.Sprintf("M=%d", m), err)
 			continue
@@ -307,9 +307,9 @@ func E5VRestart(ctx context.Context, s Scale) []Table {
 
 // E6XWorstCase reproduces Theorem 4.8: the post-order adversary forces
 // algorithm X to super-linear work approaching N^{log 3}.
-func E6XWorstCase(ctx context.Context, s Scale) []Table {
+func E6XWorstCase(ctx context.Context, s Sweep) []Table {
 	sizes := []int{16, 32, 64, 128, 256}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 	}
 	t := &Table{
@@ -322,14 +322,14 @@ func E6XWorstCase(ctx context.Context, s Scale) []Table {
 		got, ff pram.Metrics
 		err     error
 	}
-	points := Points(len(sizes), func(i int) point {
+	points := Points(s, len(sizes), func(i int) point {
 		n := sizes[i]
 		algX := writeall.NewX()
-		got, err := runWA(ctx, pram.Config{N: n, P: n}, algX, writeall.NewPostOrder(algX.Layout(n, n)))
+		got, err := s.runWA(ctx, pram.Config{N: n, P: n}, algX, writeall.NewPostOrder(algX.Layout(n, n)))
 		if err != nil {
 			return point{err: err}
 		}
-		ff, err := runWA(ctx, pram.Config{N: n, P: n}, writeall.NewX(), adversary.None{})
+		ff, err := s.runWA(ctx, pram.Config{N: n, P: n}, writeall.NewX(), adversary.None{})
 		return point{got: got, ff: ff, err: err}
 	})
 	var xs, ys, ffys []float64
@@ -368,9 +368,9 @@ func E6XWorstCase(ctx context.Context, s Scale) []Table {
 
 // E7XProcessorSweep reproduces Theorem 4.7: X's completed work grows like
 // N * P^{log 1.5 + eps} in the processor count.
-func E7XProcessorSweep(ctx context.Context, s Scale) []Table {
+func E7XProcessorSweep(ctx context.Context, s Sweep) []Table {
 	n := 256
-	if s == Full {
+	if s.Scale == Full {
 		n = 1024
 	}
 	t := &Table{
@@ -383,10 +383,10 @@ func E7XProcessorSweep(ctx context.Context, s Scale) []Table {
 	for p := 4; p <= n; p *= 4 {
 		ps = append(ps, p)
 	}
-	points := Points(len(ps), func(i int) outcome {
+	points := Points(s, len(ps), func(i int) outcome {
 		p := ps[i]
 		algX := writeall.NewX()
-		got, err := runWA(ctx, pram.Config{N: n, P: p}, algX, writeall.NewPostOrder(algX.Layout(n, p)))
+		got, err := s.runWA(ctx, pram.Config{N: n, P: p}, algX, writeall.NewPostOrder(algX.Layout(n, p)))
 		return outcome{got, err}
 	})
 	var xs, ys []float64
@@ -413,9 +413,9 @@ func E7XProcessorSweep(ctx context.Context, s Scale) []Table {
 // E8Combined reproduces Theorem 4.9: interleaving V and X yields the
 // minimum of their bounds (at twice the cost) and guarantees termination
 // where V alone stalls.
-func E8Combined(ctx context.Context, s Scale) []Table {
+func E8Combined(ctx context.Context, s Sweep) []Table {
 	n := 256
-	if s == Full {
+	if s.Scale == Full {
 		n = 512
 	}
 	t := &Table{
@@ -446,7 +446,7 @@ func E8Combined(ctx context.Context, s Scale) []Table {
 	for _, mkAdv := range advs {
 		for _, mkAlg := range algs {
 			alg, adv := mkAlg(), mkAdv()
-			got, finished, err := runWACapped(ctx, pram.Config{N: n, P: n, MaxTicks: maxTicks}, alg, adv)
+			got, finished, err := s.runWACapped(ctx, pram.Config{N: n, P: n, MaxTicks: maxTicks}, alg, adv)
 			if err != nil {
 				t.fail(fmt.Sprintf("%s vs %s", alg.Name(), adv.Name()), err)
 				continue
@@ -470,9 +470,9 @@ func E8Combined(ctx context.Context, s Scale) []Table {
 // E13XFailStop measures the Section 5 open problem: X's work under
 // fail-stop errors without restarts, against the conjectured
 // O(N log N log log N).
-func E13XFailStop(ctx context.Context, s Scale) []Table {
+func E13XFailStop(ctx context.Context, s Sweep) []Table {
 	sizes := []int{64, 128, 256, 512}
-	if s == Full {
+	if s.Scale == Full {
 		sizes = []int{256, 512, 1024, 2048, 4096}
 	}
 	t := &Table{
@@ -481,11 +481,11 @@ func E13XFailStop(ctx context.Context, s Scale) []Table {
 		Claim:  "Section 5 conjecture: S = O(N log N log log N) without restarts",
 		Header: []string{"N", "S", "S/(N log N)", "S/(N log N log log N)"},
 	}
-	points := Points(len(sizes), func(i int) outcome {
+	points := Points(s, len(sizes), func(i int) outcome {
 		n := sizes[i]
 		adv := adversary.NewHalving()
 		adv.NoRestarts = true
-		got, err := runWA(ctx, pram.Config{N: n, P: n}, writeall.NewX(), adv)
+		got, err := s.runWA(ctx, pram.Config{N: n, P: n}, writeall.NewX(), adv)
 		return outcome{got, err}
 	})
 	var xs, ys []float64
@@ -517,9 +517,9 @@ func E13XFailStop(ctx context.Context, s Scale) []Table {
 }
 
 // E14XAblation compares the Remark 5 local optimizations of X.
-func E14XAblation(ctx context.Context, s Scale) []Table {
+func E14XAblation(ctx context.Context, s Sweep) []Table {
 	n := 128
-	if s == Full {
+	if s.Scale == Full {
 		n = 512
 	}
 	// P < N so that Remark 5(i)'s even spacing actually differs from the
@@ -547,7 +547,7 @@ func E14XAblation(ctx context.Context, s Scale) []Table {
 		row := []string{mkAdv(lay).Name()}
 		for _, mkAlg := range variants {
 			alg := mkAlg()
-			got, err := runWA(ctx, pram.Config{N: n, P: p}, alg, mkAdv(lay))
+			got, err := s.runWA(ctx, pram.Config{N: n, P: p}, alg, mkAdv(lay))
 			if err != nil {
 				t.fail(fmt.Sprintf("%s vs %s", alg.Name(), mkAdv(lay).Name()), err)
 				row = append(row, "ERR")

@@ -33,7 +33,7 @@ func TestEnableObsCountsPoints(t *testing.T) {
 	EnableObs(reg)
 	delta := benchDeltas(reg, obs.MetricPoints, obs.MetricPointsDeadline, obs.MetricPointsInflight)
 
-	if _, err := runWA(context.Background(), pram.Config{N: 32, P: 8},
+	if _, err := (Sweep{}).runWA(context.Background(), pram.Config{N: 32, P: 8},
 		writeall.NewX(), adversary.None{}); err != nil {
 		t.Fatalf("runWA: %v", err)
 	}
@@ -49,10 +49,8 @@ func TestEnableObsCountsPoints(t *testing.T) {
 	}
 
 	// A deadline-canceled point moves both the point and deadline counters.
-	SetPointDeadline(30 * time.Millisecond)
-	defer SetPointDeadline(0)
 	delta = benchDeltas(reg, obs.MetricPoints, obs.MetricPointsDeadline)
-	_, err := runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
+	_, err := Sweep{Deadline: 30 * time.Millisecond}.runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
 		writeall.NewV(), &adversary.Thrashing{Rotate: true})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -85,12 +83,10 @@ func TestEnableObsCountsPoints(t *testing.T) {
 // is deliberate and only triggers on a machine wedged inside one tick,
 // which a livelock is not).
 func TestWatchdogDoesNotLeakGoroutines(t *testing.T) {
-	SetPointDeadline(20 * time.Millisecond)
-	defer SetPointDeadline(0)
-
+	s := Sweep{Deadline: 20 * time.Millisecond}
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		_, err := runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
+		_, err := s.runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
 			writeall.NewV(), &adversary.Thrashing{Rotate: true})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("point %d: err = %v, want DeadlineExceeded", i, err)

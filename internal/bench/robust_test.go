@@ -114,7 +114,7 @@ func TestSweepDegradesUnderInjectedWorkerPanics(t *testing.T) {
 	old := faultinject.Swap(reg)
 	defer faultinject.Swap(old)
 
-	tables := E1Thrashing(context.Background(), Quick)
+	tables := E1Thrashing(context.Background(), Sweep{Scale: Quick})
 	if len(tables) == 0 {
 		t.Fatal("sweep produced no tables")
 	}
@@ -144,12 +144,9 @@ func TestSweepDegradesUnderInjectedWorkerPanics(t *testing.T) {
 // a point whose machine livelocks (legal ticks forever) is canceled
 // cooperatively at the deadline and reported as that point's error.
 func TestPointDeadlineCancelsLivelockedRun(t *testing.T) {
-	SetPointDeadline(50 * time.Millisecond)
-	defer SetPointDeadline(0)
-
 	// V under the rotating thrasher makes no progress; with an absurd
 	// tick budget only the wall-clock deadline can end the point.
-	_, err := runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
+	_, err := Sweep{Deadline: 50 * time.Millisecond}.runWA(context.Background(), pram.Config{N: 64, P: 64, MaxTicks: 1 << 30},
 		writeall.NewV(), &adversary.Thrashing{Rotate: true})
 	if err == nil {
 		t.Fatal("livelocked point returned no error under a 50ms deadline")
@@ -162,14 +159,12 @@ func TestPointDeadlineCancelsLivelockedRun(t *testing.T) {
 // TestPointDeadlineLeavesFastPointsAlone checks the watchdog does not
 // perturb points that finish within budget.
 func TestPointDeadlineLeavesFastPointsAlone(t *testing.T) {
-	base, err := runWA(context.Background(), pram.Config{N: 64, P: 8},
+	base, err := Sweep{}.runWA(context.Background(), pram.Config{N: 64, P: 8},
 		writeall.NewX(), adversary.None{})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	SetPointDeadline(time.Minute)
-	defer SetPointDeadline(0)
-	got, err := runWA(context.Background(), pram.Config{N: 64, P: 8},
+	got, err := Sweep{Deadline: time.Minute}.runWA(context.Background(), pram.Config{N: 64, P: 8},
 		writeall.NewX(), adversary.None{})
 	if err != nil {
 		t.Fatalf("under deadline: %v", err)

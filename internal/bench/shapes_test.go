@@ -20,7 +20,7 @@ import (
 // mustWA runs one Write-All point and fails the test on any run error.
 func mustWA(t *testing.T, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) pram.Metrics {
 	t.Helper()
-	m, err := runWA(context.Background(), cfg, alg, adv)
+	m, err := Sweep{}.runWA(context.Background(), cfg, alg, adv)
 	if err != nil {
 		t.Fatalf("runWA(%s vs %s): %v", alg.Name(), adv.Name(), err)
 	}

@@ -136,7 +136,7 @@ func (s RunSpec) Validate() error {
 
 // SweepSpec describes one experiment sweep: the flag surface of
 // cmd/experiments as data. The zero value runs every experiment at
-// quick scale, serially, without journaling.
+// quick scale, GOMAXPROCS points at a time, without journaling.
 type SweepSpec struct {
 	// Run selects experiment IDs (e.g. ["E4", "E13"]); empty means all.
 	// Matching is case-insensitive, like the CLI flag.
@@ -144,12 +144,12 @@ type SweepSpec struct {
 	// Full selects the slow sizes recorded in EXPERIMENTS.md.
 	Full bool `json:"full,omitempty"`
 	// Parallel is the number of sweep points evaluated concurrently
-	// (<= 0 selects GOMAXPROCS). Note this maps onto a process-global
-	// setting; drivers running concurrent sweeps must serialize them
-	// (internal/jobs does).
+	// (<= 0 selects GOMAXPROCS); tables are identical at any setting.
+	// Fabric tasks ignore it and run their points one at a time.
 	Parallel int `json:"parallel,omitempty"`
 	// Deadline bounds each sweep point's wall-clock time; overrunning
-	// points degrade to error rows (0 disables).
+	// points degrade to error rows (0 disables). Fabric tasks run
+	// without one, so fabric.Decompose rejects a nonzero Deadline.
 	Deadline time.Duration `json:"deadline_ns,omitempty"`
 	// CheckpointDir journals finished experiments to
 	// CheckpointDir/journal.jsonl; Resume replays journaled experiments

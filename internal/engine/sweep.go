@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -68,26 +69,20 @@ type SweepResult struct {
 // every journaled experiment and returns a resumable error, and failed
 // sweep points degrade to Table.Errors rows instead of aborting.
 //
-// Parallelism and the point deadline map onto process-global bench
-// settings; callers running concurrent sweeps in one process must
-// serialize them (internal/jobs does).
+// The spec's parallelism and point deadline apply to this sweep alone,
+// so concurrent sweeps in one process stay independent.
 func ExecuteSweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (SweepResult, error) {
 	var res SweepResult
 	if err := spec.Validate(); err != nil {
 		return res, err
 	}
-	bench.SetParallelism(spec.Parallel)
-	bench.SetPointDeadline(spec.Deadline)
-
-	scale := bench.Quick
-	if spec.Full {
-		scale = bench.Full
+	ids, err := spec.ExperimentIDs()
+	if err != nil {
+		return res, err
 	}
-	want := make(map[string]bool)
-	for _, id := range spec.Run {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
+	sweep := bench.Sweep{Scale: scale(spec.Full), Parallel: spec.Parallel, Deadline: spec.Deadline}
+	if sweep.Parallel <= 0 {
+		sweep.Parallel = runtime.GOMAXPROCS(0)
 	}
 
 	var journal *bench.Journal
@@ -102,7 +97,6 @@ func ExecuteSweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (SweepR
 				return res, fmt.Errorf("clear journal: %w", err)
 			}
 		}
-		var err error
 		journal, err = bench.OpenJournal(path)
 		if err != nil {
 			return res, err
@@ -118,29 +112,28 @@ func ExecuteSweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (SweepR
 		}
 	}
 
-	for _, e := range bench.All() {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
+	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			// Interrupted: everything journaled so far is already synced;
 			// return a resumable error so the driver knows the sweep is
 			// partial.
-			return res, fmt.Errorf("sweep interrupted before %s: %w (journaled experiments are kept; rerun with -resume)", e.ID, err)
+			return res, fmt.Errorf("sweep interrupted before %s: %w (journaled experiments are kept; rerun with -resume)", id, err)
 		}
-		key := fmt.Sprintf("%s/scale=%d", e.ID, scale)
+		key := ExperimentKey(id, spec.Full)
 		if journal != nil {
 			var tables []bench.Table
 			if ok, err := journal.Get(key, &tables); err != nil {
 				return res, err
 			} else if ok {
-				emit(SweepEvent{SweepExperiment: SweepExperiment{ID: e.ID, Tables: tables, Replayed: true}})
+				emit(SweepEvent{SweepExperiment: SweepExperiment{ID: id, Tables: tables, Replayed: true}})
 				continue
 			}
 		}
 		start := time.Now()
-		tables := e.Run(ctx, scale)
-		bench.ExperimentDone()
+		tables, err := runExperiment(ctx, id, sweep)
+		if err != nil {
+			return res, err
+		}
 		interrupted := ctx.Err() != nil
 		for i := range tables {
 			res.Degraded += len(tables[i].Errors)
@@ -151,18 +144,13 @@ func ExecuteSweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (SweepR
 			// on resume rather than replay. A failed Put degrades the
 			// journal (this experiment re-runs on resume), not the sweep.
 			if err := journal.Put(key, tables); err != nil {
-				opt.warnf("warning: %v (%s will re-run on -resume)", err, e.ID)
+				opt.warnf("warning: %v (%s will re-run on -resume)", err, id)
 			}
 		}
-		emit(SweepEvent{SweepExperiment: SweepExperiment{ID: e.ID, Tables: tables}, Elapsed: time.Since(start)})
+		emit(SweepEvent{SweepExperiment: SweepExperiment{ID: id, Tables: tables}, Elapsed: time.Since(start)})
 		if interrupted {
-			return res, fmt.Errorf("sweep interrupted during %s: %w (partial tables above; rerun with -resume)", e.ID, ctx.Err())
+			return res, fmt.Errorf("sweep interrupted during %s: %w (partial tables above; rerun with -resume)", id, ctx.Err())
 		}
-	}
-	if res.Ran == 0 {
-		all := bench.All()
-		return res, fmt.Errorf("no experiments matched -run=%q; known IDs are E1..%s",
-			strings.Join(spec.Run, ","), all[len(all)-1].ID)
 	}
 	return res, nil
 }
@@ -178,41 +166,59 @@ func (s SweepSpec) ExperimentIDs() ([]string, error) {
 			want[strings.ToUpper(id)] = true
 		}
 	}
+	all := bench.All()
 	var ids []string
-	for _, e := range bench.All() {
+	for _, e := range all {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		ids = append(ids, e.ID)
 	}
 	if len(ids) == 0 {
-		all := bench.All()
 		return nil, fmt.Errorf("no experiments matched -run=%q; known IDs are E1..%s",
 			strings.Join(s.Run, ","), all[len(all)-1].ID)
 	}
 	return ids, nil
 }
 
-// RunExperiment runs one registered experiment at the given scale and
-// returns its tables. Unlike ExecuteSweep it does not touch the
-// process-global bench knobs (parallelism, point deadline), so
-// concurrent callers — fabric workers sharing a process — stay
-// independent.
-func RunExperiment(ctx context.Context, id string, full bool) ([]bench.Table, error) {
-	scale := bench.Quick
+// ExperimentKey names one experiment at one scale, "<ID>/scale=<N>": the
+// sweep journal's key and the fabric's task key. Journals and fabric
+// ledgers written earlier depend on its bytes.
+func ExperimentKey(id string, full bool) string {
+	return fmt.Sprintf("%s/scale=%d", id, scale(full))
+}
+
+func scale(full bool) bench.Scale {
 	if full {
-		scale = bench.Full
+		return bench.Full
 	}
+	return bench.Quick
+}
+
+// RunExperiment runs one registered experiment at the given scale and
+// returns its tables. It runs the points one at a time with no point
+// deadline, so concurrent callers — fabric workers sharing a process —
+// each get the same tables a sweep at any setting produces.
+func RunExperiment(ctx context.Context, id string, full bool) ([]bench.Table, error) {
+	tables, err := runExperiment(ctx, id, bench.Sweep{Scale: scale(full)})
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return tables, fmt.Errorf("experiment %s interrupted: %w", id, err)
+	}
+	return tables, nil
+}
+
+// runExperiment looks id up in the registry and runs it with the
+// sweep's settings.
+func runExperiment(ctx context.Context, id string, s bench.Sweep) ([]bench.Table, error) {
 	for _, e := range bench.All() {
-		if e.ID != id {
-			continue
+		if e.ID == id {
+			tables := e.Run(ctx, s)
+			bench.ExperimentDone()
+			return tables, nil
 		}
-		tables := e.Run(ctx, scale)
-		bench.ExperimentDone()
-		if err := ctx.Err(); err != nil {
-			return tables, fmt.Errorf("experiment %s interrupted: %w", id, err)
-		}
-		return tables, nil
 	}
 	return nil, fmt.Errorf("unknown experiment %q", id)
 }

@@ -96,6 +96,20 @@ func TestDecompose(t *testing.T) {
 	if _, err := Decompose(engine.SweepSpec{Run: []string{"E99"}}); err == nil {
 		t.Fatal("unknown experiment ID should fail decomposition")
 	}
+	// Settings a fabric sweep would drop are rejected, not ignored.
+	for _, spec := range []engine.SweepSpec{
+		{Run: []string{"E1"}, Deadline: time.Second},
+		{Run: []string{"E1"}, CheckpointDir: "ckpt"},
+		{Run: []string{"E1"}, CheckpointDir: "ckpt", Resume: true},
+		{Run: []string{"E1"}, Resume: true},
+	} {
+		if _, err := Decompose(spec); err == nil {
+			t.Errorf("Decompose(%+v) accepted a setting fabric tasks drop", spec)
+		}
+	}
+	if _, err := Decompose(engine.SweepSpec{Run: []string{"E1"}, Parallel: 4}); err != nil {
+		t.Errorf("Decompose with Parallel set: %v; parallelism never changes tables", err)
+	}
 }
 
 func TestCacheKey(t *testing.T) {

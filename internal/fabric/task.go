@@ -24,7 +24,7 @@ import (
 
 // ExperimentTask names one registered experiment at one scale: the
 // sweep's unit of distribution, matching the sweep journal's
-// "<ID>/scale=<N>" granularity.
+// engine.ExperimentKey granularity.
 type ExperimentTask struct {
 	// ID is the experiment identifier (e.g. "E6").
 	ID string `json:"id"`
@@ -67,24 +67,27 @@ func (t Task) Validate() error {
 }
 
 // Decompose expands a sweep spec into its Do-All task list, one task
-// per selected experiment, in registry order. Task keys reuse the
-// sweep journal's "<ID>/scale=<N>" discipline. Spec fields that only
-// make sense inside one process (Parallel, Deadline, CheckpointDir,
-// Resume) are ignored: scheduling belongs to the coordinator and
-// durability to the ledger.
+// per selected experiment, in registry order. Task keys are the sweep
+// journal's engine.ExperimentKey. Durability belongs to the ledger and
+// tasks run their points one at a time without a point deadline, so
+// Decompose rejects a spec that sets CheckpointDir, Resume or Deadline
+// rather than drop them; it ignores Parallel, which never changes
+// tables.
 func Decompose(spec engine.SweepSpec) ([]Task, error) {
+	if spec.CheckpointDir != "" || spec.Resume {
+		return nil, fmt.Errorf("fabric: a fabric sweep takes no checkpoint dir or resume: the fabric ledger is the checkpoint")
+	}
+	if spec.Deadline != 0 {
+		return nil, fmt.Errorf("fabric: a fabric sweep takes no point deadline (got %v): its tasks run without one", spec.Deadline)
+	}
 	ids, err := spec.ExperimentIDs()
 	if err != nil {
 		return nil, err
 	}
-	scale := 1
-	if spec.Full {
-		scale = 2
-	}
 	tasks := make([]Task, 0, len(ids))
 	for _, id := range ids {
 		tasks = append(tasks, Task{
-			Key:        fmt.Sprintf("%s/scale=%d", id, scale),
+			Key:        engine.ExperimentKey(id, spec.Full),
 			Experiment: &ExperimentTask{ID: id, Full: spec.Full},
 		})
 	}

@@ -18,9 +18,9 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Workers is the number of jobs executed concurrently (0 = 1).
-	// Sweep jobs additionally serialize among themselves because the
-	// bench layer's parallelism and deadline knobs are process-global.
+	// Workers is the number of jobs executed concurrently (0 = 1),
+	// whatever their kinds: each sweep job carries its own parallelism
+	// and point deadline.
 	Workers int
 	// Logf receives the store's operational notices (recovery, persist
 	// degradation). Nil discards them.
@@ -48,10 +48,6 @@ type Store struct {
 	killed  bool
 
 	wg sync.WaitGroup
-
-	// sweepMu serializes sweep jobs: engine.ExecuteSweep maps the spec's
-	// Parallel/Deadline onto process-global bench settings.
-	sweepMu sync.Mutex
 }
 
 // jobState pairs a job record with its live machinery.
@@ -422,10 +418,6 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 			Logf:   s.logf,
 		})
 	case KindSweep:
-		// Sweeps serialize: the engine maps Parallel/Deadline onto
-		// process-global bench settings.
-		s.sweepMu.Lock()
-		defer s.sweepMu.Unlock()
 		spec := *js.job.Spec.Sweep
 		spec.CheckpointDir = filepath.Join(dir, "sweep")
 		spec.Resume = js.job.Resume

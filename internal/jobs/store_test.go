@@ -447,6 +447,51 @@ func TestKillMidSweepResumesIdentical(t *testing.T) {
 	}
 }
 
+// TestConcurrentSweepJobsKeepTheirSettings runs two sweep jobs at once
+// on two workers, one with a 1ns point deadline and one without. Each
+// job's result must equal the same sweep run alone.
+func TestConcurrentSweepJobsKeepTheirSettings(t *testing.T) {
+	specs := []engine.SweepSpec{
+		{Run: []string{"E1"}, Deadline: time.Nanosecond},
+		{Run: []string{"E1"}},
+	}
+	s, err := Open(t.TempDir(), Options{Workers: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Kill()
+	ids := make([]string, len(specs))
+	for i := range specs {
+		job, err := s.Submit(Spec{Kind: KindSweep, Sweep: &specs[i]})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids[i] = job.ID
+	}
+	for i, spec := range specs {
+		if got := waitTerminal(t, s, ids[i]); got.State != StateDone {
+			t.Fatalf("sweep job %d state = %s (error %q), want done", i, got.State, got.Error)
+		}
+		raw, err := s.Result(ids[i])
+		if err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+		var res engine.SweepResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatalf("result.json: %v", err)
+		}
+		alone, err := engine.ExecuteSweep(context.Background(), spec, engine.SweepOptions{})
+		if err != nil {
+			t.Fatalf("ExecuteSweep: %v", err)
+		}
+		gotJSON, _ := json.Marshal(res)
+		wantJSON, _ := json.Marshal(alone)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("sweep job with deadline %v differs from the sweep run alone:\njob   %s\nalone %s", spec.Deadline, gotJSON, wantJSON)
+		}
+	}
+}
+
 func TestSimJobCompletes(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Kill()

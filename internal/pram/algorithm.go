@@ -54,17 +54,18 @@ type Resettable interface {
 
 // ArrayDoneHinter is an optional Algorithm interface for "array-style"
 // completion predicates of the form "cells [0, k) are all non-zero" — the
-// shape of every Write-All Done check. When an algorithm provides it (and
-// Config.DisableDoneHint is unset), the machine maintains a
-// remaining-unset counter incrementally in the commit phase and answers
-// Done in O(1) instead of rescanning memory every tick (O(N·T) over a
-// run). DoneCells returns the prefix length k; returning a non-positive
-// value declines the hint for that run. The polled Done predicate remains
-// the semantic oracle: the two must agree on every reachable memory state,
-// which the equivalence tests check by running the same grid with the hint
-// disabled. Beware method promotion: a wrapper that embeds a hinting
-// algorithm and overrides Done inherits DoneCells too, and must shadow it
-// (returning 0) if its Done is no longer the array predicate.
+// shape of every Write-All Done check. When an algorithm provides it, the
+// machine maintains a remaining-unset counter incrementally in the commit
+// phase and answers Done in O(1) instead of rescanning memory every tick
+// (O(N·T) over a run). DoneCells returns the prefix length k; returning a
+// non-positive value declines the hint for that run. The polled Done
+// predicate remains the semantic oracle: the two must agree on every
+// reachable memory state, which the equivalence tests check by running
+// the same grid with the algorithm wrapped in struct{ Algorithm }, whose
+// promoted methods leave DoneCells out. Beware method promotion the other
+// way: a wrapper that embeds a concrete hinting algorithm and overrides
+// Done inherits DoneCells too, and must shadow it (returning 0) if its
+// Done is no longer the array predicate.
 type ArrayDoneHinter interface {
 	DoneCells(n, p int) int
 }

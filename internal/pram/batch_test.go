@@ -193,11 +193,10 @@ func TestDoneHintExactAcrossBatches(t *testing.T) {
 			hinted := m.Metrics()
 			m.Close()
 
-			// The polled twin: DisableDoneHint forces per-tick stepping (no
-			// hint, no quiet windows) and a full Done scan every tick.
-			polled := cfg
-			polled.DisableDoneHint = true
-			pm := mustMachine(t, polled, c.alg, quietAdv{})
+			// The polled twin: embedding the interface hides DoneCells,
+			// which forces per-tick stepping (no hint, no quiet windows,
+			// no packing) and a full Done scan every tick.
+			pm := mustMachine(t, cfg, struct{ Algorithm }{c.alg}, quietAdv{})
 			pmMetrics, err := pm.Run()
 			if err != nil {
 				t.Fatalf("%s packed=%v: polled Run: %v", c.alg.Name(), packed, err)

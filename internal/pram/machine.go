@@ -47,12 +47,6 @@ type Config struct {
 	// one PRAM instruction inside a leaf visit expands the update cycle
 	// by the paper's fixed fetch/decode/execute constant.
 	CycleReadBudget, CycleWriteBudget int
-	// DisableDoneHint forces the polled Done predicate every tick even
-	// when the algorithm implements ArrayDoneHinter, disabling the
-	// incremental O(1) completion counter. The equivalence tests use it
-	// to check the counter against the polled oracle; ordinary runs
-	// leave it false.
-	DisableDoneHint bool
 	// Packed opts the run into the bit-packed shared-memory layout: the
 	// Write-All prefix the algorithm volunteers through ArrayDoneHinter
 	// is stored one bit per cell, 64 cells per word, cutting the N=10⁷-
@@ -60,8 +54,7 @@ type Config struct {
 	// packing is observationally invisible — runs are bit-identical to
 	// the unpacked layout (a non-binary store into the packed prefix
 	// promotes the memory back to one Word per cell; see Memory). It is
-	// independent of DisableDoneHint and a no-op for algorithms without
-	// an array hint.
+	// a no-op for algorithms without an array hint.
 	Packed bool
 	// Sink, if non-nil, receives the machine's instrumentation stream:
 	// one CycleEvent per attempted update cycle, one TickEvent per tick,
@@ -368,8 +361,7 @@ func (m *Machine) newProcessor(pid int) Processor {
 // packedLen resolves the bit-packed prefix length for a run: the
 // ArrayDoneHinter prefix when Config.Packed asks for packing (the cells
 // of an array-style Done predicate are exactly the ones that only ever
-// hold 0 or 1 in a well-behaved run), zero otherwise. Unlike the done
-// hint itself, packing ignores DisableDoneHint — the two are orthogonal.
+// hold 0 or 1 in a well-behaved run), zero otherwise.
 func (m *Machine) packedLen(size int) int {
 	if !m.cfg.Packed {
 		return 0
@@ -386,13 +378,10 @@ func (m *Machine) packedLen(size int) int {
 }
 
 // initDoneHint arms the incremental Done counter when the algorithm
-// volunteers an array hint and the config does not veto it. The counter
-// starts from the post-Setup memory so Setup writes are accounted.
+// volunteers an array hint. The counter starts from the post-Setup
+// memory so Setup writes are accounted.
 func (m *Machine) initDoneHint() {
 	m.hintLen, m.remaining = 0, 0
-	if m.cfg.DisableDoneHint {
-		return
-	}
 	h, ok := m.alg.(ArrayDoneHinter)
 	if !ok {
 		return

@@ -111,9 +111,10 @@ func TestPooledRunResize(t *testing.T) {
 // against the polled Done predicate it replaces: for every algorithm x
 // adversary pairing, a run with the hint (the default for Write-All
 // algorithms, which all embed the array predicate) is bit-identical to a
-// run with Config.DisableDoneHint forcing the polled oracle. Any
-// divergence — an early or late termination tick — would show up in the
-// metrics and tick traces.
+// run of the algorithm wrapped in struct{ pram.Algorithm }, which hides
+// DoneCells and so forces the polled oracle. Any divergence — an early
+// or late termination tick — would show up in the metrics and tick
+// traces.
 func TestDoneHintMatchesPolledOracle(t *testing.T) {
 	const n, p = 64, 16
 	base := Config{N: n, P: p, MaxTicks: 4000}
@@ -150,9 +151,8 @@ func TestDoneHintMatchesPolledOracle(t *testing.T) {
 		for _, adv := range advs {
 			t.Run(alg.name+"/"+adv.name, func(t *testing.T) {
 				hinted := runStepped(t, alg.mk, adv.mk, alg.cfg)
-				polled := alg.cfg
-				polled.DisableDoneHint = true
-				oracle := runStepped(t, alg.mk, adv.mk, polled)
+				polled := func() Algorithm { return struct{ pram.Algorithm }{alg.mk()} }
+				oracle := runStepped(t, polled, adv.mk, alg.cfg)
 				assertRunsEqual(t, "hint vs polled oracle", oracle, hinted)
 			})
 		}
