@@ -153,17 +153,20 @@ fuzz:
 	$(GO) test -fuzz FuzzWriteAllUnderRandomPatterns -fuzztime 30s ./internal/writeall/
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/pram/
 	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 30s ./internal/pram/
+	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 30s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 30s ./internal/adversary/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 30s ./internal/rng/
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
 # failure-pattern JSON), the random source's differential check against
-# math/rand and the machine's differential check against the reference
-# stepper a brief randomized shake beyond their committed corpora;
+# math/rand, the machine's differential check against the reference
+# stepper and the event sink's hand encoder's check against
+# encoding/json a brief randomized shake beyond their committed corpora;
 # cheap enough to live inside `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 5s ./internal/pram/
+	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 

@@ -65,15 +65,19 @@ type RunResult struct {
 	ResumedFromTick int `json:"resumed_from_tick,omitempty"`
 }
 
-// CanResume reports whether path holds a loadable checkpoint (current
-// or previous generation). The job service uses it to decide between
-// appending to and truncating a recovered job's event trace.
-func CanResume(path string) bool {
+// ResumeTick reports the tick a run with Resume set resumes at: that of
+// the checkpoint at path (current generation, or the previous one when
+// the current does not load), and whether there is one. The job service
+// uses it to cut a recovered job's event trace back to that tick.
+func ResumeTick(path string) (int, bool) {
 	if path == "" {
-		return false
+		return 0, false
 	}
-	_, _, err := pram.LoadSnapshotFallback(path)
-	return err == nil
+	snap, _, err := pram.LoadSnapshotFallback(path)
+	if err != nil {
+		return 0, false
+	}
+	return snap.Tick, true
 }
 
 // idle holds the Runner of the last finished ExecuteRun, so the next

@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -44,5 +48,46 @@ func TestExecuteRunReuseIsInvisible(t *testing.T) {
 		if got := run(specs[i]); !reflect.DeepEqual(got, forward[i]) {
 			t.Errorf("spec %d: result depends on the machine it inherited:\nforward %+v\nreverse %+v", i, forward[i], got)
 		}
+	}
+}
+
+// TestExecuteRunTraceKeepsQuietWindows guards the traced run against
+// silent disengagement: with TracePath and BatchTicks set, the trace
+// sink is the run's only sink and a BatchSink, so the run still batches
+// and its batch and tick lines together cover every tick once.
+func TestExecuteRunTraceKeepsQuietWindows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	res, err := ExecuteRun(context.Background(), RunSpec{
+		Algorithm: "trivial", Adversary: "none", N: 1 << 14, P: 8, Packed: true, BatchTicks: 64, TracePath: path,
+	}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, batches := 0, 0
+	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		var ev struct {
+			Ev                string
+			Tick, From, Ticks int
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		switch {
+		case ev.Ev == "tick" && ev.Tick == next:
+			next++
+		case ev.Ev == "batch" && ev.From == next && ev.Ticks >= 2:
+			next += ev.Ticks
+			batches++
+		case ev.Ev == "tick" || ev.Ev == "batch":
+			t.Fatalf("line %s does not start at tick %d", line, next)
+		}
+	}
+	if next != res.Metrics.Ticks || batches == 0 {
+		t.Fatalf("%d batch lines; tick and batch lines cover [0, %d), want [0, %d) with at least one batch line",
+			batches, next, res.Metrics.Ticks)
 	}
 }

@@ -1,6 +1,9 @@
 package jobs
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // hub fans one job's event lines out to live subscribers (the daemon's
 // SSE streams). The disk files are the durable record; the hub is pure
@@ -16,17 +19,26 @@ type hub struct {
 
 func newHub() *hub { return &hub{subs: make(map[int]chan []byte)} }
 
-// publish delivers one event line to every subscriber, non-blocking.
-func (h *hub) publish(line []byte) {
+// publish delivers every line of chunk (lines end in '\n'; the last
+// one may not) to every subscriber as its own message, non-blocking. It
+// copies the chunk once, and only when someone is subscribed; the lines
+// share that copy.
+func (h *hub) publish(chunk []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed || len(h.subs) == 0 {
 		return
 	}
-	for _, ch := range h.subs {
-		select {
-		case ch <- line:
-		default: // slow subscriber: drop, never stall the run
+	rest := bytes.Clone(chunk)
+	for len(rest) > 0 {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		line = line[:len(line):len(line)]
+		for _, ch := range h.subs {
+			select {
+			case ch <- line:
+			default: // slow subscriber: drop, never stall the run
+			}
 		}
 	}
 }
@@ -70,18 +82,12 @@ func (h *hub) close() {
 }
 
 // hubWriter adapts a hub to io.Writer so it can sit behind an
-// io.MultiWriter next to the events file: pram.JSONL issues exactly one
-// Write per event line, so each Write is one published event (sans
-// trailing newline).
+// io.MultiWriter next to the events file: pram.JSONL issues one Write
+// per tick, holding that tick's lines, and the hub publishes each line
+// (sans trailing newline) as one event.
 type hubWriter struct{ h *hub }
 
 func (w hubWriter) Write(p []byte) (int, error) {
-	line := p
-	if n := len(line); n > 0 && line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	cp := make([]byte, len(line))
-	copy(cp, line)
-	w.h.publish(cp)
+	w.h.publish(p)
 	return len(p), nil
 }

@@ -389,27 +389,23 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 	case KindRun:
 		spec := *js.job.Spec.Run
 		spec.CheckpointPath = filepath.Join(dir, "checkpoint.snap")
-		// The events file is the job's durable trace. A resumed job
-		// appends — the engine continues at the tick after the loaded
-		// checkpoint, so the file ends up byte-identical to an
-		// uninterrupted run's. With no loadable checkpoint the run
-		// restarts from scratch and so does the file.
-		flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if js.job.Resume && engine.CanResume(spec.CheckpointPath) {
-			flags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(filepath.Join(dir, "events.jsonl"), flags, 0o644)
+		f, err := os.OpenFile(filepath.Join(dir, "events.jsonl"), os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("jobs: open events file: %w", err)
 		}
 		defer f.Close()
-		var sink pram.Sink = pram.NewJSONL(io.MultiWriter(f, hubWriter{js.hub}))
+		jsonl := pram.NewJSONL(io.MultiWriter(f, hubWriter{js.hub}))
+		jsonl.Ticks, jsonl.Sample = spec.TraceTicksOnly, spec.TraceSample
+		if err := resumeEvents(f, jsonl, js.job.Resume, spec.CheckpointPath); err != nil {
+			return nil, err
+		}
+		var sink pram.Sink = jsonl
 		if kill != nil {
-			sink = pram.MultiSink{sink, pram.TickFunc(func(pram.TickEvent) {
+			sink = killSink{jsonl, func() {
 				if kill.Fire() {
 					s.killJob(js)
 				}
-			})}
+			}}
 		}
 		return engine.ExecuteRun(ctx, spec, engine.RunOptions{
 			Sink:   sink,
@@ -446,6 +442,55 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 	default:
 		return nil, fmt.Errorf("jobs: unknown kind %q", js.job.Spec.Kind)
 	}
+}
+
+// resumeEvents readies a run job's events file, its durable trace, for
+// the run about to start. A resumed job keeps the lines of the ticks
+// before the checkpoint it resumes from and appends after them: the
+// engine continues at that tick, so the file ends up byte-identical to
+// an uninterrupted run's, even when the crash came after later ticks
+// were written or the newest checkpoint generation does not load. With
+// no loadable checkpoint the run restarts from scratch, and so does the
+// file.
+func resumeEvents(f *os.File, jsonl *pram.JSONL, resume bool, checkpoint string) error {
+	var keep int64
+	if resume {
+		if tick, ok := engine.ResumeTick(checkpoint); ok {
+			var err error
+			if keep, err = jsonl.Resume(f, tick); err != nil {
+				return fmt.Errorf("jobs: read events file: %w", err)
+			}
+		}
+	}
+	if err := f.Truncate(keep); err != nil {
+		return fmt.Errorf("jobs: truncate events file: %w", err)
+	}
+	if _, err := f.Seek(keep, io.SeekStart); err != nil {
+		return fmt.Errorf("jobs: seek events file: %w", err)
+	}
+	return nil
+}
+
+// killSink is a run job's sink while the jobs.kill failpoint is armed:
+// the events sink, with the failpoint checked after every tick and
+// every quiet window. It embeds the *pram.JSONL, a BatchSink, where a
+// pram.MultiSink (which is not one) would turn batching off, so a chaos
+// run batches exactly as an unarmed one.
+type killSink struct {
+	*pram.JSONL
+	check func()
+}
+
+// TickDone implements pram.Sink.
+func (k killSink) TickDone(ev pram.TickEvent) {
+	k.JSONL.TickDone(ev)
+	k.check()
+}
+
+// BatchDone implements pram.BatchSink.
+func (k killSink) BatchDone(ev pram.BatchEvent) {
+	k.JSONL.BatchDone(ev)
+	k.check()
 }
 
 // finish persists a finished job according to why it stopped.

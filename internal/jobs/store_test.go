@@ -267,10 +267,42 @@ func addRunSpecField(t *testing.T, path, key string, v any) {
 // a run job is killed mid-flight through the jobs.kill failpoint (disk
 // left saying "running"), the store is reopened, and the recovered job
 // must converge to the same result — with an events.jsonl that is
-// byte-identical to an uninterrupted run's.
+// byte-identical to an uninterrupted run's. The rows cover the spec's
+// trace settings and a batched run, whose quiet windows must end on the
+// same ticks after the resume; the batched row's batch_ticks does not
+// divide its checkpoint_every, so a resume between two checkpoints
+// would shift them. The torn row also tears the newest checkpoint
+// generation, as a crash between periodic checkpoints leaves it, so the
+// job resumes from the previous one, behind the events already written.
 func TestKillMidRunResumesBitIdentical(t *testing.T) {
-	spec := runSpec()
+	traced := func(f func(*engine.RunSpec)) Spec {
+		spec := runSpec()
+		f(spec.Run)
+		return spec
+	}
+	for _, row := range []struct {
+		name string
+		spec Spec
+		tear bool
+	}{
+		{"X-random", runSpec(), false},
+		{"batched", Spec{Kind: KindRun, Run: &engine.RunSpec{
+			Algorithm: "trivial", Adversary: "none", N: 4096, P: 8,
+			Packed: true, BatchTicks: 5, CheckpointEvery: 8,
+		}}, false},
+		{"trace_ticks", traced(func(r *engine.RunSpec) { r.TraceTicksOnly = true }), false},
+		{"trace_sample", traced(func(r *engine.RunSpec) { r.TraceSample = 3 }), false},
+		{"torn", runSpec(), true},
+	} {
+		t.Run(row.name, func(t *testing.T) { killMidRun(t, row.spec, row.tear) })
+	}
+}
 
+// killMidRun runs spec uninterrupted, then killed after 40 sink events
+// (well past the first checkpoint) and recovered, and requires equal
+// events files and results; with tear set the killed job's newest
+// checkpoint generation is torn before recovery.
+func killMidRun(t *testing.T, spec Spec, tear bool) {
 	// Baseline: uninterrupted.
 	baseDir := t.TempDir()
 	base := openStore(t, baseDir)
@@ -290,8 +322,9 @@ func TestKillMidRunResumesBitIdentical(t *testing.T) {
 		t.Fatalf("baseline result: %v", err)
 	}
 	base.Kill()
+	checkTraceSettings(t, spec.Run, baseEvents)
 
-	// Chaos: kill after 40 ticks (well past the first checkpoint at 8).
+	// Chaos: kill after 40 sink events (well past the first checkpoint).
 	reg := faultinject.New(1)
 	reg.Set(KillPoint, faultinject.Spec{Mode: faultinject.Error, After: 40})
 	old := faultinject.Swap(reg)
@@ -318,6 +351,16 @@ func TestKillMidRunResumesBitIdentical(t *testing.T) {
 	}
 	if reg.Fires(KillPoint) == 0 {
 		t.Fatalf("kill failpoint never fired")
+	}
+	if tear {
+		snap := filepath.Join(dir, "jobs", job.ID, "checkpoint.snap")
+		info, err := os.Stat(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(snap, info.Size()/2); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Restart without the failpoint; recovery must resume and finish.
@@ -361,6 +404,92 @@ func TestKillMidRunResumesBitIdentical(t *testing.T) {
 	gotJSON, _ := json.Marshal(res)
 	if !bytes.Equal(baseJSON, gotJSON) {
 		t.Fatalf("resumed result differs from baseline:\n%s\nvs\n%s", gotJSON, baseJSON)
+	}
+}
+
+// traceLines decodes an events file's lines.
+func traceLines(t *testing.T, events []byte) []traceLine {
+	t.Helper()
+	var out []traceLine
+	for _, line := range bytes.Split(bytes.TrimSpace(events), []byte("\n")) {
+		var ev traceLine
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad events line %q: %v", line, err)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// traceLine holds the fields of an events line the tests check.
+type traceLine struct {
+	Ev                       string
+	Tick, From, Ticks, Alive int
+	Metrics                  struct{ Ticks int }
+}
+
+// checkTraceSettings requires a job's events file to honor its spec's
+// trace_ticks (no cycle line) and trace_sample (every Nth cycle event,
+// counted by the tick lines' alive totals).
+func checkTraceSettings(t *testing.T, spec *engine.RunSpec, events []byte) {
+	t.Helper()
+	cycles, alive := 0, 0
+	for _, ev := range traceLines(t, events) {
+		switch ev.Ev {
+		case "cycle":
+			cycles++
+		case "tick":
+			alive += ev.Alive
+		}
+	}
+	want := alive
+	switch {
+	case spec.TraceTicksOnly:
+		want = 0
+	case spec.TraceSample > 1:
+		want = (alive + spec.TraceSample - 1) / spec.TraceSample
+	}
+	if cycles != want {
+		t.Fatalf("events file holds %d cycle lines, want %d of %d cycle events (trace_ticks %v, trace_sample %d)",
+			cycles, want, alive, spec.TraceTicksOnly, spec.TraceSample)
+	}
+}
+
+// TestBatchedJobKeepsQuietWindows guards the job event path against
+// silent disengagement: a batched trivial job runs quiet windows, and
+// its batch and tick lines together cover every tick once.
+func TestBatchedJobKeepsQuietWindows(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	defer s.Kill()
+	job, err := s.Submit(Spec{Kind: KindRun, Run: &engine.RunSpec{
+		Algorithm: "trivial", Adversary: "none", N: 1 << 14, P: 8, Packed: true, BatchTicks: 64,
+	}})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if got := waitTerminal(t, s, job.ID); got.State != StateDone {
+		t.Fatalf("state = %s (error %q), want done", got.State, got.Error)
+	}
+	events, err := os.ReadFile(filepath.Join(s.jobDir(job.ID), "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := traceLines(t, events)
+	next, batches := 0, 0
+	for _, ev := range lines {
+		switch {
+		case ev.Ev == "tick" && ev.Tick == next:
+			next++
+		case ev.Ev == "batch" && ev.From == next && ev.Ticks >= 2:
+			next += ev.Ticks
+			batches++
+		case ev.Ev == "tick" || ev.Ev == "batch":
+			t.Fatalf("line %+v does not start at tick %d", ev, next)
+		}
+	}
+	if run := lines[len(lines)-1]; run.Ev != "run" || next != run.Metrics.Ticks || batches == 0 {
+		t.Fatalf("%d batch lines; tick and batch lines cover [0, %d), want [0, Ticks) of the final run line %+v with at least one batch line",
+			batches, next, run)
 	}
 }
 

@@ -21,9 +21,10 @@ type Runner struct {
 	// CheckpointEvery, when positive together with a non-empty
 	// CheckpointPath, makes runs checkpoint the machine to
 	// CheckpointPath (crash-consistently, via SaveSnapshotRotate's
-	// write-tmp-rename with one generation of history) every
-	// CheckpointEvery ticks, so a killed run can be resumed from the
-	// last loadable checkpoint with Resume or ResumeLatest.
+	// write-tmp-rename with one generation of history) at every tick
+	// that is a multiple of CheckpointEvery, so a killed run can be
+	// resumed from the last loadable checkpoint with Resume or
+	// ResumeLatest.
 	CheckpointEvery int
 	// CheckpointPath is the checkpoint file location; see CheckpointEvery.
 	CheckpointPath string
@@ -32,8 +33,10 @@ type Runner struct {
 	// bookkeeping over quiescent stretches (see TickBatch for the exact
 	// fallback rules; runs remain tick-for-tick equivalent to per-tick
 	// stepping); 0 or 1 makes every iteration a single Step. Checkpoint
-	// boundaries cap the batch so checkpoints land on the same ticks at
-	// any BatchTicks.
+	// boundaries cap the batch, and checkpoints land on the multiples of
+	// CheckpointEvery, so they fall on the same ticks at any BatchTicks
+	// and a resumed run, whatever tick it resumed at, caps its batches
+	// (and so its quiet windows) where an uninterrupted run does.
 	BatchTicks int
 	// Log receives human-readable notices the Runner emits when it
 	// degrades gracefully — falling back to the previous checkpoint,
@@ -126,7 +129,7 @@ func (r *Runner) runCtx(ctx context.Context, m *Machine) (Metrics, error) {
 	done := ctx.Done()
 	checkpointing := r.CheckpointEvery > 0 && r.CheckpointPath != ""
 	batch := max(r.BatchTicks, 1)
-	next := m.Tick() + r.CheckpointEvery
+	next := r.nextCheckpoint(m.Tick())
 	for {
 		select {
 		case <-done:
@@ -157,9 +160,18 @@ func (r *Runner) runCtx(ctx context.Context, m *Machine) (Metrics, error) {
 			if err := r.checkpoint(m); err != nil {
 				return m.Metrics(), err
 			}
-			next = m.Tick() + r.CheckpointEvery
+			next = r.nextCheckpoint(m.Tick())
 		}
 	}
+}
+
+// nextCheckpoint returns the first multiple of CheckpointEvery after
+// tick.
+func (r *Runner) nextCheckpoint(tick int) int {
+	if r.CheckpointEvery <= 0 {
+		return 0
+	}
+	return (tick/r.CheckpointEvery + 1) * r.CheckpointEvery
 }
 
 // checkpoint snapshots m and saves it to CheckpointPath with rotation.

@@ -1,8 +1,11 @@
 package pram
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 )
 
@@ -174,10 +177,25 @@ func copyCounts(src []int64) []int64 {
 }
 
 // JSONL is a Sink that streams events as JSON lines: one object per
-// event, tagged {"ev":"cycle"|"tick"|"run"}. cmd/writeall's -trace flag
-// wires one to a file. Cycle events are verbose (P lines per tick); use
-// Ticks to restrict the stream to tick and run events, or Sample to
-// thin them.
+// event, tagged {"ev":"cycle"|"tick"|"batch"|"run"}. cmd/writeall's
+// -trace flag wires one to a file, and the job service one to each run
+// job's events.jsonl. Cycle events are verbose (P lines per tick); use
+// Ticks to restrict the stream to tick, batch and run events, or Sample
+// to thin them.
+//
+// Cycle, tick and batch lines are encoded by hand into a buffer the sink
+// reuses, byte-identical to encoding/json's rendering of CycleEvent and
+// TickEvent; the run line, written once, goes through encoding/json.
+// TickDone, BatchDone and RunDone write every pending line with one
+// Write, so the writer sees one Write per tick (the buffer holds one
+// tick's lines, about 100 bytes per processor with cycle events on),
+// and nothing is pending between ticks: a file the sink writes always
+// ends at a tick boundary.
+//
+// JSONL is a BatchSink, so a batched run keeps its quiet windows: each
+// window is one batch line {"ev":"batch","from":F,"ticks":K,"alive":A,
+// "completed":C} in place of the cycle and tick lines of the ticks
+// [F, F+K) (see BatchEvent).
 //
 // A JSONL serializes its writes internally, so one sink may be shared
 // across machines running concurrently (a parallel sweep tracing to a
@@ -191,19 +209,19 @@ type JSONL struct {
 	Ticks bool
 	// Sample, when > 1, keeps only every Sample-th cycle event (the
 	// 1st, the Sample+1-th, ...), so production-scale runs can trace at
-	// a bounded file-growth rate. Tick and run events are never
+	// a bounded file-growth rate. Tick, batch and run events are never
 	// sampled. Zero or one keeps every event.
 	Sample int
 
 	mu     sync.Mutex
-	enc    *json.Encoder
+	buf    []byte // lines pending since the last Write
 	err    error
 	cycles uint64 // cycle events seen, for sampling
 }
 
 // NewJSONL returns a sink writing JSON-lines events to w.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: w, enc: json.NewEncoder(w)}
+	return &JSONL{w: w}
 }
 
 // CycleDone implements Sink.
@@ -215,21 +233,40 @@ func (j *JSONL) CycleDone(ev CycleEvent) {
 	defer j.mu.Unlock()
 	n := j.cycles
 	j.cycles++
-	if j.Sample > 1 && n%uint64(j.Sample) != 0 {
+	if j.Sample > 1 && n%uint64(j.Sample) != 0 || j.err != nil {
 		return
 	}
-	j.writeLocked(struct {
-		Ev string `json:"ev"`
-		CycleEvent
-	}{"cycle", ev})
+	j.buf = appendCycleLine(j.buf, ev)
 }
 
 // TickDone implements Sink.
 func (j *JSONL) TickDone(ev TickEvent) {
-	j.write(struct {
-		Ev string `json:"ev"`
-		TickEvent
-	}{"tick", ev})
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return
+	}
+	j.buf = appendTickLine(j.buf, ev)
+	j.writeLocked()
+}
+
+// BatchDone implements BatchSink.
+func (j *JSONL) BatchDone(ev BatchEvent) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return
+	}
+	b := append(j.buf, `{"ev":"batch","from":`...)
+	b = strconv.AppendInt(b, int64(ev.FromTick), 10)
+	b = append(b, `,"ticks":`...)
+	b = strconv.AppendInt(b, int64(ev.Ticks), 10)
+	b = append(b, `,"alive":`...)
+	b = strconv.AppendInt(b, int64(ev.Alive), 10)
+	b = append(b, `,"completed":`...)
+	b = strconv.AppendInt(b, ev.Completed, 10)
+	j.buf = append(b, "}\n"...)
+	j.writeLocked()
 }
 
 // RunDone implements Sink.
@@ -242,7 +279,18 @@ func (j *JSONL) RunDone(ev RunEvent) {
 	if ev.Err != nil {
 		line.Error = ev.Err.Error()
 	}
-	j.write(line)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.err != nil {
+		return
+	}
+	data, err := json.Marshal(line)
+	if err != nil {
+		j.err = err
+		return
+	}
+	j.buf = append(append(j.buf, data...), '\n')
+	j.writeLocked()
 }
 
 // Err returns the first write error, if any. The error is sticky: after
@@ -253,17 +301,121 @@ func (j *JSONL) Err() error {
 	return j.err
 }
 
-func (j *JSONL) write(line any) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.writeLocked(line)
+// writeLocked writes the pending lines with one Write; the caller holds
+// j.mu and has checked j.err.
+func (j *JSONL) writeLocked() {
+	_, j.err = j.w.Write(j.buf)
+	j.buf = j.buf[:0]
 }
 
-// writeLocked encodes one event line; the caller holds j.mu. A sticky
-// error short-circuits before any encoding work.
-func (j *JSONL) writeLocked(line any) {
-	if j.err != nil {
-		return
+// appendCycleLine appends ev's cycle line, keeping encoding/json's key
+// order and omitempty on fail and halted.
+func appendCycleLine(b []byte, ev CycleEvent) []byte {
+	b = append(b, `{"ev":"cycle","tick":`...)
+	b = strconv.AppendInt(b, int64(ev.Tick), 10)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(ev.PID), 10)
+	if ev.Fail != NoFailure {
+		b = append(b, `,"fail":`...)
+		b = strconv.AppendInt(b, int64(ev.Fail), 10)
 	}
-	j.err = j.enc.Encode(line)
+	b = append(b, `,"started":`...)
+	b = strconv.AppendBool(b, ev.Started)
+	b = append(b, `,"completed":`...)
+	b = strconv.AppendBool(b, ev.Completed)
+	b = append(b, `,"writes":`...)
+	b = strconv.AppendInt(b, int64(ev.Writes), 10)
+	b = append(b, `,"arrayWrites":`...)
+	b = strconv.AppendInt(b, int64(ev.ArrayWrites), 10)
+	if ev.Halted {
+		b = append(b, `,"halted":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendTickLine appends ev's tick line.
+func appendTickLine(b []byte, ev TickEvent) []byte {
+	b = append(b, `{"ev":"tick","tick":`...)
+	b = strconv.AppendInt(b, int64(ev.Tick), 10)
+	b = append(b, `,"alive":`...)
+	b = strconv.AppendInt(b, int64(ev.Alive), 10)
+	b = append(b, `,"completed":`...)
+	b = strconv.AppendInt(b, int64(ev.Completed), 10)
+	b = append(b, `,"failures":`...)
+	b = strconv.AppendInt(b, int64(ev.Failures), 10)
+	b = append(b, `,"restarts":`...)
+	b = strconv.AppendInt(b, int64(ev.Restarts), 10)
+	return append(b, "}\n"...)
+}
+
+// Resume readies the sink to continue a trace it wrote, for a run
+// resumed from a checkpoint at tick. It reads the trace from r and
+// returns the length of its prefix that holds exactly the events of the
+// ticks before tick: the cycle and tick lines of earlier ticks and the
+// batch lines that end at or before it. A torn last line, the run line
+// and everything after the first later event are cut. The sampling
+// counter continues from the kept tick lines, whose alive counts sum to
+// the cycle events before tick, so the caller truncates the trace to the
+// returned length, appends, and gets the bytes an uninterrupted run
+// writes.
+func (j *JSONL) Resume(r io.Reader, tick int) (int64, error) {
+	br := bufio.NewReader(r)
+	var kept int64
+	var cycles uint64
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == io.EOF || err == bufio.ErrBufferFull {
+			// A torn last line, or one longer than any cycle, tick or
+			// batch line: a run line.
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		alive, ok := lineBefore(line, tick)
+		if !ok {
+			break
+		}
+		kept += int64(len(line))
+		cycles += uint64(alive)
+	}
+	j.mu.Lock()
+	j.cycles = cycles
+	j.mu.Unlock()
+	return kept, nil
+}
+
+// lineBefore reports whether a trace line belongs to the ticks before
+// tick, and for a tick line its alive count.
+func lineBefore(line []byte, tick int) (alive int, ok bool) {
+	if t, _, ok := cutInt(line, `{"ev":"cycle","tick":`); ok {
+		return 0, t < tick
+	}
+	if t, rest, ok := cutInt(line, `{"ev":"tick","tick":`); ok {
+		a, _, ok := cutInt(rest, `,"alive":`)
+		return a, ok && a >= 0 && t < tick
+	}
+	if from, rest, ok := cutInt(line, `{"ev":"batch","from":`); ok {
+		k, _, ok := cutInt(rest, `,"ticks":`)
+		return 0, ok && from+k <= tick
+	}
+	return 0, false
+}
+
+// cutInt parses the decimal integer that follows prefix at the start of
+// b, returning it and the bytes after it.
+func cutInt(b []byte, prefix string) (int, []byte, bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(prefix))
+	if !ok {
+		return 0, nil, false
+	}
+	i := 0
+	if i < len(rest) && rest[i] == '-' {
+		i++
+	}
+	for i < len(rest) && '0' <= rest[i] && rest[i] <= '9' {
+		i++
+	}
+	n, err := strconv.Atoi(string(rest[:i]))
+	return n, rest[i:], err == nil
 }
