@@ -257,15 +257,7 @@ func (j *JSONL) BatchDone(ev BatchEvent) {
 	if j.err != nil {
 		return
 	}
-	b := append(j.buf, `{"ev":"batch","from":`...)
-	b = strconv.AppendInt(b, int64(ev.FromTick), 10)
-	b = append(b, `,"ticks":`...)
-	b = strconv.AppendInt(b, int64(ev.Ticks), 10)
-	b = append(b, `,"alive":`...)
-	b = strconv.AppendInt(b, int64(ev.Alive), 10)
-	b = append(b, `,"completed":`...)
-	b = strconv.AppendInt(b, ev.Completed, 10)
-	j.buf = append(b, "}\n"...)
+	j.buf = appendBatchLine(j.buf, ev)
 	j.writeLocked()
 }
 
@@ -345,6 +337,19 @@ func appendTickLine(b []byte, ev TickEvent) []byte {
 	b = strconv.AppendInt(b, int64(ev.Failures), 10)
 	b = append(b, `,"restarts":`...)
 	b = strconv.AppendInt(b, int64(ev.Restarts), 10)
+	return append(b, "}\n"...)
+}
+
+// appendBatchLine appends ev's batch line.
+func appendBatchLine(b []byte, ev BatchEvent) []byte {
+	b = append(b, `{"ev":"batch","from":`...)
+	b = strconv.AppendInt(b, int64(ev.FromTick), 10)
+	b = append(b, `,"ticks":`...)
+	b = strconv.AppendInt(b, int64(ev.Ticks), 10)
+	b = append(b, `,"alive":`...)
+	b = strconv.AppendInt(b, int64(ev.Alive), 10)
+	b = append(b, `,"completed":`...)
+	b = strconv.AppendInt(b, ev.Completed, 10)
 	return append(b, "}\n"...)
 }
 
