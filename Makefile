@@ -53,16 +53,21 @@ check-names = tests=$$($(GO) test -list . $(3) | grep '^Test') || exit 1; \
 # race-equiv runs the determinism contracts under the race detector:
 # the pooled Runner's buffer reuse, the run loop's batching, packed
 # memory, the done hint and snapshot/resume's state capture are where
-# state could leak between runs or ticks. RACE_EQUIV_ROOT runs on the
-# root package, RACE_EQUIV_PRAM on internal/pram.
+# state could leak between runs or ticks, and so are the robust
+# executor's processors, which restarts and pooled runs reset in place.
+# RACE_EQUIV_ROOT runs on the root package, RACE_EQUIV_PRAM on
+# internal/pram, RACE_EQUIV_CORE on internal/core.
 RACE_EQUIV_ROOT = TestPooledRun|TestDoneHint|TestResumeEquivalence|TestPackedEquivalence|TestPackedResumeEquivalence|TestTickBatchEquivalence
 RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches|TestMachineMatchesReference
+RACE_EQUIV_CORE = TestExecutorWorkPinned
 
 race-equiv:
 	@$(call check-names,race-equiv,$(RACE_EQUIV_ROOT),.)
 	@$(call check-names,race-equiv,$(RACE_EQUIV_PRAM),./internal/pram)
+	@$(call check-names,race-equiv,$(RACE_EQUIV_CORE),./internal/core)
 	$(GO) test -race -run '$(RACE_EQUIV_ROOT)' .
 	$(GO) test -race -run '$(RACE_EQUIV_PRAM)' ./internal/pram
+	$(GO) test -race -run '$(RACE_EQUIV_CORE)' ./internal/core
 
 # obs-check runs the observability layer's concurrency-sensitive tests
 # under the race detector — the metrics registry, the shared event sink,

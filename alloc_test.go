@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/pram"
+	"repro/internal/prog"
 	"repro/internal/writeall"
 )
 
@@ -15,21 +17,40 @@ import (
 // the thrasher (P−1 processors fail and restart every tick) and under
 // the post-order adversary (its park index updated every tick) allocate
 // nothing at all. Decisions reuse per-adversary buffers and restarts
-// recycle processors in place. The count is the total over the measured
+// recycle processors in place. The sim rows hold Theorem 4.1's robust
+// executor to the same standard under both engines: its processors
+// reset in place on restart and a leaf visit hands Program.Step funcs
+// bound once per processor. The count is the total over the measured
 // ticks, not a rounded per-tick average, because post-order fails
 // processors on only ~7% of its ticks.
 func TestSteadyStateTicksAllocationFreeUnderChurn(t *testing.T) {
 	const n, p = 256, 64
+	writeAll := func(adv pram.Adversary) func() (*pram.Machine, error) {
+		return func() (*pram.Machine, error) { return pram.New(pram.Config{N: n, P: p}, writeall.NewX(), adv) }
+	}
+	input := make([]pram.Word, 64)
+	for i := range input {
+		input[i] = pram.Word((i*7919 + 13) % 256)
+	}
+	sim := func(engine core.Engine, adv pram.Adversary) func() (*pram.Machine, error) {
+		return func() (*pram.Machine, error) {
+			return core.NewMachineWithEngine(prog.OddEvenSort{N: len(input), Input: input}, 16, adv, pram.Config{}, engine)
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		adv  pram.Adversary
+		name    string
+		machine func() (*pram.Machine, error)
 	}{
-		{"thrashing", &adversary.Thrashing{}},
-		{"rotating", &adversary.Thrashing{Rotate: true}},
-		{"postorder", writeall.NewPostOrder(writeall.NewX().Layout(n, p))},
+		{"thrashing", writeAll(&adversary.Thrashing{})},
+		{"rotating", writeAll(&adversary.Thrashing{Rotate: true})},
+		{"postorder", writeAll(writeall.NewPostOrder(writeall.NewX().Layout(n, p)))},
+		{"sim/V+X/thrashing", sim(core.EngineVX, &adversary.Thrashing{})},
+		{"sim/V+X/rotating", sim(core.EngineVX, &adversary.Thrashing{Rotate: true})},
+		{"sim/X/thrashing", sim(core.EngineX, &adversary.Thrashing{})},
+		{"sim/X/rotating", sim(core.EngineX, &adversary.Thrashing{Rotate: true})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := pram.New(pram.Config{N: n, P: p}, writeall.NewX(), tc.adv)
+			m, err := tc.machine()
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

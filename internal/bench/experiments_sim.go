@@ -61,7 +61,7 @@ func E9Simulation(ctx context.Context, s Sweep) []Table {
 		p := prog.PrefixSum{N: n}
 		adv := adversary.NewRandom(0.05, 0.5, 31)
 		adv.MaxEvents = int64(p.Steps() * n / int(log2(n))) // Cor 4.12's per-step budget
-		got, steps, err := core.RunWithStepMetrics(p, n, adv, pram.Config{}, core.EngineVX)
+		got, steps, err := core.RunWithStepMetrics(ctx, p, n, adv, pram.Config{}, core.EngineVX)
 		if err != nil {
 			t.fail(fmt.Sprintf("N=%d", n), err)
 			continue

@@ -24,6 +24,7 @@ type execVProc struct {
 	pid  int
 	prog Program
 	lay  layout
+	port simPort
 
 	phase  pram.Word // the phase the private state below belongs to
 	joined bool
@@ -35,7 +36,7 @@ type execVProc struct {
 // Cycle implements pram.Processor for the V engine. ticksPerSlot is 2 when
 // interleaved with X (V acts every other tick) and 1 when running alone.
 func (e *execVProc) cycle(ctx *pram.Ctx, ticksPerSlot int) pram.Status {
-	l := e.lay
+	l := &e.lay
 	v := l.vtree
 
 	phi := ctx.Read(l.phase)
@@ -119,18 +120,14 @@ func (e *execVProc) cycle(ctx *pram.Ctx, ticksPerSlot int) pram.Status {
 // instruction's write (EXECUTE) or apply it (COMMIT). Idempotent under
 // re-execution by any processor in the same phase.
 func (e *execVProc) elementWork(ctx *pram.Ctx, step int, commit bool, i int) {
-	l := e.lay
+	l := &e.lay
 	stamp := pram.Word(step + 1)
 	a := ctx.Read(l.scrA(i))
 	if !commit {
 		if stampOf(a) == stamp {
 			return // already recorded
 		}
-		addr, val := -1, pram.Word(0)
-		e.prog.Step(step, i,
-			func(sa int) pram.Word { return ctx.Read(l.simBase + sa) },
-			func(sa int, sv pram.Word) { addr, val = sa, sv },
-		)
+		addr, val := e.port.step(e.prog, ctx, l.simBase, step, i)
 		if addr >= 0 {
 			ctx.Write(l.scrV(i), val) // value before stamp; see leafWork
 		}

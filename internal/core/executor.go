@@ -86,7 +86,10 @@ func (e Engine) String() string {
 
 // Executor is a pram.Algorithm that runs a Program on the fail-stop
 // machine. Construct machines for it with NewMachine, which also sets the
-// widened cycle budgets.
+// widened cycle budgets. Its processors are pram.Resettable: a restarted
+// processor knows only its PID (Section 2.1), so the machine resets the
+// dead incarnation in place instead of building a new one, and a
+// pram.Runner handed the same Executor again recycles them across runs.
 type Executor struct {
 	prog   Program
 	engine Engine
@@ -114,11 +117,22 @@ func NewMachine(prog Program, p int, adv pram.Adversary, cfg pram.Config) (*pram
 
 // NewMachineWithEngine is NewMachine with an explicit Write-All engine.
 func NewMachineWithEngine(prog Program, p int, adv pram.Adversary, cfg pram.Config, engine Engine) (*pram.Machine, error) {
+	cfg, err := machineConfig(prog, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pram.New(cfg, NewExecutorWithEngine(prog, engine), adv)
+}
+
+// machineConfig completes cfg for executing prog on p real processors:
+// the machine's N is the simulated processor count, and the cycle
+// budgets are widened for the leaf visits.
+func machineConfig(prog Program, p int, cfg pram.Config) (pram.Config, error) {
 	if prog.Processors() < 1 {
-		return nil, fmt.Errorf("core: program %q has no processors", prog.Name())
+		return cfg, fmt.Errorf("core: program %q has no processors", prog.Name())
 	}
 	if p > prog.Processors() {
-		return nil, fmt.Errorf("core: P = %d exceeds simulated N = %d (the paper requires P <= N)",
+		return cfg, fmt.Errorf("core: P = %d exceeds simulated N = %d (the paper requires P <= N)",
 			p, prog.Processors())
 	}
 	cfg.N = prog.Processors()
@@ -127,7 +141,7 @@ func NewMachineWithEngine(prog Program, p int, adv pram.Adversary, cfg pram.Conf
 	// reads; they write at most 2 cells, like plain update cycles.
 	cfg.CycleReadBudget = 6 + prog.StepReads()
 	cfg.CycleWriteBudget = pram.MaxWritesPerCycle
-	return pram.New(cfg, NewExecutorWithEngine(prog, engine), adv)
+	return cfg, nil
 }
 
 // layout is the executor's shared-memory map.
@@ -165,19 +179,19 @@ func newLayout(n, p, msim int) layout {
 
 // vtree returns the address of V's block-tree cell b[v], v in
 // [1, 2*vBlocks).
-func (l layout) vtree(v int) int { return l.vBase + v - 1 }
+func (l *layout) vtree(v int) int { return l.vBase + v - 1 }
 
 // scrA returns the address of simulated processor i's scratch
 // address+stamp cell, encoded as (t+1)<<32 | (addr+1) with addr+1 == 0
 // meaning "no write this step".
-func (l layout) scrA(i int) int { return l.scrBase + 2*i }
+func (l *layout) scrA(i int) int { return l.scrBase + 2*i }
 
 // scrV returns the address of simulated processor i's scratch value cell.
-func (l layout) scrV(i int) int { return l.scrBase + 2*i + 1 }
+func (l *layout) scrV(i int) int { return l.scrBase + 2*i + 1 }
 
 // fullyPadded reports whether heap node v covers only padding elements
 // (>= N), which the executor treats as permanently done.
-func (l layout) fullyPadded(v int) bool {
+func (l *layout) fullyPadded(v int) bool {
 	leftmost := v
 	for !l.tree.IsLeaf(leftmost) {
 		leftmost <<= 1
@@ -207,13 +221,41 @@ func (e *Executor) Setup(mem *pram.Memory, n, p int) {
 func (e *Executor) NewProcessor(pid, n, p int) pram.Processor {
 	lay := newLayout(n, p, e.prog.MemSize())
 	x := &execProc{pid: pid, prog: e.prog, lay: lay}
+	x.port.bind()
 	if e.engine == EngineX {
 		return x
 	}
-	return &execCombinedProc{
-		v: execVProc{pid: pid, prog: e.prog, lay: lay},
-		x: x,
-	}
+	c := &execCombinedProc{v: execVProc{pid: pid, prog: e.prog, lay: lay}, x: x}
+	c.v.port.bind()
+	return c
+}
+
+// simPort hands Program.Step its read and write for one simulated
+// instruction: read loads simulated memory through the current cycle's
+// Ctx, write captures the instruction's one write. The two funcs are
+// bound to the port once, when its processor is built, so a leaf visit
+// allocates no closures; a port must therefore never be copied or
+// overwritten after bind.
+type simPort struct {
+	ctx   *pram.Ctx
+	base  int // simulated address 0
+	addr  int // the captured write's address; -1 for none
+	val   pram.Word
+	read  func(addr int) pram.Word
+	write func(addr int, val pram.Word)
+}
+
+func (s *simPort) bind() {
+	s.read = func(addr int) pram.Word { return s.ctx.Read(s.base + addr) }
+	s.write = func(addr int, val pram.Word) { s.addr, s.val = addr, val }
+}
+
+// step runs simulated processor i's instruction for step t against
+// ctx and returns its write (addr -1 for none).
+func (s *simPort) step(prog Program, ctx *pram.Ctx, base, t, i int) (addr int, val pram.Word) {
+	s.ctx, s.base, s.addr, s.val = ctx, base, -1, 0
+	prog.Step(t, i, s.read, s.write)
+	return s.addr, s.val
 }
 
 // execCombinedProc is the Theorem 4.9 interleaving inside the executor:
@@ -221,6 +263,14 @@ func (e *Executor) NewProcessor(pid, n, p int) pram.Processor {
 type execCombinedProc struct {
 	v execVProc
 	x *execProc
+}
+
+// Reset implements pram.Resettable: the X side keeps its layout when
+// (n, p) match, and the V side takes it and forgets its iteration.
+func (c *execCombinedProc) Reset(pid, n, p int) {
+	c.x.Reset(pid, n, p)
+	c.v.pid, c.v.lay = pid, c.x.lay
+	c.v.phase, c.v.joined, c.v.pos, c.v.target, c.v.block = 0, false, 0, 0, 0
 }
 
 // Cycle implements pram.Processor.
@@ -241,6 +291,7 @@ func (c *execCombinedProc) RestoreState(state []pram.Word) error {
 }
 
 var _ pram.Processor = (*execCombinedProc)(nil)
+var _ pram.Resettable = (*execCombinedProc)(nil)
 var _ pram.Snapshotter = (*execCombinedProc)(nil)
 
 // Done implements pram.Algorithm: the computation is complete once the
@@ -275,6 +326,16 @@ type execProc struct {
 	pid  int
 	prog Program
 	lay  layout
+	port simPort
+}
+
+// Reset implements pram.Resettable. The layout is a pure function of
+// (n, p) for the executor's program, so it is kept when they match.
+func (e *execProc) Reset(pid, n, p int) {
+	e.pid = pid
+	if e.lay.n != n || e.lay.p != p {
+		e.lay = newLayout(n, p, e.prog.MemSize())
+	}
 }
 
 const stampShift = 32
@@ -285,8 +346,8 @@ func valOf(w pram.Word) int                { return int(w & (1<<stampShift - 1))
 
 // Cycle implements pram.Processor.
 func (e *execProc) Cycle(ctx *pram.Ctx) pram.Status {
-	l := e.lay
-	tr := l.tree
+	l := &e.lay
+	tr := &l.tree
 
 	phi := ctx.Read(l.phase)
 	if phi > pram.Word(2*e.prog.Steps()) {
@@ -342,7 +403,7 @@ func (e *execProc) Cycle(ctx *pram.Ctx) pram.Status {
 // COMMIT phase it applies the recorded write. A second visit (observing
 // the recorded stamp) marks the leaf done.
 func (e *execProc) leafWork(ctx *pram.Ctx, phi pram.Word, step int, commit bool, node int) {
-	l := e.lay
+	l := &e.lay
 	i := l.tree.Element(node)
 	stamp := pram.Word(step + 1)
 	a := ctx.Read(l.scrA(i))
@@ -353,11 +414,7 @@ func (e *execProc) leafWork(ctx *pram.Ctx, phi pram.Word, step int, commit bool,
 			ctx.Write(l.tree.D(node), phi)
 			return
 		}
-		addr, val := -1, pram.Word(0)
-		e.prog.Step(step, i,
-			func(sa int) pram.Word { return ctx.Read(l.simBase + sa) },
-			func(sa int, sv pram.Word) { addr, val = sa, sv },
-		)
+		addr, val := e.port.step(e.prog, ctx, l.simBase, step, i)
 		// The value must land before (or with) the stamped address:
 		// writes commit in order and a failure may cut the cycle after
 		// the first write, and a stamp without its value would let
@@ -393,4 +450,5 @@ func (e *execProc) RestoreState(state []pram.Word) error {
 }
 
 var _ pram.Processor = (*execProc)(nil)
+var _ pram.Resettable = (*execProc)(nil)
 var _ pram.Snapshotter = (*execProc)(nil)

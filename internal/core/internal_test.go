@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/adversary"
 	"repro/internal/pram"
+	"repro/internal/prog"
 )
 
 func TestStampEncoding(t *testing.T) {
@@ -138,5 +142,85 @@ func TestStampedDecoding(t *testing.T) {
 	}
 	if got := e.stamped(0, 5); got != 0 {
 		t.Errorf("stamped(zero) = %d, want 0", got)
+	}
+}
+
+// TestExecutorWorkPinned pins the robust executor's exact accounting
+// (S, S′, ticks and |F|) for the three programs the service benchmark
+// simulates, at N = P = 128 under the random adversary, and for
+// prefix-sum at N = P = 64 under the thrasher, which restarts 63
+// processors every tick, for both engines. The values were recorded
+// while every restart still built its processor through NewProcessor,
+// so they hold the in-place Reset to Resettable's contract: a restarted
+// processor is indistinguishable from a fresh one. Each case runs twice
+// on one pram.Runner with the same Executor: the first run builds a
+// fresh machine, the second recycles every processor the first left
+// behind, and both must match the pins and end in the same memory.
+// MaxTicks is a few times the longest run, so a Reset that leaves stale
+// iteration state fails with ErrTickLimit instead of livelocking.
+func TestExecutorWorkPinned(t *testing.T) {
+	type pin struct {
+		s, sPrime int64
+		ticks     int
+		f         int64
+	}
+	input := make([]pram.Word, 128)
+	for i := range input {
+		input[i] = pram.Word((i*7919 + 13) % 512)
+	}
+	random := func(seed int64) func() pram.Adversary {
+		return func() pram.Adversary { return adversary.NewRandom(0.05, 0.5, seed) }
+	}
+	for _, tc := range []struct {
+		prog  Program
+		p     int
+		adv   func() pram.Adversary
+		vx, x pin
+	}{
+		{prog.PrefixSum{N: 128}, 128, random(1),
+			pin{56872, 56872, 514, 5907}, pin{29391, 29391, 266, 3113}},
+		{prog.ReduceSum{N: 128}, 128, random(2),
+			pin{55623, 55623, 500, 5632}, pin{29931, 29931, 268, 2958}},
+		{prog.OddEvenSort{N: 128, Input: input}, 128, random(3),
+			pin{1029813, 1029813, 9314, 108105}, pin{548804, 548804, 4965, 57701}},
+		{prog.PrefixSum{N: 64}, 64, func() pram.Adversary { return &adversary.Thrashing{} },
+			pin{3983, 129479, 3983, 250929}, pin{4884, 158730, 4884, 307692}},
+	} {
+		for _, engine := range []Engine{EngineVX, EngineX} {
+			want := tc.vx
+			if engine == EngineX {
+				want = tc.x
+			}
+			name := fmt.Sprintf("%s/%s/%s", tc.prog.Name(), tc.adv().Name(), engine)
+			t.Run(name, func(t *testing.T) {
+				cfg, err := machineConfig(tc.prog, tc.p, pram.Config{MaxTicks: 1 << 15})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := &pram.Runner{}
+				defer r.Close()
+				exec := NewExecutorWithEngine(tc.prog, engine)
+				var first []pram.Word
+				for run := 1; run <= 2; run++ {
+					m, err := r.Machine(cfg, exec, tc.adv())
+					if err != nil {
+						t.Fatalf("run %d: %v", run, err)
+					}
+					met, err := m.Run()
+					if err != nil {
+						t.Fatalf("run %d: %v", run, err)
+					}
+					if got := (pin{met.S(), met.SPrime(), met.Ticks, met.FSize()}); got != want {
+						t.Errorf("run %d: (S, S′, ticks, |F|) = %v, want %v", run, got, want)
+					}
+					mem := SimMemory(m.Memory(), tc.prog)
+					if run == 1 {
+						first = mem
+					} else if !reflect.DeepEqual(mem, first) {
+						t.Errorf("run 2's simulated memory differs from run 1's")
+					}
+				}
+			})
+		}
 	}
 }

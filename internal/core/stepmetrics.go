@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/pram"
@@ -31,8 +32,9 @@ func (sm StepMetric) Sigma(n int) float64 {
 // RunWithStepMetrics executes prog like NewMachine+Run but drives the
 // machine tick by tick, attributing work and failure events to the
 // simulated step that was active at each tick, and returns the per-step
-// metrics alongside the totals.
-func RunWithStepMetrics(prog Program, p int, adv pram.Adversary, cfg pram.Config, engine Engine) (pram.Metrics, []StepMetric, error) {
+// metrics alongside the totals. It polls ctx after every tick and stops
+// there, with an error wrapping ctx.Err(), once ctx is done.
+func RunWithStepMetrics(ctx context.Context, prog Program, p int, adv pram.Adversary, cfg pram.Config, engine Engine) (pram.Metrics, []StepMetric, error) {
 	m, err := NewMachineWithEngine(prog, p, adv, cfg, engine)
 	if err != nil {
 		return pram.Metrics{}, nil, err
@@ -64,6 +66,9 @@ func RunWithStepMetrics(prog Program, p int, adv pram.Adversary, cfg pram.Config
 		prev = cur
 		if done {
 			return cur, steps, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return cur, steps, fmt.Errorf("core: step metrics run canceled at tick %d: %w", cur.Ticks, err)
 		}
 	}
 }

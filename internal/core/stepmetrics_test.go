@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/adversary"
@@ -12,7 +13,7 @@ import (
 func TestStepMetricsSumToTotals(t *testing.T) {
 	cp := prog.PrefixSum{N: 64}
 	adv := adversary.NewRandom(0.1, 0.5, 19)
-	total, steps, err := core.RunWithStepMetrics(cp, 64, adv, pram.Config{}, core.EngineVX)
+	total, steps, err := core.RunWithStepMetrics(context.Background(), cp, 64, adv, pram.Config{}, core.EngineVX)
 	if err != nil {
 		t.Fatalf("RunWithStepMetrics: %v", err)
 	}
@@ -39,7 +40,7 @@ func TestStepMetricsSumToTotals(t *testing.T) {
 
 func TestStepMetricsEveryStepDoesWork(t *testing.T) {
 	cp := prog.ReduceSum{N: 32}
-	_, steps, err := core.RunWithStepMetrics(cp, 32, adversary.None{}, pram.Config{}, core.EngineVX)
+	_, steps, err := core.RunWithStepMetrics(context.Background(), cp, 32, adversary.None{}, pram.Config{}, core.EngineVX)
 	if err != nil {
 		t.Fatalf("RunWithStepMetrics: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestMaxStepSigmaBoundedByLog2N(t *testing.T) {
 	cp := prog.PrefixSum{N: n}
 	adv := adversary.NewRandom(0.05, 0.5, 29)
 	adv.MaxEvents = int64(cp.Steps() * n / 8)
-	_, steps, err := core.RunWithStepMetrics(cp, n, adv, pram.Config{}, core.EngineVX)
+	_, steps, err := core.RunWithStepMetrics(context.Background(), cp, n, adv, pram.Config{}, core.EngineVX)
 	if err != nil {
 		t.Fatalf("RunWithStepMetrics: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestMaxStepSigmaBoundedByLog2N(t *testing.T) {
 func TestStepMetricsSurfaceRunErrors(t *testing.T) {
 	cp := prog.PrefixSum{N: 16}
 	// Impossible budget: force a tick-limit error through the helper.
-	_, _, err := core.RunWithStepMetrics(cp, 1, &adversary.Thrashing{Rotate: true},
+	_, _, err := core.RunWithStepMetrics(context.Background(), cp, 1, &adversary.Thrashing{Rotate: true},
 		pram.Config{MaxTicks: 3}, core.EngineVX)
 	if err == nil {
 		t.Fatal("want error from truncated run")

@@ -109,11 +109,11 @@ func NewProgram(name string, n, k int) (failstop.Program, prog.Checker, error) {
 // validate the simulated memory against failure-free semantics;
 // PerStep runs collect the per-step measures instead.
 //
-// ctx is accepted for interface symmetry with the other Execute paths;
-// the core executor does not yet take a context, so a simulation is
-// only interruptible between jobs, not mid-run. Simulations are
-// deterministic, so a killed simulation re-runs from scratch on
-// recovery.
+// ExecuteSim checks ctx before it builds the machine and again after
+// every tick, on both paths, and stops at that tick boundary with an
+// error wrapping ctx.Err(); the result then carries the metrics so far.
+// A simulation keeps no checkpoint: it is deterministic, so an
+// interrupted one re-runs from scratch.
 func ExecuteSim(ctx context.Context, spec SimSpec) (SimResult, error) {
 	var res SimResult
 	if err := spec.Validate(); err != nil {
@@ -151,22 +151,34 @@ func ExecuteSim(ctx context.Context, spec SimSpec) (SimResult, error) {
 	res.Steps = program.Steps()
 
 	if spec.PerStep {
-		metrics, stepStats, err := core.RunWithStepMetrics(program, p, adv, failstop.Config{}, eng)
+		res.Metrics, res.StepStats, err = core.RunWithStepMetrics(ctx, program, p, adv, failstop.Config{}, eng)
 		if err != nil {
 			return res, fmt.Errorf("execute %s: %w", program.Name(), err)
 		}
-		res.Metrics = metrics
-		res.StepStats = stepStats
 		return res, nil
 	}
 
-	out, err := failstop.ExecuteWithEngine(program, p, adv, failstop.Config{}, eng)
+	m, err := core.NewMachineWithEngine(program, p, adv, failstop.Config{}, eng)
 	if err != nil {
 		return res, fmt.Errorf("execute %s: %w", program.Name(), err)
 	}
-	res.Metrics = out.Metrics
-	res.Memory = out.Memory
-	if err := checker.Check(out.Memory); err != nil {
+	for {
+		done, err := m.Step()
+		if err != nil {
+			res.Metrics = m.Metrics()
+			return res, fmt.Errorf("execute %s: %w", program.Name(), err)
+		}
+		if done {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			res.Metrics = m.Metrics()
+			return res, fmt.Errorf("execute %s: canceled at tick %d: %w", program.Name(), m.Tick(), err)
+		}
+	}
+	res.Metrics = m.Metrics()
+	res.Memory = core.SimMemory(m.Memory(), program)
+	if err := checker.Check(res.Memory); err != nil {
 		return res, fmt.Errorf("output validation failed: %w", err)
 	}
 	res.Validated = true

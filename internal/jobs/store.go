@@ -434,10 +434,10 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 			},
 		})
 	case KindSim:
-		// Simulations are atomic from the store's view (the core
-		// executor has no mid-run cancellation); a killed sim job simply
-		// re-runs from scratch on recovery, which determinism makes
-		// equivalent.
+		// ExecuteSim polls ctx once per tick, so a cancel or a drain
+		// stops a running simulation at the next tick boundary. It keeps
+		// no checkpoint: a drained or killed sim job re-runs from scratch
+		// on recovery, which determinism makes equivalent.
 		return engine.ExecuteSim(ctx, *js.job.Spec.Sim)
 	default:
 		return nil, fmt.Errorf("jobs: unknown kind %q", js.job.Spec.Kind)

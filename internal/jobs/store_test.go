@@ -164,6 +164,22 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitTerminal(t, s, first.ID)
 }
 
+// waitRunning polls until id has started.
+func waitRunning(t *testing.T, s *Store, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, _ := s.Get(id)
+		if j.State == StateRunning {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Kill()
@@ -172,23 +188,35 @@ func TestCancelRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// Wait until it actually starts, then cancel.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, _ := s.Get(job.ID)
-		if j.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, s, job.ID)
 	if err := s.Cancel(job.ID); err != nil {
 		t.Fatalf("Cancel running: %v", err)
 	}
 	if got := waitTerminal(t, s, job.ID); got.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", got.State)
+	}
+}
+
+// TestCancelRunningSimJob cancels a sim job mid-run. The simulation, an
+// odd-even sort of 2¹⁴ elements on as many processors, would run for
+// about an hour (N = 2048 takes 44 s on a 2-vCPU Xeon, and the cost
+// grows about 4.5× per doubling of N), so the job ends canceled within
+// waitTerminal's deadline only if the cancel interrupts the run itself
+// rather than waiting it out.
+func TestCancelRunningSimJob(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	defer s.Kill()
+
+	job, err := s.Submit(Spec{Kind: KindSim, Sim: &engine.SimSpec{Program: "odd-even-sort", N: 1 << 14}})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitRunning(t, s, job.ID)
+	if err := s.Cancel(job.ID); err != nil {
+		t.Fatalf("Cancel running: %v", err)
+	}
+	if got := waitTerminal(t, s, job.ID); got.State != StateCanceled {
+		t.Fatalf("state = %s (error %q), want canceled", got.State, got.Error)
 	}
 }
 

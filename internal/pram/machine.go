@@ -3,6 +3,7 @@ package pram
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -148,8 +149,17 @@ type Machine struct {
 	pending  []pendingCommit
 	view     View
 	sched    []bool
-	writeBuf []taggedWrite
 	readBuf  []int
+	// writeBuf holds the tick's first writer of each written cell, in
+	// the order commitWrites meets them; cells indexes it by address
+	// (an open-addressing table of 1<<cellBits slots, a slot valid when
+	// its gen is cellGen). Reset sizes both from P and the cycle write
+	// budget, so only a tick that writes more (snapshot cycles skip the
+	// budget check) grows them.
+	writeBuf []taggedWrite
+	cells    []cellSlot
+	cellBits uint
+	cellGen  uint32
 	// bctx is the reused batch-cycle context handed to BatchCycler
 	// processors by TickBatch's quiet-window path; a machine field so
 	// steady-state batched runs stay allocation-free.
@@ -247,6 +257,9 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 		// each dead one at most once.
 		m.changed = make([]int, 0, 2*p)
 	}
+	if cap(m.failSet) < p {
+		m.failSet = make([]int, 0, p)
+	}
 	if !sameAlg {
 		// Stale processors beyond the previous run's P could otherwise
 		// resurface in a later grow and be recycled for the wrong
@@ -260,6 +273,8 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 		m.pending = make([]pendingCommit, 0, p)
 	}
 	m.pending = m.pending[:0]
+	_, writeBudget := m.cycleBudgets()
+	m.sizeCommit(p * writeBudget)
 	if cfg.Scheduler != nil {
 		m.sched = grow(m.sched, p)
 	} else {
@@ -552,7 +567,9 @@ func (m *Machine) Step() (bool, error) {
 				}
 				continue
 			}
-			pc := pendingCommit{pid: pid, fail: fp}
+			m.pending = append(m.pending, pendingCommit{})
+			pc := &m.pending[len(m.pending)-1]
+			pc.pid, pc.fail = pid, fp
 			switch fp {
 			case NoFailure:
 				pc.writes = ctx.writeOps()
@@ -580,7 +597,6 @@ func (m *Machine) Step() (bool, error) {
 					m.metrics.Incomplete++
 				}
 			}
-			m.pending = append(m.pending, pc)
 		}
 	}
 
@@ -876,18 +892,26 @@ func (m *Machine) validateCycle(ctx *Ctx) error {
 	if ctx.snapshots > 0 && !m.cfg.AllowSnapshot {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d)", ErrSnapshotDisallowed, m.alg.Name(), ctx.pid)
 	}
-	readBudget, writeBudget := MaxReadsPerCycle, MaxWritesPerCycle
-	if m.cfg.CycleReadBudget > 0 {
-		readBudget = m.cfg.CycleReadBudget
-	}
-	if m.cfg.CycleWriteBudget > 0 {
-		writeBudget = m.cfg.CycleWriteBudget
-	}
+	readBudget, writeBudget := m.cycleBudgets()
 	if ctx.snapshots == 0 && (ctx.reads > readBudget || ctx.nWrites > writeBudget) {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d, reads=%d, writes=%d)",
 			ErrCycleLimit, m.alg.Name(), ctx.pid, ctx.reads, ctx.nWrites)
 	}
 	return nil
+}
+
+// cycleBudgets returns the update-cycle read and write bounds: the
+// model's (MaxReadsPerCycle, MaxWritesPerCycle) or the Config's
+// overrides.
+func (m *Machine) cycleBudgets() (reads, writes int) {
+	reads, writes = MaxReadsPerCycle, MaxWritesPerCycle
+	if m.cfg.CycleReadBudget > 0 {
+		reads = m.cfg.CycleReadBudget
+	}
+	if m.cfg.CycleWriteBudget > 0 {
+		writes = m.cfg.CycleWriteBudget
+	}
+	return reads, writes
 }
 
 // taggedWrite is one committed write together with its writer, used for
@@ -898,66 +922,110 @@ type taggedWrite struct {
 	val  Word
 }
 
+// cellSlot is one slot of commitWrites' cell table: writeBuf[idx] is
+// the first writer of the slot's cell when gen is the current commit's.
+type cellSlot struct {
+	gen uint32
+	idx int32
+}
+
+// sizeCommit readies writeBuf and the cell table for ticks of up to
+// writes writes, keeping the table at most half full. It allocates only
+// when they are smaller.
+func (m *Machine) sizeCommit(writes int) {
+	if cap(m.writeBuf) < writes {
+		m.writeBuf = make([]taggedWrite, 0, writes)
+	}
+	m.cellBits = uint(bits.Len(uint(2*writes - 1)))
+	if n := 1 << m.cellBits; cap(m.cells) < n {
+		// A fresh table is all zero: gen 0 marks a slot that was never
+		// used, so cellGen never takes that value.
+		m.cells = make([]cellSlot, n)
+	} else {
+		m.cells = m.cells[:n]
+	}
+}
+
 // commitWrites applies all pending writes of the tick under the configured
 // policy. Within a tick all writes are simultaneous, so conflict
-// resolution considers them together. Writes are gathered into a reusable
-// buffer and stably sorted by (addr, pid) to find conflict groups without
-// allocating per tick; stability keeps a single processor's same-cell
-// writes in program order.
+// resolution considers them together. One pass over the writes, which
+// come in PID order and each PID's in program order, finds each cell's
+// first writer (the one every policy keeps) through the cell table and
+// the lowest cell with a violation: under COMMON a later writer whose
+// value differs from the first's, under CREW/EREW any second writer.
+// It then stores the first writers of every cell below that one and
+// reports it, so memory and error match resolving the cells one by one
+// in address order; without a violation every first writer lands.
 func (m *Machine) commitWrites() error {
-	m.writeBuf = m.writeBuf[:0]
+	n := 0
 	for i := range m.pending {
-		pc := &m.pending[i]
-		for _, w := range pc.writes {
-			m.writeBuf = append(m.writeBuf, taggedWrite{addr: w.Addr, pid: pc.pid, val: w.Val})
-		}
+		n += len(m.pending[i].writes)
 	}
-	if len(m.writeBuf) == 0 {
+	if n == 0 {
 		return nil
 	}
-	if m.cfg.Policy == EREW {
+	switch m.cfg.Policy {
+	case Common, Arbitrary, Priority, CREW:
+	case EREW:
 		if err := m.checkExclusiveReads(); err != nil {
 			return err
 		}
+	default:
+		return fmt.Errorf("pram: invalid write policy %d", m.cfg.Policy)
 	}
-
-	slices.SortStableFunc(m.writeBuf, func(a, b taggedWrite) int {
-		if a.addr != b.addr {
-			return a.addr - b.addr
-		}
-		return a.pid - b.pid
-	})
-
-	for i := 0; i < len(m.writeBuf); {
-		j := i + 1
-		for j < len(m.writeBuf) && m.writeBuf[j].addr == m.writeBuf[i].addr {
-			j++
-		}
-		group := m.writeBuf[i:j]
-		switch m.cfg.Policy {
-		case Common:
-			for _, w := range group[1:] {
-				if w.val != group[0].val {
-					return fmt.Errorf("%w: cell %d gets %d (pid %d) and %d (pid %d) at tick %d",
-						ErrCommonViolation, w.addr, group[0].val, group[0].pid, w.val, w.pid, m.tick)
+	if 2*n > len(m.cells) {
+		m.sizeCommit(n)
+	}
+	if m.cellGen++; m.cellGen == 0 {
+		clear(m.cells[:cap(m.cells)])
+		m.cellGen = 1
+	}
+	common := m.cfg.Policy == Common
+	exclusive := m.cfg.Policy == CREW || m.cfg.Policy == EREW
+	cells, gen, shift := m.cells, m.cellGen, 64-m.cellBits
+	mask := len(cells) - 1
+	wb := m.writeBuf[:0]
+	// bad is the writeBuf index of the lowest violating cell's first
+	// writer (-1 for none) and badAt that cell; other is the write that
+	// conflicts with it, the first one seen.
+	bad, badAt, other := -1, math.MaxInt, taggedWrite{}
+	for i := range m.pending {
+		pc := &m.pending[i]
+		for _, w := range pc.writes {
+			h := int(uint64(w.Addr) * 0x9E3779B97F4A7C15 >> shift)
+			for {
+				s := &cells[h]
+				if s.gen != gen {
+					*s = cellSlot{gen: gen, idx: int32(len(wb))}
+					wb = append(wb, taggedWrite{addr: w.Addr, pid: pc.pid, val: w.Val})
+					break
 				}
+				if first := &wb[s.idx]; first.addr == w.Addr {
+					if w.Addr < badAt && (exclusive || common && w.Val != first.val) {
+						bad, badAt = int(s.idx), w.Addr
+						other = taggedWrite{addr: w.Addr, pid: pc.pid, val: w.Val}
+					}
+					break
+				}
+				h = (h + 1) & mask
 			}
-			m.store(group[0].addr, group[0].val)
-		case Arbitrary, Priority:
-			// Deterministic: the lowest PID in the group comes first.
-			m.store(group[0].addr, group[0].val)
-		case CREW, EREW:
-			if len(group) > 1 {
-				return fmt.Errorf("%w: concurrent write of cell %d at tick %d",
-					ErrExclusiveViolation, group[0].addr, m.tick)
-			}
-			m.store(group[0].addr, group[0].val)
-		default:
-			return fmt.Errorf("pram: invalid write policy %d", m.cfg.Policy)
 		}
-		i = j
 	}
-	return nil
+	m.writeBuf = wb
+	for _, w := range wb {
+		if w.addr < badAt {
+			m.store(w.addr, w.val)
+		}
+	}
+	if bad < 0 {
+		return nil
+	}
+	if first := wb[bad]; common {
+		return fmt.Errorf("%w: cell %d gets %d (pid %d) and %d (pid %d) at tick %d",
+			ErrCommonViolation, badAt, first.val, first.pid, other.val, other.pid, m.tick)
+	}
+	return fmt.Errorf("%w: concurrent write of cell %d at tick %d",
+		ErrExclusiveViolation, badAt, m.tick)
 }
 
 // checkExclusiveReads verifies the EREW no-concurrent-read rule for the

@@ -311,10 +311,7 @@ func (m *Machine) quietWindow(maxW int) int {
 			}
 		}
 	}
-	writeBudget := MaxWritesPerCycle
-	if m.cfg.CycleWriteBudget > 0 {
-		writeBudget = m.cfg.CycleWriteBudget
-	}
+	_, writeBudget := m.cycleBudgets()
 	if dist := (m.remaining-1)/(alive*writeBudget) + 1; dist < w {
 		w = dist
 	}
@@ -414,13 +411,7 @@ func (m *Machine) validateBatch(pid int) error {
 	if b.maxWrites > m.metrics.MaxWrites {
 		m.metrics.MaxWrites = b.maxWrites
 	}
-	readBudget, writeBudget := MaxReadsPerCycle, MaxWritesPerCycle
-	if m.cfg.CycleReadBudget > 0 {
-		readBudget = m.cfg.CycleReadBudget
-	}
-	if m.cfg.CycleWriteBudget > 0 {
-		writeBudget = m.cfg.CycleWriteBudget
-	}
+	readBudget, writeBudget := m.cycleBudgets()
 	if b.maxReads > readBudget || b.maxWrites > writeBudget {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d, reads=%d, writes=%d)",
 			ErrCycleLimit, m.alg.Name(), pid, b.maxReads, b.maxWrites)

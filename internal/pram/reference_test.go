@@ -423,6 +423,83 @@ var refAlgorithms = []struct {
 	{"V", func(int64) pram.Algorithm { return writeall.NewV() }, false},
 	{"W", func(int64) pram.Algorithm { return writeall.NewW() }, false},
 	{"trivial", func(int64) pram.Algorithm { return writeall.NewTrivial() }, false},
+	{"collider", func(seed int64) pram.Algorithm { return collider{seed} }, false},
+}
+
+// collider is a seeded algorithm that reaches every branch of the
+// commit's conflict resolution, which the Write-All algorithms, whose
+// concurrent writers always agree, do not. Every cycle writes one or two
+// cells of a four-cell window that slides one cell per tick, and one
+// cycle in four writes the same cell twice. Each write carries the
+// value the cell's writers agree on this tick, 1 or 2, except one write
+// in 32 carries the other. So ticks see agreeing and disagreeing
+// concurrent writers and same-PID duplicates, and CREW/EREW runs see
+// concurrent writes. It has no private state and is done once every
+// cell of [0, N) is non-zero.
+type collider struct{ seed int64 }
+
+func (collider) Name() string                                { return "collider" }
+func (collider) MemorySize(n, _ int) int                     { return n }
+func (collider) Setup(*pram.Memory, int, int)                {}
+func (collider) DoneCells(n, _ int) int                      { return n }
+func (c collider) NewProcessor(int, int, int) pram.Processor { return colliderProc(c) }
+
+func (collider) Done(mem pram.MemoryView, n, _ int) bool {
+	for i := 0; i < n; i++ {
+		if mem.Load(i) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+type colliderProc struct{ seed int64 }
+
+func (c colliderProc) Cycle(ctx *pram.Ctx) pram.Status {
+	n, tick := ctx.N(), ctx.Tick()
+	r := splitMix(uint64(c.seed), uint64(tick), uint64(ctx.PID()))
+	w := min(n, 4)
+	a := (tick + int(r&0xff)%w) % n
+	ctx.Write(a, c.value(tick, a, r>>8&31 == 0))
+	switch r >> 16 & 3 {
+	case 0:
+		ctx.Write(a, c.value(tick, a, r>>24&31 == 0))
+	case 1, 2:
+		b := (tick + int(r>>32&0xff)%w) % n
+		ctx.Write(b, c.value(tick, b, r>>24&31 == 0))
+	}
+	return pram.Continue
+}
+
+// value is the word a write to cell carries at tick: the value its
+// writers agree on, or the other one when deviant.
+func (c colliderProc) value(tick, cell int, deviant bool) pram.Word {
+	v := pram.Word(1 + splitMix(uint64(c.seed), uint64(tick), uint64(cell)+1<<32)&1)
+	if deviant {
+		v = 3 - v
+	}
+	return v
+}
+
+func (colliderProc) SnapshotState() []pram.Word { return nil }
+
+func (colliderProc) RestoreState(state []pram.Word) error {
+	if len(state) != 0 {
+		return pram.StateLenError("collider processor", len(state), 0)
+	}
+	return nil
+}
+
+// splitMix hashes its arguments with SplitMix64's finalizer.
+func splitMix(xs ...uint64) uint64 {
+	var z uint64
+	for _, x := range xs {
+		z += x + 0x9E3779B97F4A7C15
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		z ^= z >> 31
+	}
+	return z
 }
 
 var refAdversaries = []struct {
@@ -624,21 +701,30 @@ func checkAgainstReference(t testing.TB, r *pram.Runner, c refCase) {
 // Runner, packed or unpacked memory, TickBatch(64), a snapshot round
 // trip and resume at a mid tick) against the reference stepper over a grid of
 // algorithms, adversaries, small shapes and both legality modes, and
-// requires identical metrics, final memory, event stream and error.
+// requires identical metrics, final memory, event stream and error. The
+// collider runs under all five write policies, so conflicting writes,
+// the stores that land below a violation and the error text are
+// compared against the reference's sorted resolution too.
 func TestMachineMatchesReference(t *testing.T) {
 	r := &pram.Runner{BatchTicks: 64}
 	defer r.Close()
 	shapes := [][2]int{{16, 16}, {32, 8}, {13, 5}}
 	for ai, alg := range refAlgorithms {
+		policies := []pram.WritePolicy{0}
+		if alg.name == "collider" {
+			policies = []pram.WritePolicy{pram.Common, pram.Arbitrary, pram.Priority, pram.CREW, pram.EREW}
+		}
 		for vi, adv := range refAdversaries {
 			if adv.treeOnly && !alg.tree {
 				continue
 			}
 			for si, shape := range shapes {
 				for _, legality := range []pram.LegalityMode{pram.VetoSpare, pram.ErrorOnIllegal} {
-					c := refCase{alg: ai, adv: vi, n: shape[0], p: shape[1], seed: int64(si + 1),
-						legality: legality, resumeAt: 5 + 7*si}
-					checkAgainstReference(t, r, c)
+					for _, policy := range policies {
+						c := refCase{alg: ai, adv: vi, n: shape[0], p: shape[1], seed: int64(si + 1),
+							legality: legality, policy: policy, resumeAt: 5 + 7*si}
+						checkAgainstReference(t, r, c)
+					}
 				}
 			}
 		}
@@ -660,6 +746,11 @@ func FuzzMachineVsReference(f *testing.F) {
 	f.Add(uint8(5), uint8(3), uint8(12), uint8(4), int64(8), uint16(1<<12|6))  // ARBITRARY
 	f.Add(uint8(0), uint8(5), uint8(16), uint8(16), int64(9), uint16(3<<12|2)) // CREW
 	f.Add(uint8(0), uint8(6), uint8(8), uint8(8), int64(4), uint16(4<<12|3))   // EREW
+	f.Add(uint8(6), uint8(1), uint8(16), uint8(16), int64(1), uint16(2))       // collider, COMMON
+	f.Add(uint8(6), uint8(5), uint8(13), uint8(5), int64(2), uint16(1<<12|3))  // collider, ARBITRARY
+	f.Add(uint8(6), uint8(3), uint8(9), uint8(3), int64(3), uint16(2<<12|4))   // collider, PRIORITY
+	f.Add(uint8(6), uint8(2), uint8(7), uint8(1), int64(4), uint16(3<<12|1))   // collider, CREW
+	f.Add(uint8(6), uint8(7), uint8(12), uint8(2), int64(5), uint16(4<<12|2))  // collider, EREW
 	r := &pram.Runner{BatchTicks: 64}
 	f.Fuzz(func(t *testing.T, alg, adv, n, p uint8, seed int64, resumeAt uint16) {
 		c := refCase{
