@@ -197,17 +197,22 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
-// TestCancelRunningSimJob cancels a sim job mid-run. The simulation, an
-// odd-even sort of 2¹⁴ elements on as many processors, would run for
-// about an hour (N = 2048 takes 44 s on a 2-vCPU Xeon, and the cost
-// grows about 4.5× per doubling of N), so the job ends canceled within
-// waitTerminal's deadline only if the cancel interrupts the run itself
-// rather than waiting it out.
+// longSimSpec is a sim job that would run for about an hour: an
+// odd-even sort of 2¹⁴ elements on as many processors (N = 2048 takes
+// 44 s on a 2-vCPU Xeon, and the cost grows about 4.5× per doubling of
+// N). A test that stops it within seconds shows the stop interrupted the
+// simulation rather than waiting it out.
+func longSimSpec() Spec {
+	return Spec{Kind: KindSim, Sim: &engine.SimSpec{Program: "odd-even-sort", N: 1 << 14}}
+}
+
+// TestCancelRunningSimJob cancels a sim job mid-run: it must end
+// canceled within waitTerminal's deadline.
 func TestCancelRunningSimJob(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Kill()
 
-	job, err := s.Submit(Spec{Kind: KindSim, Sim: &engine.SimSpec{Program: "odd-even-sort", N: 1 << 14}})
+	job, err := s.Submit(longSimSpec())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -259,6 +264,33 @@ func TestCloseDrainsAndReopenResumes(t *testing.T) {
 	defer s2.Kill()
 	if got := waitTerminal(t, s2, job.ID); got.State != StateDone {
 		t.Fatalf("resumed job state = %s (error %q), want done", got.State, got.Error)
+	}
+}
+
+// TestCloseDrainsRunningSimJob drains a store while a sim job runs: the
+// drain stops the simulation at a tick boundary and parks the job on
+// disk as queued and resumable, for a re-run from scratch. A drain that
+// waited out the simulation would miss Close's deadline.
+func TestCloseDrainsRunningSimJob(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+
+	job, err := s.Submit(longSimSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitRunning(t, s, job.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	var onDisk Job
+	if err := readJSON(filepath.Join(dir, "jobs", job.ID, "status.json"), &onDisk); err != nil {
+		t.Fatalf("status.json: %v", err)
+	}
+	if onDisk.State != StateQueued || !onDisk.Resume {
+		t.Fatalf("drained sim job on disk = %s resume=%v, want queued resume=true", onDisk.State, onDisk.Resume)
 	}
 }
 
