@@ -156,8 +156,10 @@ func TestStampedDecoding(t *testing.T) {
 // on one pram.Runner with the same Executor: the first run builds a
 // fresh machine, the second recycles every processor the first left
 // behind, and both must match the pins and end in the same memory.
-// MaxTicks is a few times the longest run, so a Reset that leaves stale
-// iteration state fails with ErrTickLimit instead of livelocking.
+// MaxTicks is a few times the longest run, so a Reset that stalls
+// progress fails with ErrTickLimit instead of running on. (One that keeps
+// V's phase and joined is worse: V then descends from position 0 and
+// paddedUnder(0) never returns, so only the test timeout stops it.)
 func TestExecutorWorkPinned(t *testing.T) {
 	type pin struct {
 		s, sPrime int64
