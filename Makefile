@@ -154,13 +154,30 @@ bench-gate: build
 bench-check:
 	-$(MAKE) bench-compare BENCHTIME=$(BENCHTIME)
 
+# FUZZ lists every fuzz target in the tree as <name>:<package>; fuzz
+# runs each for 30s.
+FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
+	FuzzScheduledPatterns:./internal/writeall/ \
+	FuzzReadSnapshot:./internal/pram/ \
+	FuzzMachineVsReference:./internal/pram/ \
+	FuzzJSONLMatchesEncodingJSON:./internal/pram/ \
+	FuzzReadPattern:./internal/adversary/ \
+	FuzzCountingMatchesStandardSource:./internal/rng/
+
+# check-fuzz-names guards FUZZ the way check-names guards a test list: a
+# `func Fuzz*` anywhere in the tree that FUZZ does not name fails the
+# fuzz target, so a new target cannot be left running only its seeds.
+check-fuzz-names = for name in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]*' --include='*_test.go' \
+		--exclude-dir=.git --exclude-dir=.bench_build . | cut -c6-); do \
+		case ' $(FUZZ) ' in *" $$name:"*) ;; *) echo "fuzz: $$name is missing from FUZZ"; exit 1;; esac; \
+	done
+
 fuzz:
-	$(GO) test -fuzz FuzzWriteAllUnderRandomPatterns -fuzztime 30s ./internal/writeall/
-	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/pram/
-	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 30s ./internal/pram/
-	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 30s ./internal/pram/
-	$(GO) test -fuzz FuzzReadPattern -fuzztime 30s ./internal/adversary/
-	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 30s ./internal/rng/
+	@$(check-fuzz-names)
+	@for t in $(FUZZ); do \
+		echo "$(GO) test -fuzz $${t%%:*} -fuzztime 30s $${t#*:}"; \
+		$(GO) test -fuzz $${t%%:*} -fuzztime 30s $${t#*:} || exit 1; \
+	done
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
 # failure-pattern JSON), the random source's differential check against

@@ -15,7 +15,8 @@ import (
 // TestSteadyStateTicksAllocationFree to ticks with failures and
 // restarts, which need the real adversaries: after warm-up, ticks under
 // the thrasher (P−1 processors fail and restart every tick) and under
-// the post-order adversary (its park index updated every tick) allocate
+// the post-order adversary (its park index updated every tick) and under
+// the random adversary (fresh failures and restarts every tick) allocate
 // nothing at all. Decisions reuse per-adversary buffers and restarts
 // recycle processors in place. The sim rows hold Theorem 4.1's robust
 // executor to the same standard under both engines: its processors
@@ -44,7 +45,9 @@ func TestSteadyStateTicksAllocationFreeUnderChurn(t *testing.T) {
 		{"thrashing", writeAll(&adversary.Thrashing{})},
 		{"rotating", writeAll(&adversary.Thrashing{Rotate: true})},
 		{"postorder", writeAll(writeall.NewPostOrder(writeall.NewX().Layout(n, p)))},
+		{"random", writeAll(adversary.NewRandom(0.5, 0.2, 1))},
 		{"sim/V+X/thrashing", sim(core.EngineVX, &adversary.Thrashing{})},
+		{"sim/V+X/random", sim(core.EngineVX, adversary.NewRandom(0.05, 0.5, 1))},
 		{"sim/V+X/rotating", sim(core.EngineVX, &adversary.Thrashing{Rotate: true})},
 		{"sim/X/thrashing", sim(core.EngineX, &adversary.Thrashing{})},
 		{"sim/X/rotating", sim(core.EngineX, &adversary.Thrashing{Rotate: true})},

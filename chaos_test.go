@@ -115,7 +115,10 @@ func chaosCell(t *testing.T, cfg Config, mkAlg func() Algorithm, mkAdv func() Ad
 		}
 		old := faultinject.Swap(chaosRegistry(rng))
 		if resume {
-			final, err = r.ResumeLatestCtx(context.Background(), cfg, mkAlg(), mkAdv())
+			var snap *pram.Snapshot
+			if snap, err = pram.LoadCheckpoint(r.CheckpointPath, r.Log); err == nil {
+				final, err = r.ResumeCtx(context.Background(), cfg, mkAlg(), mkAdv(), snap)
+			}
 		} else {
 			final, err = r.RunCtx(context.Background(), cfg, mkAlg(), mkAdv())
 		}

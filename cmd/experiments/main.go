@@ -92,7 +92,7 @@ type cliOptions struct {
 	// lab holds the adversary-strategy-lab spec; labStrategies names an
 	// optional JSON file of extra DSL strategies entered alongside the
 	// built-in grid. lab.N > 0 selects the lab instead of the sweep.
-	lab           engine.LabSpec
+	lab           advlab.LabSpec
 	labAlgs       string
 	labStrategies string
 }
@@ -241,7 +241,7 @@ func runLab(ctx context.Context, opts cliOptions, render func(*bench.Table)) err
 			return fmt.Errorf("-lab-strategies %s: %w", opts.labStrategies, err)
 		}
 	}
-	res, err := engine.ExecuteLab(ctx, spec)
+	res, err := advlab.ExecuteLab(ctx, spec)
 	if err != nil {
 		return err
 	}

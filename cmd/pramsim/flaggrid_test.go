@@ -9,14 +9,12 @@ import (
 	"repro/internal/engine"
 )
 
-// TestFlagGridMapsToValidSpecs sweeps the CLI's flag surface and
-// requires every accepted combination to become a SimSpec that
-// validates and survives spec -> JSON -> spec unchanged (the same spec
-// type a daemon sim job is submitted as).
+// TestFlagGridMapsToValidSpecs sweeps the CLI's flag surface over every
+// registered program and sim adversary and requires every accepted
+// combination to become a SimSpec that validates and survives spec ->
+// JSON -> spec unchanged (the same spec type a daemon sim job is
+// submitted as).
 func TestFlagGridMapsToValidSpecs(t *testing.T) {
-	programs := []string{"assign", "reduce-sum", "prefix-sum", "list-rank",
-		"odd-even-sort", "matmul", "broadcast", "max-reduce", "tree-roots"}
-	adversaries := []string{"none", "random", "thrashing", "rotating"}
 	extras := [][]string{
 		nil,
 		{"-p", "8", "-seed", "11", "-fail", "0.3", "-restart", "0.6"},
@@ -24,8 +22,8 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 		{"-engine", "vx", "-dump"},
 		{"-engine", "weird-legacy-value"}, // historical: anything but "x" means vx
 	}
-	for _, prog := range programs {
-		for _, adv := range adversaries {
+	for _, prog := range engine.Programs() {
+		for _, adv := range engine.SimAdversaries() {
 			for i, extra := range extras {
 				args := append([]string{"-prog", prog, "-adv", adv, "-n", "64", "-k", "3"}, extra...)
 				t.Run(fmt.Sprintf("%s/%s/extra%d", prog, adv, i), func(t *testing.T) {

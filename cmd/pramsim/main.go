@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/engine"
 )
@@ -43,11 +44,11 @@ func parseSpec(args []string) (engine.SimSpec, cliOptions, error) {
 	var opts cliOptions
 	engName := fs.String("engine", "vx", "Write-All engine: vx (paper's V+X) or x")
 	fs.BoolVar(&opts.dump, "dump", false, "print the final simulated memory")
-	fs.StringVar(&spec.Program, "prog", "prefix-sum", "program: assign, reduce-sum, prefix-sum, list-rank, odd-even-sort, matmul, broadcast, max-reduce, tree-roots")
-	fs.IntVar(&spec.N, "n", 256, "simulated processor count N (assign/reduce/prefix/list-rank/sort)")
-	fs.IntVar(&spec.K, "k", 4, "matrix dimension K (matmul)")
+	fs.StringVar(&spec.Program, "prog", "prefix-sum", "program: "+strings.Join(engine.Programs(), ", "))
+	fs.IntVar(&spec.N, "n", 256, "simulated processor count N (every program but the matrix product)")
+	fs.IntVar(&spec.K, "k", 4, "matrix dimension K (the matrix product)")
 	fs.IntVar(&spec.P, "p", 0, "real processor count P (0 means P = N)")
-	fs.StringVar(&spec.Adversary, "adv", "none", "adversary: none, random, thrashing, rotating")
+	fs.StringVar(&spec.Adversary, "adv", "none", "adversary: "+strings.Join(engine.SimAdversaries(), ", "))
 	fs.Int64Var(&spec.Seed, "seed", 1, "random seed")
 	fs.Float64Var(&spec.FailProb, "fail", 0.1, "per-tick failure probability (random)")
 	fs.Float64Var(&spec.RestartProb, "restart", 0.5, "per-tick restart probability (random)")

@@ -3,25 +3,23 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
+// TestRunAllPrograms runs every registered program under every adversary
+// a simulation accepts; -n sizes the programs and -k the matrix product.
 func TestRunAllPrograms(t *testing.T) {
-	progs := []string{
-		"assign", "reduce-sum", "prefix-sum", "list-rank",
-		"odd-even-sort", "broadcast", "max-reduce", "tree-roots",
-	}
-	for _, p := range progs {
+	for _, p := range engine.Programs() {
 		t.Run(p, func(t *testing.T) {
-			if err := run([]string{"-prog", p, "-n", "16", "-adv", "random", "-fail", "0.1"}); err != nil {
-				t.Fatalf("run: %v", err)
+			for _, adv := range engine.SimAdversaries() {
+				args := []string{"-prog", p, "-n", "16", "-k", "3", "-adv", adv, "-fail", "0.1", "-dump"}
+				if err := run(args); err != nil {
+					t.Fatalf("run %v: %v", args, err)
+				}
 			}
 		})
 	}
-	t.Run("matmul", func(t *testing.T) {
-		if err := run([]string{"-prog", "matmul", "-k", "3", "-dump"}); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	})
 }
 
 func TestRunBothEngines(t *testing.T) {

@@ -8,10 +8,10 @@
 //	writeall -alg X -adv random -snapshot run.snap -snapshot-every 256
 //	writeall -alg X -adv random -restore run.snap
 //
-// Algorithms: X, V, combined, W, oblivious, ACC, trivial, sequential.
-// Adversaries: none, random, thrashing, rotating, halving, postorder,
-// stalking, stalking-failstop. Post-order follows processors through X's
-// progress tree, so it runs only against X, combined and ACC.
+// The -alg and -adv help lists the registered algorithms and adversaries
+// (engine.Algorithms, engine.Adversaries). Post-order follows processors
+// through X's progress tree, so it runs only against the algorithms that
+// lay that tree out.
 //
 // The command is a thin client of internal/engine: flags parse into an
 // engine.RunSpec, engine.ExecuteRun does the machine/Runner/sink
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -55,8 +56,8 @@ func parseSpec(args []string) (engine.RunSpec, cliOptions, error) {
 	var spec engine.RunSpec
 	var opts cliOptions
 	fs := flag.NewFlagSet("writeall", flag.ContinueOnError)
-	fs.StringVar(&spec.Algorithm, "alg", "X", "algorithm: X, V, combined, W, oblivious, ACC, trivial, sequential")
-	fs.StringVar(&spec.Adversary, "adv", "none", "adversary: none, random, thrashing, rotating, halving, postorder, stalking, stalking-failstop")
+	fs.StringVar(&spec.Algorithm, "alg", "X", "algorithm: "+strings.Join(engine.Algorithms(), ", "))
+	fs.StringVar(&spec.Adversary, "adv", "none", "adversary: "+strings.Join(engine.Adversaries(), ", "))
 	fs.IntVar(&spec.N, "n", 1024, "Write-All array size N")
 	fs.IntVar(&spec.P, "p", 0, "processor count P (0 means P = N)")
 	fs.Int64Var(&spec.Seed, "seed", 1, "random seed (random adversary, ACC)")

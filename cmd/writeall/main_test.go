@@ -6,19 +6,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
+// TestRunAllAlgorithmAdversaryPairs runs every registered algorithm
+// failure-free and every registered adversary against the default X.
 func TestRunAllAlgorithmAdversaryPairs(t *testing.T) {
-	algs := []string{"X", "V", "combined", "W", "oblivious", "ACC", "trivial", "sequential"}
-	for _, alg := range algs {
+	for _, alg := range engine.Algorithms() {
 		t.Run(alg, func(t *testing.T) {
 			if err := run(context.Background(), []string{"-alg", alg, "-n", "64", "-p", "16"}); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 		})
 	}
-	advs := []string{"none", "random", "thrashing", "rotating", "halving", "postorder", "stalking-failstop"}
-	for _, adv := range advs {
+	for _, adv := range engine.Adversaries() {
 		t.Run(adv, func(t *testing.T) {
 			if err := run(context.Background(), []string{"-adv", adv, "-n", "64"}); err != nil {
 				t.Fatalf("run: %v", err)

@@ -26,7 +26,8 @@ type Random struct {
 	r      *rand.Rand
 	events int64
 
-	// decision buffers, reused across ticks
+	// decision buffers, reused across ticks; the first Decide sizes
+	// them for P, so ticks under churn never grow them
 	fails    []pram.Failure
 	restarts []int
 }
@@ -53,6 +54,9 @@ func (r *Random) ensure() {
 // Decide implements pram.Adversary.
 func (r *Random) Decide(v *pram.View) pram.Decision {
 	r.ensure()
+	if cap(r.fails) < v.P {
+		r.fails, r.restarts = make([]pram.Failure, 0, v.P), make([]int, 0, v.P)
+	}
 	r.fails, r.restarts = r.fails[:0], r.restarts[:0]
 	for pid := 0; pid < v.States.Len(); pid++ {
 		if r.MaxEvents > 0 && r.events >= r.MaxEvents {

@@ -1,16 +1,16 @@
-package engine
+package advlab
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/advlab"
 	"repro/internal/bench"
+	"repro/internal/engine"
 )
 
 // LabSpec describes one adversary-strategy-lab invocation: a tournament
 // sweeping strategies × algorithms, optionally followed by a random
-// strategy search per algorithm. Like the other specs it is plain data
+// strategy search per algorithm. Like the engine's specs it is plain data
 // — every field round-trips through encoding/json — so a lab run can be
 // submitted over HTTP or persisted in a job directory.
 type LabSpec struct {
@@ -20,14 +20,14 @@ type LabSpec struct {
 	P        int `json:"p,omitempty"`
 	MaxTicks int `json:"max_ticks,omitempty"`
 	// Algorithms selects the bracket (engine registry names); empty
-	// means {X, V, combined}.
+	// means the default bracket (see Tournament).
 	Algorithms []string `json:"algorithms,omitempty"`
 	// Seed feeds seed-taking algorithms, the random baseline, and the
 	// strategy search.
 	Seed int64 `json:"seed,omitempty"`
 	// Strategies holds extra DSL strategies entered alongside the
 	// hand-written grid and the built-in portfolio.
-	Strategies []advlab.Strategy `json:"strategies,omitempty"`
+	Strategies []Strategy `json:"strategies,omitempty"`
 	// SearchIters, when positive, runs the strategy search for that
 	// many iterations per bracket algorithm after the tournament.
 	SearchIters int `json:"search_iters,omitempty"`
@@ -53,7 +53,7 @@ func (s LabSpec) Validate() error {
 		return fmt.Errorf("lab spec: search iters must be non-negative, got %d", s.SearchIters)
 	}
 	for _, name := range s.Algorithms {
-		if _, _, err := NewAlgorithm(name, s.Seed); err != nil {
+		if _, _, err := engine.NewAlgorithm(name, s.Seed); err != nil {
 			return fmt.Errorf("lab spec: %w", err)
 		}
 	}
@@ -69,11 +69,11 @@ func (s LabSpec) Validate() error {
 type LabResult struct {
 	// Matches holds every tournament match in bracket order; Frontiers
 	// the per-algorithm σ frontier tables rendered from them.
-	Matches   []advlab.MatchResult `json:"matches"`
-	Frontiers []bench.Table        `json:"frontiers"`
+	Matches   []MatchResult `json:"matches"`
+	Frontiers []bench.Table `json:"frontiers"`
 	// Searches holds one search result per bracket algorithm when
 	// SearchIters is positive, in bracket order.
-	Searches []advlab.SearchResult `json:"searches,omitempty"`
+	Searches []SearchResult `json:"searches,omitempty"`
 }
 
 // ExecuteLab validates spec and runs the tournament, then (when
@@ -87,32 +87,25 @@ func ExecuteLab(ctx context.Context, spec LabSpec) (LabResult, error) {
 	if p == 0 {
 		p = spec.N
 	}
-	algs := spec.Algorithms
-	if len(algs) == 0 {
-		algs = []string{"X", "V", "combined"}
-	}
-	entrants := advlab.HandWritten(spec.N, p, spec.Seed)
-	for _, s := range advlab.BuiltinStrategies(p) {
-		entrants = append(entrants, advlab.StrategyEntrant(s))
-	}
+	entrants := defaultEntrants(spec.N, p, spec.Seed)
 	for _, s := range spec.Strategies {
-		entrants = append(entrants, advlab.StrategyEntrant(s))
+		entrants = append(entrants, StrategyEntrant(s))
 	}
-	tour := advlab.Tournament{
+	tour := Tournament{
 		N: spec.N, P: p, MaxTicks: spec.MaxTicks,
-		Algorithms: algs, Seed: spec.Seed, Entrants: entrants,
+		Algorithms: bracket(spec.Algorithms), Seed: spec.Seed, Entrants: entrants,
 	}
 	matches, err := tour.Run(ctx)
 	if err != nil {
 		return res, err
 	}
 	res.Matches = matches
-	res.Frontiers = advlab.FrontierTables(matches)
+	res.Frontiers = FrontierTables(matches)
 	if spec.SearchIters <= 0 {
 		return res, nil
 	}
-	for _, alg := range algs {
-		sr, err := advlab.Search(ctx, advlab.SearchSpec{
+	for _, alg := range tour.Algorithms {
+		sr, err := Search(ctx, SearchSpec{
 			Algorithm: alg, N: spec.N, P: p, MaxTicks: spec.MaxTicks,
 			Seed: spec.Seed, Iters: spec.SearchIters, JournalPath: spec.JournalPath,
 		})

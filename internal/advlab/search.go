@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/pram"
 	"repro/internal/rng"
 )
@@ -37,7 +38,7 @@ type SearchSpec struct {
 // Validate reports the first problem that would keep the search from
 // running.
 func (s SearchSpec) Validate() error {
-	if _, _, err := newAlgorithm(s.Algorithm, s.Seed); err != nil {
+	if _, _, err := engine.NewAlgorithm(s.Algorithm, s.Seed); err != nil {
 		return fmt.Errorf("advlab: search: %w", err)
 	}
 	if s.N <= 0 || s.P <= 0 {

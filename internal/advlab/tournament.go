@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	failstop "repro"
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/pram"
 )
 
@@ -32,20 +32,29 @@ func StrategyEntrant(s Strategy) Entrant {
 	}
 }
 
-// HandWritten is the repo's hand-written adversary grid (the engine's
-// registry, constructed fresh per match) for an n×p machine: the
-// baseline every searched strategy is measured against.
+// HandWritten is the repo's hand-written adversary grid for an n×p
+// machine, one entrant per engine registry adversary, constructed fresh
+// per match: the baseline every searched strategy is measured against.
+// The random adversary fails with probability 0.1 and restarts with 0.8.
 func HandWritten(n, p int, seed int64) []Entrant {
-	return []Entrant{
-		{Name: "none", New: func() (pram.Adversary, error) { return failstop.NoFailures(), nil }},
-		{Name: "random", New: func() (pram.Adversary, error) { return failstop.RandomFailures(0.1, 0.8, seed), nil }},
-		{Name: "thrashing", New: func() (pram.Adversary, error) { return failstop.ThrashingAdversary(false), nil }},
-		{Name: "rotating", New: func() (pram.Adversary, error) { return failstop.ThrashingAdversary(true), nil }},
-		{Name: "halving", New: func() (pram.Adversary, error) { return failstop.HalvingAdversary(), nil }},
-		{Name: "postorder", New: func() (pram.Adversary, error) { return failstop.PostOrderAdversary(n, p), nil }},
-		{Name: "stalking", New: func() (pram.Adversary, error) { return failstop.StalkingAdversary(n, p, true), nil }},
-		{Name: "stalking-failstop", New: func() (pram.Adversary, error) { return failstop.StalkingAdversary(n, p, false), nil }},
+	var out []Entrant
+	for _, name := range engine.Adversaries() {
+		spec := engine.RunSpec{Adversary: name, Seed: seed, FailProb: 0.1, RestartProb: 0.8}
+		out = append(out, Entrant{Name: name, New: func() (pram.Adversary, error) {
+			return engine.NewAdversary(spec, n, p)
+		}})
 	}
+	return out
+}
+
+// defaultEntrants is the hand-written grid plus the built-in strategy
+// portfolio: a tournament's bracket when it names no entrants.
+func defaultEntrants(n, p int, seed int64) []Entrant {
+	entrants := HandWritten(n, p, seed)
+	for _, s := range BuiltinStrategies(p) {
+		entrants = append(entrants, StrategyEntrant(s))
+	}
+	return entrants
 }
 
 // BuiltinStrategies is the lab's seed portfolio: DSL renderings of the
@@ -107,7 +116,7 @@ type Tournament struct {
 	N, P     int
 	MaxTicks int
 	// Algorithms names the Write-All algorithms entered (the engine
-	// registry's names); empty means {X, V, combined}.
+	// registry's names); empty means defaultBracket.
 	Algorithms []string
 	// Seed feeds seed-taking algorithms (ACC) and the random baseline.
 	Seed int64
@@ -127,37 +136,16 @@ type MatchResult struct {
 // Sigma returns the match's measured overhead σ = S/(N+|F|).
 func (m MatchResult) Sigma() float64 { return m.Metrics.Overhead() }
 
-// newAlgorithm mirrors engine.NewAlgorithm over the root package.
-// (advlab cannot import internal/engine — the engine's lab spec imports
-// advlab — so the lab carries its own copy of the name switch; the
-// conformance test in internal/engine pins the two registries equal.)
-func newAlgorithm(name string, seed int64) (pram.Algorithm, bool, error) {
-	switch name {
-	case "X":
-		return failstop.NewX(), false, nil
-	case "V":
-		return failstop.NewV(), false, nil
-	case "combined":
-		return failstop.NewCombined(), false, nil
-	case "W":
-		return failstop.NewW(), false, nil
-	case "oblivious":
-		return failstop.NewOblivious(), true, nil
-	case "ACC":
-		return failstop.NewACC(seed), false, nil
-	case "trivial":
-		return failstop.NewTrivial(), false, nil
-	case "sequential":
-		return failstop.NewSequential(), false, nil
-	default:
-		return nil, false, fmt.Errorf("unknown algorithm %q", name)
-	}
-}
+// defaultBracket is the algorithms a tournament enters when it names
+// none: the paper's two algorithms and their Theorem 4.9 combination.
+var defaultBracket = []string{"X", "V", "combined"}
 
-// Algorithms returns the lab's algorithm registry, which must match
-// engine.Algorithms (pinned by a test in internal/engine).
-func Algorithms() []string {
-	return []string{"X", "V", "combined", "W", "oblivious", "ACC", "trivial", "sequential"}
+// bracket returns algs, or defaultBracket when algs is empty.
+func bracket(algs []string) []string {
+	if len(algs) == 0 {
+		return defaultBracket
+	}
+	return algs
 }
 
 // Run plays every entrant against every algorithm through the bench
@@ -170,20 +158,13 @@ func (t Tournament) Run(ctx context.Context) ([]MatchResult, error) {
 	if t.N <= 0 || t.P <= 0 {
 		return nil, fmt.Errorf("advlab: tournament needs positive N and P, got %d, %d", t.N, t.P)
 	}
-	algs := t.Algorithms
-	if len(algs) == 0 {
-		algs = []string{"X", "V", "combined"}
-	}
 	entrants := t.Entrants
 	if len(entrants) == 0 {
-		entrants = HandWritten(t.N, t.P, t.Seed)
-		for _, s := range BuiltinStrategies(t.P) {
-			entrants = append(entrants, StrategyEntrant(s))
-		}
+		entrants = defaultEntrants(t.N, t.P, t.Seed)
 	}
 	var out []MatchResult
-	for _, alg := range algs {
-		if _, _, err := newAlgorithm(alg, t.Seed); err != nil {
+	for _, alg := range bracket(t.Algorithms) {
+		if _, _, err := engine.NewAlgorithm(alg, t.Seed); err != nil {
 			return nil, fmt.Errorf("advlab: %w", err)
 		}
 		for _, e := range entrants {
@@ -218,7 +199,7 @@ func safeRun(ctx context.Context, n, p, maxTicks int, algName string, seed int64
 			m, err = pram.Metrics{}, fmt.Errorf("match panicked: %v", r)
 		}
 	}()
-	alg, needsSnapshot, err := newAlgorithm(algName, seed)
+	alg, needsSnapshot, err := engine.NewAlgorithm(algName, seed)
 	if err != nil {
 		return pram.Metrics{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/pram"
 )
 
@@ -112,17 +113,26 @@ func TestFrontierTableRoutesErrors(t *testing.T) {
 	}
 }
 
-// TestLabAlgorithmsMatchEngine pins the lab's private algorithm switch
-// to the registry list; the engine-side test pins that list against
-// engine.Algorithms, closing the loop without an import cycle.
+// TestLabAlgorithmsMatchEngine checks that the lab brackets every
+// engine registry algorithm, since it builds them through the registry,
+// and rejects a name the registry does not know.
 func TestLabAlgorithmsMatchEngine(t *testing.T) {
-	for _, name := range Algorithms() {
-		alg, _, err := newAlgorithm(name, 1)
-		if err != nil || alg == nil {
-			t.Errorf("newAlgorithm(%q) = %v, %v", name, alg, err)
+	none := HandWritten(16, 4, 1)[:1]
+	tour := Tournament{N: 16, P: 4, MaxTicks: 1 << 12, Algorithms: engine.Algorithms(), Entrants: none}
+	results, err := tour.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(results) != len(engine.Algorithms()) {
+		t.Fatalf("got %d matches, want one per registry algorithm (%d)", len(results), len(engine.Algorithms()))
+	}
+	for _, r := range results {
+		if r.Err != "" {
+			t.Errorf("%s failed against %s: %s", r.Algorithm, r.Adversary, r.Err)
 		}
 	}
-	if _, _, err := newAlgorithm("no-such-algorithm", 1); err == nil {
+	tour.Algorithms = []string{"no-such-algorithm"}
+	if _, err := tour.Run(context.Background()); err == nil {
 		t.Error("unknown name accepted")
 	}
 }

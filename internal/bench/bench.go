@@ -39,14 +39,15 @@ type Sweep struct {
 	// Parallel is the number of points Points evaluates at once; 0 or 1
 	// runs them one at a time. Tables are identical at any setting.
 	Parallel int
-	// Deadline bounds the wall-clock time of each Write-All point; zero
-	// disables the watchdog. A point that exceeds it is canceled
-	// cooperatively; a point whose machine is stuck inside a single tick
-	// and cannot observe cancellation is abandoned (its goroutine and
-	// pooled runner leak, by design) and reported as a deadline error, so
-	// one hung run degrades that point rather than the whole sweep.
-	// MaxTicks bounds logical time; this bounds wall-clock time —
-	// livelocks burn ticks, hangs burn hours.
+	// Deadline bounds the wall-clock time of every sweep point, the
+	// robust executor's as well as Write-All's; zero disables the
+	// watchdog. A point that exceeds it is canceled cooperatively; a
+	// point whose machine is stuck inside a single tick and cannot
+	// observe cancellation is abandoned (its goroutine and pooled runner
+	// leak, by design) and reported as a deadline error, so one hung run
+	// degrades that point rather than the whole sweep. MaxTicks bounds
+	// logical time; this bounds wall-clock time — livelocks burn ticks,
+	// hangs burn hours.
 	Deadline time.Duration
 }
 
@@ -213,7 +214,8 @@ type outcome struct {
 	err error
 }
 
-// runWA executes one Write-All run under the sweep's point deadline and
+// runWA executes one run of alg (a Write-All algorithm or the robust
+// executor) on a pooled Runner under the sweep's point deadline and
 // returns its metrics. A canceled ctx drains the point immediately (so a
 // sweep's remaining points fall through fast after SIGINT); a run error
 // — tick limit, budget violation, worker panic — is returned for
@@ -263,6 +265,15 @@ func (s Sweep) runWA(ctx context.Context, cfg pram.Config, alg pram.Algorithm, a
 		return pram.Metrics{}, fmt.Errorf("bench: point (%s vs %s, N=%d P=%d) hung past deadline %v; abandoned",
 			alg.Name(), adv.Name(), cfg.N, cfg.P, d)
 	}
+}
+
+// pointCtx bounds ctx by the point deadline, for points that step
+// their machine themselves.
+func (s Sweep) pointCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.Deadline <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, s.Deadline)
 }
 
 // Run executes one Write-All run through the harness's sweep-point

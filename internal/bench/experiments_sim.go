@@ -12,27 +12,6 @@ import (
 	"repro/internal/writeall"
 )
 
-// runSim executes a program on the robust executor and returns the
-// metrics, or the error for per-point capture. Cancellation is checked
-// at point granularity (the core machine has no tick-level hook).
-func runSim(ctx context.Context, p core.Program, realP int, adv pram.Adversary, cfg pram.Config) (pram.Metrics, error) {
-	if err := ctx.Err(); err != nil {
-		return pram.Metrics{}, fmt.Errorf("bench: point canceled: %w", err)
-	}
-	start := obsPointStart()
-	m, err := core.NewMachine(p, realP, adv, cfg)
-	if err != nil {
-		obsPointDone(start, err)
-		return pram.Metrics{}, fmt.Errorf("bench: NewMachine(%s): %w", p.Name(), err)
-	}
-	got, err := m.Run()
-	obsPointDone(start, err)
-	if err != nil {
-		return got, fmt.Errorf("bench: Run(%s under %s): %w", p.Name(), adv.Name(), err)
-	}
-	return got, nil
-}
-
 // stepOverhead computes the per-step overhead ratio sigma = S/(tau*N+|F|),
 // the Definition 2.3 measure amortized over the tau simulated steps.
 func stepOverhead(m pram.Metrics, tau int) float64 {
@@ -61,7 +40,9 @@ func E9Simulation(ctx context.Context, s Sweep) []Table {
 		p := prog.PrefixSum{N: n}
 		adv := adversary.NewRandom(0.05, 0.5, 31)
 		adv.MaxEvents = int64(p.Steps() * n / int(log2(n))) // Cor 4.12's per-step budget
-		got, steps, err := core.RunWithStepMetrics(ctx, p, n, adv, pram.Config{}, core.EngineVX)
+		pctx, cancel := s.pointCtx(ctx)
+		got, steps, err := core.RunWithStepMetrics(pctx, p, n, adv, pram.Config{}, core.EngineVX)
+		cancel()
 		if err != nil {
 			t.fail(fmt.Sprintf("N=%d", n), err)
 			continue
@@ -109,7 +90,7 @@ func E10OverheadRatio(ctx context.Context, s Sweep) []Table {
 			r.MaxEvents = m
 			adv = r
 		}
-		got, err := runSim(ctx, p, n, adv, pram.Config{})
+		got, err := s.runWA(ctx, pram.Config{N: n, P: n}, core.NewExecutor(p), adv)
 		if err != nil {
 			t.fail(fmt.Sprintf("|F| target %d", m), err)
 			continue
@@ -143,21 +124,12 @@ func E11Optimality(ctx context.Context, s Sweep) []Table {
 	for _, engine := range []core.Engine{core.EngineVX, core.EngineX} {
 		for _, n := range sizes {
 			pointID := fmt.Sprintf("%s N=%d", engine, n)
-			if err := ctx.Err(); err != nil {
-				t.fail(pointID, err)
-				continue
-			}
 			l2 := int(log2(n))
 			realP := max(1, n/(l2*l2))
 			p := prog.PrefixSum{N: n}
 			adv := adversary.NewRandom(0.1, 0.8, 41)
 			adv.MaxEvents = int64(p.Steps() * (n / l2))
-			m, err := core.NewMachineWithEngine(p, realP, adv, pram.Config{}, engine)
-			if err != nil {
-				t.fail(pointID, err)
-				continue
-			}
-			got, err := m.Run()
+			got, err := s.runWA(ctx, pram.Config{N: n, P: realP}, core.NewExecutorWithEngine(p, engine), adv)
 			if err != nil {
 				t.fail(pointID, err)
 				continue

@@ -173,3 +173,30 @@ func TestPointDeadlineLeavesFastPointsAlone(t *testing.T) {
 		t.Errorf("watchdog changed the run: %+v vs %+v", got, base)
 	}
 }
+
+// TestPointDeadlineBoundsSimulationPoints checks that the point deadline
+// reaches the robust executor's points too: under a deadline no run can
+// meet, quick E9, E10 and E11 report every point in Table.Errors, each
+// with the deadline as its cause, instead of running them to completion.
+func TestPointDeadlineBoundsSimulationPoints(t *testing.T) {
+	s := Sweep{Scale: Quick, Deadline: time.Nanosecond}
+	for _, tc := range []struct {
+		run    func(context.Context, Sweep) []Table
+		points int
+	}{
+		{E9Simulation, 4},
+		{E10OverheadRatio, 4},
+		{E11Optimality, 6},
+	} {
+		tb := tc.run(context.Background(), s)[0]
+		if len(tb.Rows) != 0 || len(tb.Errors) != tc.points {
+			t.Errorf("%s: %d rows and %d errors, want 0 rows and all %d points in Errors",
+				tb.ID, len(tb.Rows), len(tb.Errors), tc.points)
+		}
+		for _, e := range tb.Errors {
+			if !strings.Contains(e, context.DeadlineExceeded.Error()) {
+				t.Errorf("%s: degraded point %q does not cite the deadline", tb.ID, e)
+			}
+		}
+	}
+}

@@ -187,7 +187,7 @@ func TestExecutorTinySizes(t *testing.T) {
 func TestExecutorSimMemoryMethod(t *testing.T) {
 	cp := prog.Assign{N: 8}
 	exec := core.NewExecutor(cp)
-	m, err := pram.New(pram.Config{N: 8, P: 8, CycleReadBudget: 8}, exec, adversary.None{})
+	m, err := pram.New(pram.Config{N: 8, P: 8}, exec, adversary.None{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -199,5 +199,35 @@ func TestExecutorSimMemoryMethod(t *testing.T) {
 	}
 	if exec.Name() == "" {
 		t.Error("empty executor name")
+	}
+}
+
+// TestExecutorRunsOnPlainConfig builds the executor's machine with
+// pram.New from a bare Config{N, P}: the executor declares its widened
+// read budget itself (pram.ReadBudgeter), so the run completes, checks
+// out, and equals NewMachine's.
+func TestExecutorRunsOnPlainConfig(t *testing.T) {
+	pr := prog.PrefixSum{N: 64}
+	adv := func() pram.Adversary { return adversary.NewRandom(0.1, 0.5, 7) }
+	for _, engine := range []core.Engine{core.EngineVX, core.EngineX} {
+		exec := core.NewExecutorWithEngine(pr, engine)
+		m, err := pram.New(pram.Config{N: pr.Processors(), P: 16}, exec, adv())
+		if err != nil {
+			t.Fatalf("%s: New: %v", engine, err)
+		}
+		got, err := m.Run()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", engine, err)
+		}
+		if err := pr.Check(exec.SimMemory(m.Memory())); err != nil {
+			t.Errorf("%s: %v", engine, err)
+		}
+		ref, err := core.NewMachineWithEngine(pr, 16, adv(), pram.Config{}, engine)
+		if err != nil {
+			t.Fatalf("%s: NewMachineWithEngine: %v", engine, err)
+		}
+		if want, err := ref.Run(); err != nil || got != want {
+			t.Errorf("%s: plain-Config run %+v, NewMachine run %+v (err %v)", engine, got, want, err)
+		}
 	}
 }

@@ -85,11 +85,17 @@ func (e Engine) String() string {
 }
 
 // Executor is a pram.Algorithm that runs a Program on the fail-stop
-// machine. Construct machines for it with NewMachine, which also sets the
-// widened cycle budgets. Its processors are pram.Resettable: a restarted
-// processor knows only its PID (Section 2.1), so the machine resets the
-// dead incarnation in place instead of building a new one, and a
-// pram.Runner handed the same Executor again recycles them across runs.
+// machine. Any machine whose Config.N is the program's processor count
+// and whose P is at most that runs it, pooled Runners included;
+// NewMachine builds one from the program. A leaf cycle reads at most six
+// of the executor's own cells (phase, position, progress, scratch)
+// besides the program's own, so the executor declares a read bound of
+// 6 + StepReads through pram.ReadBudgeter; it writes at most 2 cells,
+// like a plain update cycle. Its processors are pram.Resettable: a
+// restarted processor knows only its PID (Section 2.1), so the machine
+// resets the dead incarnation in place instead of building a new one,
+// and a pram.Runner handed the same Executor again recycles them across
+// runs.
 type Executor struct {
 	prog   Program
 	engine Engine
@@ -125,8 +131,7 @@ func NewMachineWithEngine(prog Program, p int, adv pram.Adversary, cfg pram.Conf
 }
 
 // machineConfig completes cfg for executing prog on p real processors:
-// the machine's N is the simulated processor count, and the cycle
-// budgets are widened for the leaf visits.
+// the machine's N is the simulated processor count.
 func machineConfig(prog Program, p int, cfg pram.Config) (pram.Config, error) {
 	if prog.Processors() < 1 {
 		return cfg, fmt.Errorf("core: program %q has no processors", prog.Name())
@@ -135,12 +140,7 @@ func machineConfig(prog Program, p int, cfg pram.Config) (pram.Config, error) {
 		return cfg, fmt.Errorf("core: P = %d exceeds simulated N = %d (the paper requires P <= N)",
 			p, prog.Processors())
 	}
-	cfg.N = prog.Processors()
-	cfg.P = p
-	// Leaf cycles read: phase, w, d, scratch(2) plus the program's own
-	// reads; they write at most 2 cells, like plain update cycles.
-	cfg.CycleReadBudget = 6 + prog.StepReads()
-	cfg.CycleWriteBudget = pram.MaxWritesPerCycle
+	cfg.N, cfg.P = prog.Processors(), p
 	return cfg, nil
 }
 
@@ -201,6 +201,9 @@ func (l *layout) fullyPadded(v int) bool {
 
 // Name implements pram.Algorithm.
 func (e *Executor) Name() string { return "executor(" + e.prog.Name() + ")" }
+
+// ReadBudget implements pram.ReadBudgeter.
+func (e *Executor) ReadBudget() int { return 6 + e.prog.StepReads() }
 
 // MemorySize implements pram.Algorithm.
 func (e *Executor) MemorySize(n, p int) int {
@@ -317,6 +320,7 @@ func SimMemory(mem *pram.Memory, prog Program) []pram.Word {
 }
 
 var _ pram.Algorithm = (*Executor)(nil)
+var _ pram.ReadBudgeter = (*Executor)(nil)
 
 // execProc is a real processor executing phase-stamped algorithm X whose
 // leaf work simulates PRAM instructions. It has no private state at all:

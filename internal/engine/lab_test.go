@@ -1,92 +1,35 @@
-package engine
+package engine_test
 
 import (
 	"context"
-	"encoding/json"
-	"path/filepath"
-	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/advlab"
+	"repro/internal/engine"
 )
 
-func TestLabSpecJSONRoundTrip(t *testing.T) {
-	spec := LabSpec{
-		N: 64, P: 4, MaxTicks: 1 << 12,
-		Algorithms:  []string{"X", "trivial"},
-		Seed:        7,
-		Strategies:  advlab.BuiltinStrategies(4)[:1],
-		SearchIters: 3,
-		JournalPath: "lab.jsonl",
+// TestLabAfterDeadlineSweep checks that the lab, an engine client, runs
+// its matches without a point deadline whatever sweep ran before it.
+// Post-order against V panics in the adversary; without a watchdog
+// goroutine the lab recovers that panic and reports the match as
+// errored.
+func TestLabAfterDeadlineSweep(t *testing.T) {
+	spec := engine.SweepSpec{Run: []string{"E1"}, Deadline: time.Minute}
+	if _, err := engine.ExecuteSweep(context.Background(), spec, engine.SweepOptions{}); err != nil {
+		t.Fatalf("ExecuteSweep(E1, deadline %v): %v", spec.Deadline, err)
 	}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var back LabSpec
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !reflect.DeepEqual(spec, back) {
-		t.Errorf("round trip changed the spec:\n  in  %+v\n  out %+v", spec, back)
-	}
-}
-
-func TestLabSpecValidateRejections(t *testing.T) {
-	bad := []LabSpec{
-		{N: 0},
-		{N: 16, P: -1},
-		{N: 16, MaxTicks: -1},
-		{N: 16, SearchIters: -1},
-		{N: 16, Algorithms: []string{"no-such-algorithm"}},
-		{N: 16, Strategies: []advlab.Strategy{{Name: "empty"}}},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("spec %d (%+v) validated; want rejection", i, s)
-		}
-	}
-}
-
-// TestExecuteLabSmoke runs a small tournament plus search end to end:
-// the bracket covers every entrant, the frontier tables follow bracket
-// order, and the search produces a replayable winner per algorithm.
-func TestExecuteLabSmoke(t *testing.T) {
-	spec := LabSpec{
-		N: 64, P: 4, MaxTicks: 1 << 13,
-		Algorithms:  []string{"trivial"},
-		Seed:        1,
-		SearchIters: 2,
-		JournalPath: filepath.Join(t.TempDir(), "journal.jsonl"),
-	}
-	res, err := ExecuteLab(context.Background(), spec)
+	res, err := advlab.ExecuteLab(context.Background(), advlab.LabSpec{N: 64, P: 16, MaxTicks: 1 << 14, Algorithms: []string{"V"}})
 	if err != nil {
 		t.Fatalf("ExecuteLab: %v", err)
 	}
-	wantEntrants := len(advlab.HandWritten(64, 4, 1)) + len(advlab.BuiltinStrategies(4))
-	if len(res.Matches) != wantEntrants {
-		t.Errorf("got %d matches, want %d", len(res.Matches), wantEntrants)
+	for _, m := range res.Matches {
+		if m.Adversary == "postorder" {
+			if m.Err == "" {
+				t.Errorf("post-order vs V reported no error: %+v", m)
+			}
+			return
+		}
 	}
-	if len(res.Frontiers) != 1 {
-		t.Fatalf("got %d frontier tables, want 1", len(res.Frontiers))
-	}
-	if len(res.Searches) != 1 || res.Searches[0].Algorithm != "trivial" {
-		t.Fatalf("searches = %+v, want one result for trivial", res.Searches)
-	}
-	if res.Searches[0].BestSigma <= 0 {
-		t.Errorf("search best σ = %v, want positive", res.Searches[0].BestSigma)
-	}
-	if err := res.Searches[0].Best.Validate(); err != nil {
-		t.Errorf("search winner is not a valid replay spec: %v", err)
-	}
-}
-
-// TestLabRegistryMatchesEngine closes the loop the lab's own test
-// leaves open: advlab mirrors the engine's algorithm registry in a
-// private switch (importing engine would cycle), and this pins the two
-// lists equal so a registry change cannot silently desynchronize them.
-func TestLabRegistryMatchesEngine(t *testing.T) {
-	if got, want := advlab.Algorithms(), Algorithms(); !reflect.DeepEqual(got, want) {
-		t.Errorf("advlab.Algorithms() = %v\nengine.Algorithms() = %v", got, want)
-	}
+	t.Fatalf("no post-order match among %d matches", len(res.Matches))
 }

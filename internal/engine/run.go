@@ -9,7 +9,6 @@ import (
 	"os"
 	"slices"
 
-	failstop "repro"
 	"repro/internal/adversary"
 	"repro/internal/pram"
 )
@@ -55,7 +54,7 @@ type RunResult struct {
 	N int `json:"n"`
 	P int `json:"p"`
 	// Metrics is the paper's accounting for the run.
-	Metrics failstop.Metrics `json:"metrics"`
+	Metrics pram.Metrics `json:"metrics"`
 	// Violations records adversary contract breaches observed during
 	// the run; they are diagnostics, reported whether or not the run
 	// completed.
@@ -68,7 +67,9 @@ type RunResult struct {
 // ResumeTick reports the tick a run with Resume set resumes at: that of
 // the checkpoint at path (current generation, or the previous one when
 // the current does not load), and whether there is one. The job service
-// uses it to cut a recovered job's event trace back to that tick.
+// uses it to cut a recovered job's event trace back to that tick. It
+// counts no checkpoint fallback: ExecuteRun's own load of the same
+// checkpoint does, once per resume.
 func ResumeTick(path string) (int, bool) {
 	if path == "" {
 		return 0, false
@@ -130,42 +131,30 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 	var snap *pram.Snapshot
 	if spec.RestorePath != "" {
 		var err error
-		var loaded string
-		snap, loaded, err = pram.LoadSnapshotFallback(spec.RestorePath)
-		if err != nil {
+		if snap, err = pram.LoadCheckpoint(spec.RestorePath, opt.warnf); err != nil {
 			return res, err
 		}
-		if loaded != spec.RestorePath {
-			opt.warnf("warning: checkpoint %s unusable; resuming from previous checkpoint %s (tick %d)",
-				spec.RestorePath, loaded, snap.Tick)
-		}
-		spec.N, spec.P = snap.N, snap.P
 	} else if opt.Resume && spec.CheckpointPath != "" {
 		var err error
-		var loaded string
-		snap, loaded, err = pram.LoadSnapshotFallback(spec.CheckpointPath)
+		snap, err = pram.LoadCheckpoint(spec.CheckpointPath, opt.warnf)
 		switch {
 		case err == nil:
-			if loaded != spec.CheckpointPath {
-				opt.warnf("warning: checkpoint %s unusable; resuming from previous checkpoint %s (tick %d)",
-					spec.CheckpointPath, loaded, snap.Tick)
-			}
-			spec.N, spec.P = snap.N, snap.P
 		case errors.Is(err, fs.ErrNotExist):
 			// Crashed before the first checkpoint: run from scratch.
-			snap = nil
 		default:
 			// Both generations corrupt: determinism makes a restart
 			// from scratch correct, just slower.
 			opt.warnf("warning: no loadable checkpoint at %s (%v); restarting from scratch", spec.CheckpointPath, err)
-			snap = nil
 		}
+	}
+	if snap != nil {
+		spec.N, spec.P = snap.N, snap.P
 	}
 	if spec.P == 0 {
 		spec.P = spec.N
 	}
 
-	cfg := failstop.Config{N: spec.N, P: spec.P, MaxTicks: spec.MaxTicks, Packed: spec.Packed}
+	cfg := pram.Config{N: spec.N, P: spec.P, MaxTicks: spec.MaxTicks, Packed: spec.Packed}
 
 	var sinks pram.MultiSink
 	if spec.CSVPath != "" {
@@ -213,7 +202,7 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 	}
 	cfg.AllowSnapshot = allowSnapshot
 
-	var adv failstop.Adversary
+	var adv pram.Adversary
 	if spec.ReplayPath != "" {
 		f, err := os.Open(spec.ReplayPath)
 		if err != nil {
@@ -224,7 +213,7 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 		if err != nil {
 			return res, err
 		}
-		adv = scheduledAdversary(pattern)
+		adv = adversary.NewScheduled(pattern)
 	} else {
 		adv, err = NewAdversary(spec, spec.N, spec.P)
 		if err != nil {
@@ -251,7 +240,7 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 	res.Adversary = adv.Name()
 	res.N, res.P = spec.N, spec.P
 
-	var m failstop.Metrics
+	var m pram.Metrics
 	if snap != nil {
 		res.ResumedFromTick = snap.Tick
 		m, err = runner.ResumeCtx(ctx, cfg, alg, adv, snap)

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/pram"
 )
 
 // TestExecuteRunReuseIsInvisible checks the idle Runner behind
@@ -89,5 +94,62 @@ func TestExecuteRunTraceKeepsQuietWindows(t *testing.T) {
 	if next != res.Metrics.Ticks || batches == 0 {
 		t.Fatalf("%d batch lines; tick and batch lines cover [0, %d), want [0, %d) with at least one batch line",
 			batches, next, res.Metrics.Ticks)
+	}
+}
+
+// TestResumePastTornCheckpointCountsOneFallback tears the newest
+// checkpoint generation of a finished run and resumes it both ways
+// ExecuteRun can: from RestorePath, and as the job service's crash
+// recovery (ResumeTick, then Resume). Each resume falls back to the
+// previous generation, warns, reproduces the uninterrupted run's
+// metrics, and raises pram_checkpoint_fallbacks_total by exactly one.
+func TestResumePastTornCheckpointCountsOneFallback(t *testing.T) {
+	reg := obs.NewRegistry()
+	pram.EnableObs(reg)
+	path := filepath.Join(t.TempDir(), "run.snap")
+	spec := RunSpec{Algorithm: "X", Adversary: "random", N: 256, P: 16, Seed: 3,
+		FailProb: 0.1, RestartProb: 0.5, CheckpointPath: path, CheckpointEvery: 8}
+	want, err := ExecuteRun(context.Background(), spec, RunOptions{})
+	if err != nil {
+		t.Fatalf("checkpointed run: %v", err)
+	}
+	restore := spec
+	restore.CheckpointPath, restore.RestorePath = "", path
+	for _, tc := range []struct {
+		name   string
+		spec   RunSpec
+		resume bool
+	}{
+		{"restore", restore, false},
+		{"resume", spec, true},
+	} {
+		// Tear the newest generation, as a crash mid-write would.
+		if err := os.Truncate(path, 10); err != nil {
+			t.Fatalf("%s: Truncate: %v", tc.name, err)
+		}
+		if tc.resume {
+			if _, ok := ResumeTick(path); !ok {
+				t.Fatalf("%s: ResumeTick found no checkpoint", tc.name)
+			}
+		}
+		before, _ := reg.Value(obs.MetricCheckpointFallbacks)
+		var warned []string
+		opt := RunOptions{Resume: tc.resume, Warnf: func(format string, args ...any) {
+			warned = append(warned, fmt.Sprintf(format, args...))
+		}}
+		got, err := ExecuteRun(context.Background(), tc.spec, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if after, _ := reg.Value(obs.MetricCheckpointFallbacks); after-before != 1 {
+			t.Errorf("%s: fallback counter rose by %v, want 1", tc.name, after-before)
+		}
+		if len(warned) != 1 || !strings.Contains(warned[0], "previous checkpoint") {
+			t.Errorf("%s: warnings %q, want one naming the previous checkpoint", tc.name, warned)
+		}
+		if got.ResumedFromTick == 0 || got.Metrics != want.Metrics {
+			t.Errorf("%s: resumed from tick %d with metrics %+v, want a resume reproducing %+v",
+				tc.name, got.ResumedFromTick, got.Metrics, want.Metrics)
+		}
 	}
 }

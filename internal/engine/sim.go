@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	failstop "repro"
+	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/prog"
+	"repro/internal/pram"
 )
 
 // SimResult is the outcome of one robust PRAM simulation.
@@ -23,85 +23,24 @@ type SimResult struct {
 	P     int `json:"p"`
 	Steps int `json:"steps"`
 	// Metrics is the paper's accounting for the whole simulation.
-	Metrics failstop.Metrics `json:"metrics"`
+	Metrics pram.Metrics `json:"metrics"`
 	// StepStats holds Theorem 4.1's per-simulated-step measures
 	// (PerStep specs only).
 	StepStats []core.StepMetric `json:"step_stats,omitempty"`
 	// Memory is the final simulated memory (non-PerStep specs only).
-	Memory []failstop.Word `json:"memory,omitempty"`
+	Memory []pram.Word `json:"memory,omitempty"`
 	// Validated reports that Memory matched the failure-free semantics
 	// (checked for every non-PerStep run; a mismatch is an error).
 	Validated bool `json:"validated,omitempty"`
 }
 
-// simPrograms lists the sample programs, in the order cmd/pramsim
-// documents them.
-var simPrograms = []string{
-	"assign", "reduce-sum", "prefix-sum", "list-rank",
-	"odd-even-sort", "matmul", "broadcast", "max-reduce", "tree-roots",
-}
-
-func knownProgram(name string) bool {
-	for _, p := range simPrograms {
-		if p == name {
-			return true
-		}
+// simAdversary constructs a SimSpec's adversary for n simulated and p
+// real processors; "" means no failures.
+func simAdversary(s SimSpec, n, p int) (pram.Adversary, error) {
+	if s.Adversary == "" {
+		return adversary.None{}, nil
 	}
-	return false
-}
-
-// Programs returns the sample program names, in the order cmd/pramsim
-// documents them.
-func Programs() []string { return append([]string(nil), simPrograms...) }
-
-// NewProgram constructs the named sample program (with its deterministic
-// input, where the program takes one) and its output checker.
-func NewProgram(name string, n, k int) (failstop.Program, prog.Checker, error) {
-	switch name {
-	case "assign":
-		pr := prog.Assign{N: n}
-		return pr, pr, nil
-	case "reduce-sum":
-		pr := prog.ReduceSum{N: n}
-		return pr, pr, nil
-	case "prefix-sum":
-		pr := prog.PrefixSum{N: n}
-		return pr, pr, nil
-	case "list-rank":
-		pr := prog.ListRank{N: n}
-		return pr, pr, nil
-	case "odd-even-sort":
-		input := make([]failstop.Word, n)
-		for i := range input {
-			input[i] = failstop.Word((i*7919 + 13) % (4 * n))
-		}
-		pr := prog.OddEvenSort{N: n, Input: input}
-		return pr, pr, nil
-	case "broadcast":
-		pr := prog.Broadcast{N: n}
-		return pr, pr, nil
-	case "max-reduce":
-		input := make([]failstop.Word, n)
-		for i := range input {
-			input[i] = failstop.Word((i*2654435761 + 17) % (1 << 20))
-		}
-		pr := prog.MaxReduce{N: n, Input: input}
-		return pr, pr, nil
-	case "tree-roots":
-		pr := prog.TreeRoots{N: n}
-		return pr, pr, nil
-	case "matmul":
-		a := make([]failstop.Word, k*k)
-		b := make([]failstop.Word, k*k)
-		for i := range a {
-			a[i] = failstop.Word(i + 1)
-			b[i] = failstop.Word(len(b) - i)
-		}
-		pr := prog.MatMul{K: k, A: a, B: b}
-		return pr, pr, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown program %q", name)
-	}
+	return NewAdversary(RunSpec{Adversary: s.Adversary, Seed: s.Seed, FailProb: s.FailProb, RestartProb: s.RestartProb}, n, p)
 }
 
 // ExecuteSim validates spec and runs the program robustly on P
@@ -132,15 +71,15 @@ func ExecuteSim(ctx context.Context, spec SimSpec) (SimResult, error) {
 		p = program.Processors()
 	}
 
-	adv, err := simAdversary(spec)
+	adv, err := simAdversary(spec, program.Processors(), p)
 	if err != nil {
 		return res, err
 	}
 
-	eng := failstop.EngineVX
+	eng := core.EngineVX
 	res.Engine = "vx"
 	if spec.Engine == "x" {
-		eng = failstop.EngineX
+		eng = core.EngineX
 		res.Engine = "x"
 	}
 	res.EngineDisplay = eng.String()
@@ -151,14 +90,14 @@ func ExecuteSim(ctx context.Context, spec SimSpec) (SimResult, error) {
 	res.Steps = program.Steps()
 
 	if spec.PerStep {
-		res.Metrics, res.StepStats, err = core.RunWithStepMetrics(ctx, program, p, adv, failstop.Config{}, eng)
+		res.Metrics, res.StepStats, err = core.RunWithStepMetrics(ctx, program, p, adv, pram.Config{}, eng)
 		if err != nil {
 			return res, fmt.Errorf("execute %s: %w", program.Name(), err)
 		}
 		return res, nil
 	}
 
-	m, err := core.NewMachineWithEngine(program, p, adv, failstop.Config{}, eng)
+	m, err := core.NewMachineWithEngine(program, p, adv, pram.Config{}, eng)
 	if err != nil {
 		return res, fmt.Errorf("execute %s: %w", program.Name(), err)
 	}

@@ -4,7 +4,9 @@
 // wiring the thin clients used to duplicate: flag-shaped configuration
 // becomes a validated, JSON-round-trippable spec, and Execute* drives
 // machine construction, Runner pooling, checkpoint/resume, sink setup,
-// journaling, and graceful shutdown for that spec.
+// journaling, and graceful shutdown for that spec. It also owns the one
+// registry of algorithm, adversary and program names (registry.go) that
+// the specs, the CLIs and the adversary lab construct through.
 //
 // Three spec kinds cover the repo's workloads:
 //
@@ -18,23 +20,17 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"time"
-
-	failstop "repro"
-	"repro/internal/adversary"
 )
 
 // RunSpec describes one Write-All run: the flag surface of cmd/writeall
 // as data. The zero value is not runnable; at minimum Algorithm,
 // Adversary, and N must be set (the CLI's flag defaults provide them).
 type RunSpec struct {
-	// Algorithm names the Write-All algorithm: X, V, combined, W,
-	// oblivious, ACC, trivial, sequential.
+	// Algorithm names the Write-All algorithm, one of Algorithms().
 	Algorithm string `json:"algorithm"`
-	// Adversary names the failure adversary: none, random, thrashing,
-	// rotating, halving, postorder, stalking, stalking-failstop.
+	// Adversary names the failure adversary, one of Adversaries().
 	// Ignored when ReplayPath is set (the recorded pattern is the
 	// adversary).
 	Adversary string `json:"adversary"`
@@ -91,15 +87,17 @@ const DefaultCheckpointEvery = 1024
 // executing. Error strings for unknown algorithm/adversary names match
 // the historical CLI messages, which are interface (tests grep them).
 func (s RunSpec) Validate() error {
-	if _, _, err := NewAlgorithm(s.Algorithm, s.Seed); err != nil {
+	alg, err := algorithms.find("algorithm", s.Algorithm)
+	if err != nil {
 		return err
 	}
+	adv, advErr := adversaries.find("adversary", s.Adversary)
 	if s.ReplayPath == "" {
-		if err := checkAdversaryName(s.Adversary); err != nil {
-			return err
+		if advErr != nil {
+			return advErr
 		}
-		if s.Adversary == "postorder" && !readsXTree(s.Algorithm) {
-			return fmt.Errorf("run spec: %w: algorithm %s (use X, combined or ACC)", ErrPostOrderAlgorithm, s.Algorithm)
+		if adv.needsXTree && !alg.xTree {
+			return fmt.Errorf("run spec: %w: algorithm %s (use %s)", ErrPostOrderAlgorithm, s.Algorithm, xTreeAlgorithms())
 		}
 	}
 	if s.N <= 0 {
@@ -108,12 +106,9 @@ func (s RunSpec) Validate() error {
 	if s.P < 0 {
 		return fmt.Errorf("run spec: p must be non-negative, got %d", s.P)
 	}
-	if s.Adversary == "random" {
-		if s.FailProb < 0 || s.FailProb > 1 {
-			return fmt.Errorf("run spec: fail probability %v outside [0, 1]", s.FailProb)
-		}
-		if s.RestartProb < 0 || s.RestartProb > 1 {
-			return fmt.Errorf("run spec: restart probability %v outside [0, 1]", s.RestartProb)
+	if adv.random {
+		if err := checkProbs("run spec", s.FailProb, s.RestartProb); err != nil {
+			return err
 		}
 	}
 	if s.MaxEvents < 0 {
@@ -173,19 +168,17 @@ func (s SweepSpec) Validate() error {
 // SimSpec describes one robust PRAM simulation: the flag surface of
 // cmd/pramsim as data.
 type SimSpec struct {
-	// Program names the sample program: assign, reduce-sum, prefix-sum,
-	// list-rank, odd-even-sort, matmul, broadcast, max-reduce,
-	// tree-roots.
+	// Program names the sample program, one of Programs().
 	Program string `json:"program"`
-	// N is the simulated processor count (all programs but matmul);
-	// K the matrix dimension (matmul).
+	// N is the simulated processor count; K the matrix dimension,
+	// which sizes the matrix program instead.
 	N int `json:"n,omitempty"`
 	K int `json:"k,omitempty"`
 	// P is the real processor count (0 or > program width clamps to
 	// the program width).
 	P int `json:"p,omitempty"`
-	// Adversary is one of none, random, thrashing, rotating ("" =
-	// none); Seed/FailProb/RestartProb parameterize random.
+	// Adversary is one of SimAdversaries() ("" = no failures);
+	// Seed/FailProb/RestartProb parameterize the random one.
 	Adversary   string  `json:"adversary,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
 	FailProb    float64 `json:"fail_prob,omitempty"`
@@ -201,142 +194,41 @@ type SimSpec struct {
 // executing. Error strings for unknown program/adversary names match
 // the historical CLI messages.
 func (s SimSpec) Validate() error {
-	if !knownProgram(s.Program) {
-		return fmt.Errorf("unknown program %q", s.Program)
+	pr, err := programs.find("program", s.Program)
+	if err != nil {
+		return err
 	}
-	switch s.Adversary {
-	case "", "none", "random", "thrashing", "rotating":
-	default:
-		return fmt.Errorf("unknown adversary %q", s.Adversary)
+	var adv adversaryEntry
+	if s.Adversary != "" {
+		if adv, err = adversaries.find("adversary", s.Adversary); err != nil || !adv.sim {
+			return fmt.Errorf("unknown adversary %q", s.Adversary)
+		}
 	}
 	switch s.Engine {
 	case "", "vx", "x":
 	default:
 		return fmt.Errorf("sim spec: unknown engine %q (want vx or x)", s.Engine)
 	}
-	if s.Program == "matmul" {
+	if pr.square {
 		if s.K <= 0 {
-			return fmt.Errorf("sim spec: matmul needs k > 0, got %d", s.K)
+			return fmt.Errorf("sim spec: %s needs k > 0, got %d", s.Program, s.K)
 		}
 	} else if s.N <= 0 {
 		return fmt.Errorf("sim spec: n must be positive, got %d", s.N)
 	}
-	if s.Adversary == "random" {
-		if s.FailProb < 0 || s.FailProb > 1 {
-			return fmt.Errorf("sim spec: fail probability %v outside [0, 1]", s.FailProb)
-		}
-		if s.RestartProb < 0 || s.RestartProb > 1 {
-			return fmt.Errorf("sim spec: restart probability %v outside [0, 1]", s.RestartProb)
-		}
+	if adv.random {
+		return checkProbs("sim spec", s.FailProb, s.RestartProb)
 	}
 	return nil
 }
 
-// Algorithms returns the registered Write-All algorithm names, in the
-// order the CLIs document them.
-func Algorithms() []string {
-	return []string{"X", "V", "combined", "W", "oblivious", "ACC", "trivial", "sequential"}
-}
-
-// Adversaries returns the registered adversary names for Write-All
-// runs, in the order the CLIs document them.
-func Adversaries() []string {
-	return []string{"none", "random", "thrashing", "rotating", "halving", "postorder", "stalking", "stalking-failstop"}
-}
-
-// NewAlgorithm constructs the named algorithm. The second result
-// reports whether the algorithm needs Config.AllowSnapshot (the
-// unit-cost memory snapshot instruction of Theorem 3.2).
-func NewAlgorithm(name string, seed int64) (failstop.Algorithm, bool, error) {
-	switch name {
-	case "X":
-		return failstop.NewX(), false, nil
-	case "V":
-		return failstop.NewV(), false, nil
-	case "combined":
-		return failstop.NewCombined(), false, nil
-	case "W":
-		return failstop.NewW(), false, nil
-	case "oblivious":
-		return failstop.NewOblivious(), true, nil
-	case "ACC":
-		return failstop.NewACC(seed), false, nil
-	case "trivial":
-		return failstop.NewTrivial(), false, nil
-	case "sequential":
-		return failstop.NewSequential(), false, nil
-	default:
-		return nil, false, fmt.Errorf("unknown algorithm %q", name)
+// checkProbs range-checks a random adversary's probabilities.
+func checkProbs(kind string, fail, restart float64) error {
+	if fail < 0 || fail > 1 {
+		return fmt.Errorf("%s: fail probability %v outside [0, 1]", kind, fail)
 	}
-}
-
-// ErrPostOrderAlgorithm rejects a run of the post-order adversary against
-// an algorithm it cannot read: the adversary follows processors through
-// algorithm X's progress tree at base N, which only X, combined and ACC
-// lay out.
-var ErrPostOrderAlgorithm = errors.New("adversary postorder needs X's progress tree")
-
-// readsXTree reports whether the named algorithm lays out X's progress
-// tree at base N, the memory the post-order adversary reads.
-func readsXTree(alg string) bool { return alg == "X" || alg == "combined" || alg == "ACC" }
-
-// checkAdversaryName validates an adversary name without constructing
-// it (construction wants the final N/P, which a restore may override).
-func checkAdversaryName(name string) error {
-	switch name {
-	case "none", "random", "thrashing", "rotating", "halving", "postorder", "stalking", "stalking-failstop":
-		return nil
-	default:
-		return fmt.Errorf("unknown adversary %q", name)
+	if restart < 0 || restart > 1 {
+		return fmt.Errorf("%s: restart probability %v outside [0, 1]", kind, restart)
 	}
-}
-
-// NewAdversary constructs the spec's adversary for the given final n
-// and p (which may come from a restored snapshot rather than the spec).
-func NewAdversary(s RunSpec, n, p int) (failstop.Adversary, error) {
-	switch s.Adversary {
-	case "none":
-		return failstop.NoFailures(), nil
-	case "random":
-		if s.MaxEvents > 0 {
-			return failstop.BudgetedRandomFailures(s.FailProb, s.RestartProb, s.Seed, s.MaxEvents), nil
-		}
-		return failstop.RandomFailures(s.FailProb, s.RestartProb, s.Seed), nil
-	case "thrashing":
-		return failstop.ThrashingAdversary(false), nil
-	case "rotating":
-		return failstop.ThrashingAdversary(true), nil
-	case "halving":
-		return failstop.HalvingAdversary(), nil
-	case "postorder":
-		return failstop.PostOrderAdversary(n, p), nil
-	case "stalking":
-		return failstop.StalkingAdversary(n, p, true), nil
-	case "stalking-failstop":
-		return failstop.StalkingAdversary(n, p, false), nil
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", s.Adversary)
-	}
-}
-
-// simAdversary constructs a SimSpec's adversary.
-func simAdversary(s SimSpec) (failstop.Adversary, error) {
-	switch s.Adversary {
-	case "", "none":
-		return failstop.NoFailures(), nil
-	case "random":
-		return failstop.RandomFailures(s.FailProb, s.RestartProb, s.Seed), nil
-	case "thrashing":
-		return failstop.ThrashingAdversary(false), nil
-	case "rotating":
-		return failstop.ThrashingAdversary(true), nil
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", s.Adversary)
-	}
-}
-
-// scheduledAdversary wraps adversary.NewScheduled for ExecuteRun's
-// replay path; kept here so run.go reads top-down.
-func scheduledAdversary(pattern []adversary.Event) failstop.Adversary {
-	return adversary.NewScheduled(pattern)
+	return nil
 }

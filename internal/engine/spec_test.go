@@ -62,7 +62,8 @@ func randomRunSpec(rng *rand.Rand) RunSpec {
 		spec.FailProb = float64(rng.Intn(101)) / 100
 		spec.RestartProb = float64(rng.Intn(101)) / 100
 	}
-	if spec.Adversary == "postorder" && !readsXTree(spec.Algorithm) {
+	adv, _ := adversaries.find("adversary", spec.Adversary)
+	if alg, _ := algorithms.find("algorithm", spec.Algorithm); adv.needsXTree && !alg.xTree {
 		spec.Algorithm = "X" // post-order reads X's tree; Validate rejects other pairings
 	}
 	return spec
@@ -105,8 +106,8 @@ func TestSweepSpecPropertyRoundTrip(t *testing.T) {
 
 func randomSimSpec(rng *rand.Rand) SimSpec {
 	spec := SimSpec{
-		Program:   pick(rng, "assign", "reduce-sum", "prefix-sum", "list-rank", "odd-even-sort", "matmul", "broadcast", "max-reduce", "tree-roots"),
-		Adversary: pick(rng, "", "none", "random", "thrashing", "rotating"),
+		Program:   pick(rng, Programs()...),
+		Adversary: pick(rng, append([]string{""}, SimAdversaries()...)...),
 		Seed:      rng.Int63n(1 << 32),
 		P:         pick(rng, 0, 1, 16),
 		Engine:    pick(rng, "", "vx", "x"),

@@ -38,27 +38,6 @@ func TestSweepDeadlineDoesNotOutliveSweep(t *testing.T) {
 	}
 }
 
-// TestLabAfterDeadlineSweep checks that the lab runs its matches without
-// a point deadline whatever sweep ran before it. Post-order against V
-// panics in the adversary; without a watchdog goroutine the lab recovers
-// that panic and reports the match as errored.
-func TestLabAfterDeadlineSweep(t *testing.T) {
-	sweepE1(t, time.Minute)
-	res, err := ExecuteLab(context.Background(), LabSpec{N: 64, P: 16, MaxTicks: 1 << 14, Algorithms: []string{"V"}})
-	if err != nil {
-		t.Fatalf("ExecuteLab: %v", err)
-	}
-	for _, m := range res.Matches {
-		if m.Adversary == "postorder" {
-			if m.Err == "" {
-				t.Errorf("post-order vs V reported no error: %+v", m)
-			}
-			return
-		}
-	}
-	t.Fatalf("no post-order match among %d matches", len(res.Matches))
-}
-
 // TestConcurrentSweepsKeepTheirSettings runs two sweeps at once, one
 // with a 1ns point deadline and one without; each must equal the same
 // sweep run alone.

@@ -52,6 +52,15 @@ type Resettable interface {
 	Reset(pid, n, p int)
 }
 
+// ReadBudgeter is an optional Algorithm interface for algorithms whose
+// update cycles read more than MaxReadsPerCycle cells by a constant of
+// their own, as the robust executor of Theorem 4.1 does. ReadBudget is
+// the read bound the machine enforces instead; Machine.Reset resolves it
+// once per run. The write bound stays MaxWritesPerCycle.
+type ReadBudgeter interface {
+	ReadBudget() int
+}
+
 // ArrayDoneHinter is an optional Algorithm interface for "array-style"
 // completion predicates of the form "cells [0, k) are all non-zero" — the
 // shape of every Write-All Done check. When an algorithm provides it, the
@@ -71,10 +80,10 @@ type ArrayDoneHinter interface {
 }
 
 // Inline Ctx buffer capacities. The model caps an update cycle at
-// MaxReadsPerCycle reads and MaxWritesPerCycle writes; Config budgets can
-// raise that (the robust executor of Theorem 4.1 uses up to 9 reads), so
-// the inline arrays cover every budget used in-tree and a spill slice
-// keeps larger custom budgets correct — they only lose the
+// MaxReadsPerCycle reads and MaxWritesPerCycle writes; a ReadBudgeter can
+// raise the read bound (the robust executor of Theorem 4.1 uses up to 9
+// reads), so the inline arrays cover every budget used in-tree and a
+// spill slice keeps larger budgets correct — they only lose the
 // zero-allocation guarantee, never correctness.
 const (
 	ctxInlineReads  = 12

@@ -42,12 +42,6 @@ type Config struct {
 	MaxTicks int
 	// Legality selects liveness-rule enforcement; zero means VetoSpare.
 	Legality LegalityMode
-	// CycleReadBudget and CycleWriteBudget override the default
-	// update-cycle bounds (MaxReadsPerCycle / MaxWritesPerCycle) when
-	// positive. The robust executor of Theorem 4.1 uses them: simulating
-	// one PRAM instruction inside a leaf visit expands the update cycle
-	// by the paper's fixed fetch/decode/execute constant.
-	CycleReadBudget, CycleWriteBudget int
 	// Packed opts the run into the bit-packed shared-memory layout: the
 	// Write-All prefix the algorithm volunteers through ArrayDoneHinter
 	// is stored one bit per cell, 64 cells per word, cutting the N=10⁷-
@@ -131,6 +125,11 @@ type Machine struct {
 	// make no type assertions.
 	retired []Processor
 	resets  []Resettable
+
+	// readBudget is the update-cycle read bound: MaxReadsPerCycle, or
+	// what the algorithm declares through ReadBudgeter. Reset resolves
+	// it once, so the per-cycle check reads an int.
+	readBudget int
 
 	// hintLen/remaining implement the incremental Done counter for
 	// ArrayDoneHinter algorithms: remaining counts zero cells in
@@ -241,6 +240,10 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	}
 	sameAlg := algSameInstance(m.alg, alg)
 	m.cfg, m.alg, m.adv, m.sink = cfg, alg, adv, cfg.Sink
+	m.readBudget = MaxReadsPerCycle
+	if b, ok := alg.(ReadBudgeter); ok {
+		m.readBudget = b.ReadBudget()
+	}
 
 	p := cfg.P
 	m.ps.reset(p)
@@ -273,8 +276,7 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 		m.pending = make([]pendingCommit, 0, p)
 	}
 	m.pending = m.pending[:0]
-	_, writeBudget := m.cycleBudgets()
-	m.sizeCommit(p * writeBudget)
+	m.sizeCommit(p * MaxWritesPerCycle)
 	if cfg.Scheduler != nil {
 		m.sched = grow(m.sched, p)
 	} else {
@@ -892,26 +894,11 @@ func (m *Machine) validateCycle(ctx *Ctx) error {
 	if ctx.snapshots > 0 && !m.cfg.AllowSnapshot {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d)", ErrSnapshotDisallowed, m.alg.Name(), ctx.pid)
 	}
-	readBudget, writeBudget := m.cycleBudgets()
-	if ctx.snapshots == 0 && (ctx.reads > readBudget || ctx.nWrites > writeBudget) {
+	if ctx.snapshots == 0 && (ctx.reads > m.readBudget || ctx.nWrites > MaxWritesPerCycle) {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d, reads=%d, writes=%d)",
 			ErrCycleLimit, m.alg.Name(), ctx.pid, ctx.reads, ctx.nWrites)
 	}
 	return nil
-}
-
-// cycleBudgets returns the update-cycle read and write bounds: the
-// model's (MaxReadsPerCycle, MaxWritesPerCycle) or the Config's
-// overrides.
-func (m *Machine) cycleBudgets() (reads, writes int) {
-	reads, writes = MaxReadsPerCycle, MaxWritesPerCycle
-	if m.cfg.CycleReadBudget > 0 {
-		reads = m.cfg.CycleReadBudget
-	}
-	if m.cfg.CycleWriteBudget > 0 {
-		writes = m.cfg.CycleWriteBudget
-	}
-	return reads, writes
 }
 
 // taggedWrite is one committed write together with its writer, used for

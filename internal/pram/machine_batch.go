@@ -263,8 +263,8 @@ func (m *Machine) TickBatch(k int) (ran int, done bool, err error) {
 // vacuous under the BatchCycler disjoint-writes contract, and every
 // alive processor a BatchCycler. The window is further capped so the
 // Done predicate cannot become true strictly inside it: each tick
-// clears at most alive*writeBudget hinted cells, so completion is only
-// reachable at the window's final tick, where it is checked.
+// clears at most alive*MaxWritesPerCycle hinted cells, so completion is
+// only reachable at the window's final tick, where it is checked.
 func (m *Machine) quietWindow(maxW int) int {
 	if maxW < 2 {
 		// A one-tick batch is a plain Step: no quiescence probing.
@@ -311,8 +311,7 @@ func (m *Machine) quietWindow(maxW int) int {
 			}
 		}
 	}
-	_, writeBudget := m.cycleBudgets()
-	if dist := (m.remaining-1)/(alive*writeBudget) + 1; dist < w {
+	if dist := (m.remaining-1)/(alive*MaxWritesPerCycle) + 1; dist < w {
 		w = dist
 	}
 	if w < 2 {
@@ -411,8 +410,7 @@ func (m *Machine) validateBatch(pid int) error {
 	if b.maxWrites > m.metrics.MaxWrites {
 		m.metrics.MaxWrites = b.maxWrites
 	}
-	readBudget, writeBudget := m.cycleBudgets()
-	if b.maxReads > readBudget || b.maxWrites > writeBudget {
+	if b.maxReads > m.readBudget || b.maxWrites > MaxWritesPerCycle {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d, reads=%d, writes=%d)",
 			ErrCycleLimit, m.alg.Name(), pid, b.maxReads, b.maxWrites)
 	}

@@ -76,23 +76,31 @@ func TestEnableObsEndToEnd(t *testing.T) {
 
 	// Resume from the saved checkpoint: the resume counter moves, the
 	// fallback counter doesn't (the current generation is loadable).
+	resumeLatest := func() error {
+		snap, err := LoadCheckpoint(path, t.Logf)
+		if err != nil {
+			return err
+		}
+		_, err = r.Resume(cfg, alg, adv, snap)
+		return err
+	}
 	delta = obsDeltas(reg, obs.MetricResumes, obs.MetricCheckpointFallbacks, obs.MetricRuns)
-	if _, err := r.ResumeLatest(cfg, alg, adv); err != nil {
-		t.Fatalf("ResumeLatest: %v", err)
+	if err := resumeLatest(); err != nil {
+		t.Fatalf("resume: %v", err)
 	}
 	d = delta()
 	if d[obs.MetricResumes] != 1 || d[obs.MetricCheckpointFallbacks] != 0 || d[obs.MetricRuns] != 1 {
 		t.Errorf("resume deltas = %v, want resumes=1 fallbacks=0 runs=1", d)
 	}
 
-	// Corrupt the newest checkpoint: ResumeLatest falls back one
+	// Corrupt the newest checkpoint: LoadCheckpoint falls back one
 	// generation and says so in the fallback counter.
 	if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	delta = obsDeltas(reg, obs.MetricResumes, obs.MetricCheckpointFallbacks)
-	if _, err := r.ResumeLatest(cfg, alg, adv); err != nil {
-		t.Fatalf("ResumeLatest after corruption: %v", err)
+	if err := resumeLatest(); err != nil {
+		t.Fatalf("resume after corruption: %v", err)
 	}
 	d = delta()
 	if d[obs.MetricResumes] != 1 || d[obs.MetricCheckpointFallbacks] != 1 {

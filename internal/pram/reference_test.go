@@ -319,14 +319,11 @@ func (r *refMachine) validate(pid int, ctx *pram.Ctx) error {
 	if snaps > 0 && !r.cfg.AllowSnapshot {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d)", pram.ErrSnapshotDisallowed, r.alg.Name(), pid)
 	}
-	readBudget, writeBudget := pram.MaxReadsPerCycle, pram.MaxWritesPerCycle
-	if r.cfg.CycleReadBudget > 0 {
-		readBudget = r.cfg.CycleReadBudget
+	readBudget := pram.MaxReadsPerCycle
+	if b, ok := r.alg.(pram.ReadBudgeter); ok {
+		readBudget = b.ReadBudget()
 	}
-	if r.cfg.CycleWriteBudget > 0 {
-		writeBudget = r.cfg.CycleWriteBudget
-	}
-	if snaps == 0 && (reads > readBudget || writes > writeBudget) {
+	if snaps == 0 && (reads > readBudget || writes > pram.MaxWritesPerCycle) {
 		return fmt.Errorf("%w (algorithm=%s, pid=%d, reads=%d, writes=%d)",
 			pram.ErrCycleLimit, r.alg.Name(), pid, reads, writes)
 	}

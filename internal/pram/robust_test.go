@@ -356,9 +356,10 @@ func TestLoadSnapshotFallbackReportsBothFailures(t *testing.T) {
 }
 
 // TestRunnerResumeLatestFallsBack corrupts the newest checkpoint of a
-// finished run and checks ResumeLatest degrades to the previous
-// generation — logging the fallback — and still reproduces the
-// uninterrupted run's metrics exactly.
+// finished run and checks that resuming from the newest loadable one
+// (LoadCheckpoint, then Resume) degrades to the previous generation —
+// warning about the fallback — and still reproduces the uninterrupted
+// run's metrics exactly.
 func TestRunnerResumeLatestFallsBack(t *testing.T) {
 	cfg := Config{N: 48, P: 6, MaxTicks: 4000}
 	baseline, err := (&Runner{}).Run(cfg, snapAlg{}, churnAdversary())
@@ -367,12 +368,7 @@ func TestRunnerResumeLatestFallsBack(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "run.snap")
-	var logged []string
-	r := &Runner{
-		CheckpointEvery: 3,
-		CheckpointPath:  path,
-		Log:             func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
-	}
+	r := &Runner{CheckpointEvery: 3, CheckpointPath: path}
 	if _, err := r.Run(cfg, snapAlg{}, churnAdversary()); err != nil {
 		t.Fatalf("checkpointed Run: %v", err)
 	}
@@ -384,9 +380,14 @@ func TestRunnerResumeLatestFallsBack(t *testing.T) {
 	if err := os.Truncate(path, 10); err != nil {
 		t.Fatalf("Truncate: %v", err)
 	}
-	resumed, err := r.ResumeLatest(cfg, snapAlg{}, churnAdversary())
+	var logged []string
+	snap, err := LoadCheckpoint(path, func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
 	if err != nil {
-		t.Fatalf("ResumeLatest: %v", err)
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	resumed, err := r.Resume(cfg, snapAlg{}, churnAdversary(), snap)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
 	}
 	if resumed != baseline {
 		t.Errorf("resumed metrics diverge:\nresumed  %+v\nbaseline %+v", resumed, baseline)

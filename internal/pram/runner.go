@@ -23,8 +23,8 @@ type Runner struct {
 	// CheckpointPath (crash-consistently, via SaveSnapshotRotate's
 	// write-tmp-rename with one generation of history) at every tick
 	// that is a multiple of CheckpointEvery, so a killed run can be
-	// resumed from the last loadable checkpoint with Resume or
-	// ResumeLatest.
+	// resumed from the last loadable checkpoint (LoadCheckpoint) with
+	// Resume.
 	CheckpointEvery int
 	// CheckpointPath is the checkpoint file location; see CheckpointEvery.
 	CheckpointPath string
@@ -39,8 +39,8 @@ type Runner struct {
 	// (and so its quiet windows) where an uninterrupted run does.
 	BatchTicks int
 	// Log receives human-readable notices the Runner emits when it
-	// degrades gracefully — falling back to the previous checkpoint,
-	// flushing a final checkpoint on cancellation. Nil means log.Printf.
+	// degrades gracefully, such as a final checkpoint on cancellation
+	// that failed to save. Nil means log.Printf.
 	Log func(format string, args ...any)
 }
 
@@ -94,30 +94,24 @@ func (r *Runner) ResumeCtx(ctx context.Context, cfg Config, alg Algorithm, adv A
 	return r.runCtx(ctx, m)
 }
 
-// ResumeLatest resumes from the newest loadable checkpoint at
-// CheckpointPath: the current generation if it loads, otherwise the
-// previous one kept by SaveSnapshotRotate — in which case the fallback
-// is logged, because the run re-executes the ticks between the two
-// checkpoints (correct, just slower).
-func (r *Runner) ResumeLatest(cfg Config, alg Algorithm, adv Adversary) (Metrics, error) {
-	return r.ResumeLatestCtx(context.Background(), cfg, alg, adv)
-}
-
-// ResumeLatestCtx is ResumeLatest with cooperative cancellation.
-func (r *Runner) ResumeLatestCtx(ctx context.Context, cfg Config, alg Algorithm, adv Adversary) (Metrics, error) {
-	if r.CheckpointPath == "" {
-		return Metrics{}, fmt.Errorf("pram: ResumeLatest requires CheckpointPath")
-	}
-	snap, loaded, err := LoadSnapshotFallback(r.CheckpointPath)
+// LoadCheckpoint loads the newest loadable generation of the
+// checkpoint at path: the current one, or the previous one kept by
+// SaveSnapshotRotate. A fallback is reported through warnf and counted
+// in pram_checkpoint_fallbacks_total, because the resumed run
+// re-executes the ticks between the two generations (correct, just
+// slower). Every resume from a checkpoint file loads it here, so each
+// counts its fallback once.
+func LoadCheckpoint(path string, warnf func(format string, args ...any)) (*Snapshot, error) {
+	snap, loaded, err := LoadSnapshotFallback(path)
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
-	if loaded != r.CheckpointPath {
+	if loaded != path {
 		obsResumeFallback()
-		r.logf("pram: checkpoint %s unusable; resuming from previous checkpoint %s (tick %d)",
-			r.CheckpointPath, loaded, snap.Tick)
+		warnf("warning: checkpoint %s unusable; resuming from previous checkpoint %s (tick %d)",
+			path, loaded, snap.Tick)
 	}
-	return r.ResumeCtx(ctx, cfg, alg, adv, snap)
+	return snap, nil
 }
 
 // runCtx is the Runner's one drive loop. Each iteration polls ctx once,
