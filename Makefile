@@ -98,8 +98,8 @@ fabric-check:
 	$(GO) test -race -timeout 10m ./internal/fabric/ ./cmd/pramw/
 	$(GO) vet ./internal/fabric/ ./cmd/pramw/
 
-# lab-check runs the adversary strategy lab under the race detector,
-# then one short seeded tournament smoke: the pinned σ-frontier head
+# lab-check runs the adversary strategy lab and the adversary package
+# under the race detector, then one short seeded tournament smoke: the pinned σ-frontier head
 # for X (TestFrontierPinnedOrdering) and the search-beats-hand-grid
 # acceptance run must reproduce exactly — a change anywhere in the
 # machine, the adversaries, or the lab that reorders them is a

@@ -6,16 +6,21 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 )
 
 // TestWorkerRunsToCompletion drives the real binary entry point
-// against an HTTP coordinator holding one Write-All run task: pramw
-// must execute it, commit the result, and exit 0 when the coordinator
+// against an HTTP coordinator holding one experiment task: pramw must
+// execute it, commit the result, and exit 0 when the coordinator
 // reports the Do-All complete.
 func TestWorkerRunsToCompletion(t *testing.T) {
-	task := fabric.Task{Key: "run/x-none-64", Run: &engine.RunSpec{Algorithm: "X", Adversary: "none", N: 64}}
+	tasks, err := fabric.Decompose(engine.SweepSpec{Run: []string{"E4"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := tasks[0]
 	coord, err := fabric.NewCoordinator([]fabric.Task{task},
 		filepath.Join(t.TempDir(), "ledger.jsonl"), fabric.Options{CodeVersion: "test"})
 	if err != nil {
@@ -36,11 +41,11 @@ func TestWorkerRunsToCompletion(t *testing.T) {
 	if !ok {
 		t.Fatal("no committed result")
 	}
-	var res engine.RunResult
-	if err := json.Unmarshal(raw, &res); err != nil {
+	var tables []bench.Table
+	if err := json.Unmarshal(raw, &tables); err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != "X" || res.N != 64 || res.Metrics.Completed < 64 {
-		t.Fatalf("unexpected run result: %+v", res)
+	if len(tables) == 0 || tables[0].ID != "E4" || len(tables[0].Rows) == 0 || len(tables[0].Errors) != 0 {
+		t.Fatalf("unexpected E4 result: %+v", tables)
 	}
 }

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -64,6 +68,21 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCSVRejectsBatch pins the one flag pair the spec refuses together:
+// -csv writes a row per tick, which a quiet window of -batch cannot
+// supply, so the pair fails with an error naming both instead of
+// silently stepping every tick.
+func TestCSVRejectsBatch(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "profile.csv")
+	err := run(context.Background(), []string{"-alg", "trivial", "-n", "1024", "-p", "64", "-packed", "-batch", "4096", "-csv", out})
+	if err == nil || !strings.Contains(err.Error(), "csv") || !strings.Contains(err.Error(), "batch") {
+		t.Fatalf("run with -csv and -batch 4096: err = %v, want an error naming csv and batch", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected run left a CSV file behind (stat err %v)", err)
 	}
 }
 

@@ -18,7 +18,7 @@
 //   - the paper's adversaries: thrashing (Example 2.2), the pigeonhole
 //     halving lower-bound strategy (Theorem 3.1), the post-order attack
 //     on X (Theorem 4.8), the leaf-stalking attack on ACC (Section 5),
-//     plus random, scheduled, and composite patterns;
+//     plus random and scheduled patterns;
 //   - a robust executor (Theorem 4.1) that runs arbitrary N-processor
 //     PRAM programs on P restartable fail-stop processors via the
 //     iterated Write-All paradigm of [KPS 90] and [Shv 89], with sample

@@ -7,7 +7,9 @@
 // tied to a particular algorithm's data structures (the post-order
 // adversary against algorithm X of Theorem 4.8 and the leaf-stalking
 // adversary against ACC of Section 5) live next to those algorithms in
-// package writeall.
+// package writeall. Layered, windowed and targeted failure patterns are
+// composed through the strategy DSL of package advlab; Recorder is the
+// one adversary here that wraps another.
 package adversary
 
 import (

@@ -91,6 +91,15 @@ func TestRandomRespectsEventBudget(t *testing.T) {
 	}
 }
 
+func TestRandomEventsCounter(t *testing.T) {
+	r := adversary.NewRandom(0.5, 0.9, 3)
+	r.MaxEvents = 20
+	runX(t, 64, 16, r)
+	if r.Events() == 0 || r.Events() > 20 {
+		t.Errorf("Events() = %d, want in (0, 20]", r.Events())
+	}
+}
+
 func TestThrashingAdmitsOneCyclePerTick(t *testing.T) {
 	got := runX(t, 32, 32, &adversary.Thrashing{})
 	if got.Completed != int64(got.Ticks) {

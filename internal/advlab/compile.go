@@ -104,7 +104,7 @@ func (c *Compiled) ensure(p int) {
 }
 
 // Decide implements pram.Adversary. Rules apply in order; the first
-// rule to claim a processor's fail point wins, like Composite.
+// rule to claim a processor's fail point wins.
 func (c *Compiled) Decide(v *pram.View) pram.Decision {
 	c.ensure(v.P)
 	c.fails, c.restarts = c.fails[:0], c.restarts[:0]

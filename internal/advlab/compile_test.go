@@ -14,7 +14,13 @@ import (
 // final metrics and the machine for inspection.
 func runAlg(t *testing.T, alg pram.Algorithm, n, p, batch int, adv pram.Adversary) (pram.Metrics, *pram.Machine) {
 	t.Helper()
-	m, err := pram.New(pram.Config{N: n, P: p, MaxTicks: 1 << 16}, alg, adv)
+	return runAlgSink(t, alg, n, p, batch, adv, nil)
+}
+
+// runAlgSink is runAlg with sink attached to the machine.
+func runAlgSink(t *testing.T, alg pram.Algorithm, n, p, batch int, adv pram.Adversary, sink pram.Sink) (pram.Metrics, *pram.Machine) {
+	t.Helper()
+	m, err := pram.New(pram.Config{N: n, P: p, MaxTicks: 1 << 16, Sink: sink}, alg, adv)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -164,7 +170,10 @@ func TestCompiledSnapshotRoundTrip(t *testing.T) {
 // metrics, same final memory, same clock, and the same adversary
 // snapshot words (for seeded adversaries, the same (seed, draws)
 // stream position). An over-claiming QuiescentFor shows up here as a
-// metrics or state divergence.
+// metrics or state divergence. Every entry must also let the batched run
+// commit a quiet window longer than one tick, so an adversary that
+// silently stops claiming quiescence fails here too, not only one that
+// over-claims.
 func TestQuiescenceConformanceGrid(t *testing.T) {
 	const n, p = 256, 4
 	events := []adversary.Event{
@@ -185,13 +194,6 @@ func TestQuiescenceConformanceGrid(t *testing.T) {
 		{"scheduled", func() pram.Adversary { return adversary.NewScheduled(events) }},
 		{"random-budgeted", budgetedRandom},
 		{"recorder", func() pram.Adversary { return adversary.NewRecorder(adversary.NewScheduled(events)) }},
-		{"window", func() pram.Adversary { return adversary.NewWindow(adversary.NewScheduled(events), 2, 24) }},
-		{"composite", func() pram.Adversary {
-			return adversary.NewComposite(
-				adversary.NewScheduled(events[:2]),
-				adversary.NewWindow(adversary.NewScheduled(events[2:]), 0, 30),
-			)
-		}},
 		{"dsl-window", func() pram.Adversary {
 			return MustCompile(Strategy{Name: "w", Rules: []Rule{{
 				Trigger:      Trigger{Kind: TriggerWindow, From: 4, To: 8},
@@ -232,8 +234,12 @@ func TestQuiescenceConformanceGrid(t *testing.T) {
 			}
 			mStep, machStep := runAlg(t, failstop.NewTrivial(), n, p, 0, stepAdv)
 			defer machStep.Close()
-			mBatch, machBatch := runAlg(t, failstop.NewTrivial(), n, p, 7, batchAdv)
+			windows := &windowSink{}
+			mBatch, machBatch := runAlgSink(t, failstop.NewTrivial(), n, p, 7, batchAdv, windows)
 			defer machBatch.Close()
+			if windows.longest < 2 {
+				t.Errorf("batched run committed no quiet window longer than one tick (longest %d)", windows.longest)
+			}
 
 			if mStep != mBatch {
 				t.Errorf("metrics diverged:\n step  %+v\n batch %+v", mStep, mBatch)
@@ -257,4 +263,15 @@ func TestQuiescenceConformanceGrid(t *testing.T) {
 			}
 		})
 	}
+}
+
+// windowSink is a pram.BatchSink that keeps the length of the longest
+// quiet window TickBatch committed.
+type windowSink struct{ longest int }
+
+func (*windowSink) CycleDone(pram.CycleEvent) {}
+func (*windowSink) TickDone(pram.TickEvent)   {}
+func (*windowSink) RunDone(pram.RunEvent)     {}
+func (w *windowSink) BatchDone(ev pram.BatchEvent) {
+	w.longest = max(w.longest, ev.Ticks)
 }

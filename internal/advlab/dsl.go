@@ -130,7 +130,7 @@ type Rule struct {
 }
 
 // Strategy is one complete adversary specification: an ordered rule
-// list (earlier rules win fail-point conflicts, like Composite) plus
+// list (earlier rules win fail-point conflicts) plus
 // the seed of the strategy's private random stream. A Strategy is
 // engine-spec data: it round-trips through JSON to an equal value, and
 // its compiled adversary snapshots via the (seed, draws) discipline of

@@ -46,9 +46,7 @@ func E16LoadBalance(ctx context.Context, s Sweep) []Table {
 			alg, adv := mkAlg(), mkAdv()
 			pointID := fmt.Sprintf("%s vs %s", alg.Name(), adv.Name())
 			tracker := pram.NewProcTracker(p)
-			r := runners.Get().(*pram.Runner)
-			got, err := r.RunCtx(ctx, pram.Config{N: n, P: p, Sink: tracker}, alg, adv)
-			runners.Put(r)
+			got, err := s.runWA(ctx, pram.Config{N: n, P: p, Sink: tracker}, alg, adv)
 			if err != nil {
 				t.fail(pointID, err)
 				continue

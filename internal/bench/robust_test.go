@@ -175,28 +175,31 @@ func TestPointDeadlineLeavesFastPointsAlone(t *testing.T) {
 }
 
 // TestPointDeadlineBoundsSimulationPoints checks that the point deadline
-// reaches the robust executor's points too: under a deadline no run can
-// meet, quick E9, E10 and E11 report every point in Table.Errors, each
-// with the deadline as its cause, instead of running them to completion.
+// reaches every experiment's points: under a deadline no run can meet,
+// each quick experiment reports degraded points citing the deadline
+// instead of running them to completion (a point that needs a failed
+// point's result degrades with its own cause). The robust executor's
+// experiments E9, E10 and E11 must degrade every point on the deadline.
 func TestPointDeadlineBoundsSimulationPoints(t *testing.T) {
 	s := Sweep{Scale: Quick, Deadline: time.Nanosecond}
-	for _, tc := range []struct {
-		run    func(context.Context, Sweep) []Table
-		points int
-	}{
-		{E9Simulation, 4},
-		{E10OverheadRatio, 4},
-		{E11Optimality, 6},
-	} {
-		tb := tc.run(context.Background(), s)[0]
-		if len(tb.Rows) != 0 || len(tb.Errors) != tc.points {
-			t.Errorf("%s: %d rows and %d errors, want 0 rows and all %d points in Errors",
-				tb.ID, len(tb.Rows), len(tb.Errors), tc.points)
-		}
-		for _, e := range tb.Errors {
-			if !strings.Contains(e, context.DeadlineExceeded.Error()) {
-				t.Errorf("%s: degraded point %q does not cite the deadline", tb.ID, e)
+	allPoints := map[string]int{"E9": 4, "E10": 4, "E11": 6}
+	for _, e := range All() {
+		var rows, errs, cited int
+		for _, tb := range e.Run(context.Background(), s) {
+			rows += len(tb.Rows)
+			errs += len(tb.Errors)
+			for _, msg := range tb.Errors {
+				if strings.Contains(msg, context.DeadlineExceeded.Error()) {
+					cited++
+				}
 			}
+		}
+		if cited == 0 {
+			t.Errorf("%s: no degraded point cites the %v point deadline (%d rows, %d errors)", e.ID, s.Deadline, rows, errs)
+		}
+		if want, ok := allPoints[e.ID]; ok && (rows != 0 || cited != want || errs != want) {
+			t.Errorf("%s: %d rows and %d errors (%d citing the deadline), want 0 rows and all %d points degraded on the deadline",
+				e.ID, rows, errs, cited, want)
 		}
 	}
 }

@@ -57,7 +57,8 @@ type RunSpec struct {
 	// back to per-tick stepping otherwise. 0 or 1 steps per tick.
 	BatchTicks int `json:"batch_ticks,omitempty"`
 
-	// CSVPath, when set, writes the per-tick CSV profile there.
+	// CSVPath, when set, writes the per-tick CSV profile there. It
+	// needs per-tick stepping, so it excludes BatchTicks > 1.
 	CSVPath string `json:"csv,omitempty"`
 	// TracePath, when set, streams the event trace as JSON lines there.
 	// TraceTicksOnly restricts the stream to tick and run events;
@@ -119,6 +120,11 @@ func (s RunSpec) Validate() error {
 	}
 	if s.BatchTicks < 0 {
 		return fmt.Errorf("run spec: batch ticks must be non-negative, got %d", s.BatchTicks)
+	}
+	if s.CSVPath != "" && s.BatchTicks > 1 {
+		// The CSV profile has one row per tick, which a quiet window
+		// cannot supply, so the run would silently step every tick.
+		return fmt.Errorf("run spec: csv profile needs per-tick stepping, got batch ticks %d (drop csv or set batch ticks <= 1)", s.BatchTicks)
 	}
 	if s.TraceSample < 0 {
 		return fmt.Errorf("run spec: trace sample must be non-negative, got %d", s.TraceSample)

@@ -153,6 +153,7 @@ func TestRunSpecValidateRejects(t *testing.T) {
 		{"negative-max-ticks", func(s *RunSpec) { s.MaxTicks = -1 }, "max ticks"},
 		{"negative-trace-sample", func(s *RunSpec) { s.TraceSample = -1 }, "trace sample"},
 		{"negative-checkpoint-every", func(s *RunSpec) { s.CheckpointEvery = -1 }, "checkpoint interval"},
+		{"csv-with-batch", func(s *RunSpec) { s.CSVPath = "profile.csv"; s.BatchTicks = 64 }, "csv profile needs per-tick stepping, got batch ticks 64"},
 		{"postorder-without-x-tree", func(s *RunSpec) { s.Algorithm = "V"; s.Adversary = "postorder" }, "needs X's progress tree"},
 	}
 	for _, tc := range cases {
@@ -173,6 +174,14 @@ func TestRunSpecValidateRejects(t *testing.T) {
 	replay.ReplayPath = "pattern.json"
 	if err := replay.Validate(); err != nil {
 		t.Errorf("replay spec rejected: %v", err)
+	}
+
+	// A batch of one tick is per-tick stepping, which a CSV profile
+	// allows.
+	csv := base
+	csv.CSVPath, csv.BatchTicks = "profile.csv", 1
+	if err := csv.Validate(); err != nil {
+		t.Errorf("csv spec with batch ticks 1 rejected: %v", err)
 	}
 }
 

@@ -40,7 +40,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // expTask builds a quick-scale experiment task without executing it;
 // ledger-protocol tests drive the coordinator API directly.
 func expTask(id string) Task {
-	return Task{Key: id + "/scale=1", Experiment: &ExperimentTask{ID: id}}
+	return Task{Key: id + "/scale=1", Experiment: ExperimentTask{ID: id}}
 }
 
 // testOptions returns tight, deterministic coordinator options around
@@ -113,18 +113,24 @@ func TestDecompose(t *testing.T) {
 }
 
 func TestCacheKey(t *testing.T) {
-	a := Task{Key: "r1", Run: &engine.RunSpec{Algorithm: "X", Adversary: "random", N: 64, Seed: 1}}
-	b := Task{Key: "r1", Run: &engine.RunSpec{Algorithm: "X", Adversary: "random", N: 64, Seed: 1}}
+	a := expTask("E4")
+	b := expTask("E4")
 	if CacheKey(a, "v1") != CacheKey(b, "v1") {
 		t.Fatal("identical tasks must share a cache key")
 	}
 	c := b
-	c.Run = &engine.RunSpec{Algorithm: "X", Adversary: "random", N: 64, Seed: 2}
+	c.Experiment.Full = true
 	if CacheKey(a, "v1") == CacheKey(c, "v1") {
-		t.Fatal("a different seed must rotate the cache key")
+		t.Fatal("a different scale must rotate the cache key")
 	}
 	if CacheKey(a, "v1") == CacheKey(a, "v2") {
 		t.Fatal("a different code version must rotate the cache key")
+	}
+	// Ledgers written by earlier versions of the task type must keep
+	// their cache hits: the key of an experiment task is pinned.
+	const pinned = "5a961efbdc0001be64e64ad2b7370f087ccef420e8d0dce4541b1c084a51902f"
+	if got := CacheKey(a, "v1"); got != pinned {
+		t.Errorf("CacheKey(%+v, v1) = %s, want %s", a, got, pinned)
 	}
 }
 

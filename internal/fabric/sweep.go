@@ -86,18 +86,14 @@ func RunSweep(ctx context.Context, spec engine.SweepSpec, opt RunSweepOptions) (
 }
 
 // Assemble merges a finished coordinator's committed results into an
-// engine.SweepResult, in task-list (registry) order. Every task must
-// be an experiment task; committed tables are decoded verbatim (so a
-// fabric sweep's JSON equals an uninterrupted ExecuteSweep's), and a
-// quarantined task contributes an error-only table counted as one
-// degraded point.
+// engine.SweepResult, in task-list (registry) order. Committed tables
+// are decoded verbatim (so a fabric sweep's JSON equals an
+// uninterrupted ExecuteSweep's), and a quarantined task contributes an
+// error-only table counted as one degraded point.
 func Assemble(c *Coordinator) (engine.SweepResult, error) {
 	var res engine.SweepResult
 	quarantined := c.Quarantined()
 	for _, t := range c.Tasks() {
-		if t.Experiment == nil {
-			return res, fmt.Errorf("fabric: task %s is not an experiment task; cannot assemble a sweep from it", t.Key)
-		}
 		if raw, ok := c.Result(t.Key); ok {
 			var tables []bench.Table
 			if err := json.Unmarshal(raw, &tables); err != nil {

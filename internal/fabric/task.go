@@ -32,17 +32,13 @@ type ExperimentTask struct {
 	Full bool `json:"full,omitempty"`
 }
 
-// Task is one unit of Do-All work. Exactly one of Experiment and Run
-// is set: Experiment tasks execute a registered bench experiment, Run
-// tasks execute a single Write-All run (the fine-grained shape used by
-// unit tests and custom grids).
+// Task is one unit of Do-All work: one registered bench experiment.
 type Task struct {
 	// Key identifies the task within its sweep (e.g. "E6/scale=1").
 	// Keys are coordinator-local names; the result cache is keyed by
 	// CacheKey, which hashes the task's content instead.
-	Key        string          `json:"key"`
-	Experiment *ExperimentTask `json:"experiment,omitempty"`
-	Run        *engine.RunSpec `json:"run,omitempty"`
+	Key        string         `json:"key"`
+	Experiment ExperimentTask `json:"experiment"`
 }
 
 // Validate reports the first problem that would keep the task from
@@ -51,17 +47,8 @@ func (t Task) Validate() error {
 	if t.Key == "" {
 		return fmt.Errorf("fabric: task has no key")
 	}
-	switch {
-	case t.Experiment != nil && t.Run != nil:
-		return fmt.Errorf("fabric: task %s sets both experiment and run", t.Key)
-	case t.Experiment == nil && t.Run == nil:
-		return fmt.Errorf("fabric: task %s sets neither experiment nor run", t.Key)
-	case t.Experiment != nil && t.Experiment.ID == "":
+	if t.Experiment.ID == "" {
 		return fmt.Errorf("fabric: task %s has no experiment ID", t.Key)
-	case t.Run != nil:
-		if err := t.Run.Validate(); err != nil {
-			return fmt.Errorf("fabric: task %s: %w", t.Key, err)
-		}
 	}
 	return nil
 }
@@ -88,16 +75,16 @@ func Decompose(spec engine.SweepSpec) ([]Task, error) {
 	for _, id := range ids {
 		tasks = append(tasks, Task{
 			Key:        engine.ExperimentKey(id, spec.Full),
-			Experiment: &ExperimentTask{ID: id, Full: spec.Full},
+			Experiment: ExperimentTask{ID: id, Full: spec.Full},
 		})
 	}
 	return tasks, nil
 }
 
 // CacheKey returns the content address of a task's result: the SHA-256
-// of the task's canonical JSON (which covers algorithm, adversary,
-// sizes, seed — everything that determines the deterministic output)
-// bound to the code version that would produce it. Re-executed and
+// of the task's canonical JSON (which covers the experiment and its
+// scale — everything that determines the deterministic output) bound
+// to the code version that would produce it. Re-executed and
 // resumed tasks with the same address hit the ledger's result cache;
 // a code change rotates every address so stale results cannot leak
 // across versions.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,25 +197,14 @@ func (w *Worker) report(r LeaseReply, result json.RawMessage, execErr error) {
 	}
 }
 
-// runTask executes the task through the engine layer and returns its
-// result as canonical JSON.
+// runTask executes the task's experiment through the engine layer and
+// returns its tables as canonical JSON.
 func (w *Worker) runTask(ctx context.Context, t Task) (json.RawMessage, error) {
-	switch {
-	case t.Experiment != nil:
-		tables, err := engine.RunExperiment(ctx, t.Experiment.ID, t.Experiment.Full)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(tables)
-	case t.Run != nil:
-		res, err := engine.ExecuteRun(ctx, *t.Run, engine.RunOptions{Warnf: w.logf, Logf: w.Logf})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	default:
-		return nil, fmt.Errorf("fabric: task %s has no payload", t.Key)
+	tables, err := engine.RunExperiment(ctx, t.Experiment.ID, t.Experiment.Full)
+	if err != nil {
+		return nil, err
 	}
+	return json.Marshal(tables)
 }
 
 // sleepCtx sleeps for d or until ctx is canceled; it reports whether

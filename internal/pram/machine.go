@@ -66,11 +66,6 @@ type Config struct {
 	// machine resolves the schedule once per tick on the stepping
 	// goroutine, so the function is never called concurrently.
 	Scheduler func(tick, pid int) bool
-	// Faults, if non-nil, overrides the process-default fault-injection
-	// registry (faultinject.Active()) for this machine. The machine
-	// consults the kernel.cycle failpoint to inject update-cycle panics;
-	// nil points cost one nil check per tick.
-	Faults *faultinject.Registry
 }
 
 // DefaultMaxTicks bounds runs whose Config does not set MaxTicks.

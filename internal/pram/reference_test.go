@@ -3,6 +3,7 @@ package pram_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -524,15 +525,77 @@ var refAdversaries = []struct {
 	}, false},
 	{"lab", func(n, p int, seed int64) pram.Adversary { return advlab.MustCompile(refLabStrategy(n, p, seed)) }, false},
 	{"composite", func(n, p int, seed int64) pram.Adversary {
-		return adversary.NewComposite(refPostOrder(n, p), adversary.NewRandom(0.05, 0.3, seed))
+		return &refLayered{parts: []pram.Adversary{refPostOrder(n, p), adversary.NewRandom(0.05, 0.3, seed)}, to: math.MaxInt}
 	}, true},
 	{"window", func(n, p int, _ int64) pram.Adversary {
-		return adversary.NewWindow(refPostOrder(n, p), 3, 3+4*n)
+		return &refLayered{parts: []pram.Adversary{refPostOrder(n, p)}, from: 3, to: 3 + 4*n}
 	}, true},
 }
 
 func refPostOrder(n, p int) pram.Adversary {
 	return writeall.NewPostOrder(writeall.NewX().Layout(n, p))
+}
+
+// refLayered lists its parts' decisions, in part order, on the ticks in
+// [from, to) and decides nothing outside them. The machine applies the
+// first failure listed for a PID and ignores a restart of a processor
+// that is not dead, so the parts act as one adversary. The grid resumes
+// from snapshots and batches quiet windows, so refLayered carries its
+// parts' snapshot state and reports the stretches outside [from, to) as
+// quiescent; inside, every part is consulted every tick.
+type refLayered struct {
+	parts    []pram.Adversary
+	from, to int
+	fails    []pram.Failure
+	restarts []int
+}
+
+func (l *refLayered) Name() string { return "layered" }
+
+func (l *refLayered) Decide(v *pram.View) pram.Decision {
+	l.fails, l.restarts = l.fails[:0], l.restarts[:0]
+	if v.Tick >= l.from && v.Tick < l.to {
+		for _, p := range l.parts {
+			dec := p.Decide(v)
+			l.fails = append(l.fails, dec.Failures...)
+			l.restarts = append(l.restarts, dec.Restarts...)
+		}
+	}
+	return pram.Decision{Failures: l.fails, Restarts: l.restarts}
+}
+
+func (l *refLayered) QuiescentFor(t int) int {
+	switch {
+	case t < l.from:
+		return l.from - t
+	case t >= l.to:
+		return math.MaxInt / 2
+	}
+	return 0
+}
+
+// SnapshotState prefixes each part's state with its length.
+func (l *refLayered) SnapshotState() []pram.Word {
+	var state []pram.Word
+	for _, p := range l.parts {
+		ps := p.(pram.Snapshotter).SnapshotState()
+		state = append(append(state, pram.Word(len(ps))), ps...)
+	}
+	return state
+}
+
+func (l *refLayered) RestoreState(state []pram.Word) error {
+	for _, p := range l.parts {
+		if len(state) == 0 || len(state) < 1+int(state[0]) {
+			return pram.StateLenError("layered adversary", len(state), 1)
+		}
+		n := int(state[0])
+		if err := p.(pram.Snapshotter).RestoreState(state[1 : 1+n]); err != nil {
+			return err
+		}
+		state = state[1+n:]
+	}
+	return nil
 }
 
 // refLabStrategy generates a periodic or progress-triggered lab strategy

@@ -172,14 +172,11 @@ func (m *Machine) Violations() []Violation { return m.violations }
 // observed this run, including those beyond the retained records.
 func (m *Machine) ViolationCount() int64 { return m.violationCount }
 
-// resetRobustness re-arms the fault-injection point and clears the
-// per-run diagnostics; called from Reset and RestoreSnapshot.
+// resetRobustness re-arms the kernel.cycle failpoint from the process
+// fault registry (faultinject.Active()) and clears the per-run
+// diagnostics; called from Reset and RestoreSnapshot.
 func (m *Machine) resetRobustness() {
-	reg := m.cfg.Faults
-	if reg == nil {
-		reg = faultinject.Active()
-	}
-	m.fiCycle = reg.Point("kernel.cycle")
+	m.fiCycle = faultinject.Active().Point("kernel.cycle")
 	m.cyclePanic = nil
 	m.violations = m.violations[:0]
 	m.violationCount = 0

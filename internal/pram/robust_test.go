@@ -55,7 +55,9 @@ func TestInjectedCyclePanicFailsRun(t *testing.T) {
 	const failTick = 3
 	reg := faultinject.New(1)
 	reg.Set("kernel.cycle", faultinject.Spec{Mode: faultinject.Panic, After: failTick << 32})
-	m := mustMachine(t, Config{N: 16, P: 8, MaxTicks: 100, Faults: reg}, spinAlg(), &funcAdversary{name: "none"})
+	old := faultinject.Swap(reg)
+	m := mustMachine(t, Config{N: 16, P: 8, MaxTicks: 100}, spinAlg(), &funcAdversary{name: "none"})
+	faultinject.Swap(old)
 	defer m.Close()
 	_, err := m.Run()
 	if !errors.Is(err, ErrWorkerPanic) {

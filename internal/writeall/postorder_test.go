@@ -73,26 +73,38 @@ func (c *scanChecked) Decide(v *pram.View) pram.Decision {
 	return pram.Decision{Failures: c.fails, Restarts: c.restarts}
 }
 
-// gapped forwards to its inner adversary only on ticks t with t/period
-// even, so the inner adversary sees runs of Decide calls with gaps.
-type gapped struct {
-	pram.Adversary
-	period int
+// layered lists its parts' decisions, in part order, on the ticks where
+// on holds (every tick when on is nil) and decides nothing on the
+// others. The machine applies the first failure listed for a PID and
+// ignores a restart of a processor that is not dead, so the parts act
+// as one adversary.
+type layered struct {
+	parts    []pram.Adversary
+	on       func(tick int) bool
+	fails    []pram.Failure
+	restarts []int
 }
 
-func (g gapped) Decide(v *pram.View) pram.Decision {
-	if (v.Tick/g.period)%2 != 0 {
-		return pram.Decision{}
+func (l *layered) Name() string { return "layered" }
+
+func (l *layered) Decide(v *pram.View) pram.Decision {
+	l.fails, l.restarts = l.fails[:0], l.restarts[:0]
+	if l.on == nil || l.on(v.Tick) {
+		for _, p := range l.parts {
+			dec := p.Decide(v)
+			l.fails = append(l.fails, dec.Failures...)
+			l.restarts = append(l.restarts, dec.Restarts...)
+		}
 	}
-	return g.Adversary.Decide(v)
+	return pram.Decision{Failures: l.fails, Restarts: l.restarts}
 }
 
 // TestPostOrderIndexMatchesScan checks every decision of the indexed
-// post-order adversary against the full scan, alone and under wrappers
-// that kill and restart processors it did not choose (Composite with a
-// random adversary, on either side) or that skip its Decide calls
-// (Window, gapped). W at P = N writes the tree cells' addresses with
-// its own data, so the index must follow arbitrary writes.
+// post-order adversary against the full scan, alone and layered with a
+// random adversary that kills and restarts processors it did not choose
+// (on either side), or behind a window or periodic gaps that skip its
+// Decide calls. W at P = N writes the tree cells' addresses with its
+// own data, so the index must follow arbitrary writes.
 func TestPostOrderIndexMatchesScan(t *testing.T) {
 	algs := []struct {
 		name string
@@ -110,16 +122,17 @@ func TestPostOrderIndexMatchesScan(t *testing.T) {
 	}{
 		{"plain", func(po pram.Adversary, _ int, _ int64) pram.Adversary { return po }},
 		{"composite", func(po pram.Adversary, _ int, seed int64) pram.Adversary {
-			return adversary.NewComposite(po, adversary.NewRandom(0.05, 0.3, seed))
+			return &layered{parts: []pram.Adversary{po, adversary.NewRandom(0.05, 0.3, seed)}}
 		}},
 		{"composite-random-first", func(po pram.Adversary, _ int, seed int64) pram.Adversary {
-			return adversary.NewComposite(adversary.NewRandom(0.1, 0.4, seed), po)
+			return &layered{parts: []pram.Adversary{adversary.NewRandom(0.1, 0.4, seed), po}}
 		}},
 		{"window", func(po pram.Adversary, n int, _ int64) pram.Adversary {
-			return adversary.NewWindow(po, 1, 1+4*n)
+			return &layered{parts: []pram.Adversary{po}, on: func(t int) bool { return t >= 1 && t < 1+4*n }}
 		}},
 		{"gapped", func(po pram.Adversary, _ int, seed int64) pram.Adversary {
-			return adversary.NewComposite(gapped{po, 7}, adversary.NewRandom(0.05, 0.3, seed))
+			gaps := &layered{parts: []pram.Adversary{po}, on: func(t int) bool { return (t/7)%2 == 0 }}
+			return &layered{parts: []pram.Adversary{gaps, adversary.NewRandom(0.05, 0.3, seed)}}
 		}},
 	}
 	shapes := [][2]int{{16, 16}, {64, 64}, {100, 100}, {128, 32}}
