@@ -162,6 +162,7 @@ FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
 	FuzzMachineVsReference:./internal/pram/ \
 	FuzzJSONLMatchesEncodingJSON:./internal/pram/ \
 	FuzzReadPattern:./internal/adversary/ \
+	FuzzJournalReplay:./internal/bench/ \
 	FuzzCountingMatchesStandardSource:./internal/rng/
 
 # check-fuzz-names guards FUZZ the way check-names guards a test list: a
@@ -180,16 +181,17 @@ fuzz:
 	done
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON), the random source's differential check against
-# math/rand, the machine's differential check against the reference
-# stepper and the event sink's hand encoder's check against
-# encoding/json a brief randomized shake beyond their committed corpora;
-# cheap enough to live inside `make check`.
+# failure-pattern JSON, fabric ledger replay), the random source's
+# differential check against math/rand, the machine's differential
+# check against the reference stepper and the event sink's hand
+# encoder's check against encoding/json a brief randomized shake beyond
+# their committed corpora; cheap enough to live inside `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
+	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/bench/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 
 # chaos runs the randomized crash/resume grid: checkpointed runs under
@@ -211,4 +213,4 @@ cover:
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt bench_new.json bench_gate_*.json bench_gate.tmp bench_json.tmp
-	rm -rf pramd.state
+	rm -rf pramd.state fabric.state

@@ -20,9 +20,9 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 		{"-run", "E4,E13", "-full"},
 		{"-parallel", "0", "-deadline", "2s"},
 		{"-parallel", "4", "-format", "markdown"},
-		{"-checkpoint-dir", "ckpt"},
-		{"-checkpoint-dir", "ckpt", "-resume"},
-		{"-full", "-checkpoint-dir", "ckpt", "-resume", "-deadline", "500ms"},
+		{"-fabric", "2", "-fabric-state", "st"},
+		{"-fabric", "1", "-fabric-fresh", "-deadline", "1ns"},
+		{"-full", "-fabric", "3", "-deadline", "500ms"},
 	}
 	for i, args := range grids {
 		t.Run(fmt.Sprintf("grid%d", i), func(t *testing.T) {
@@ -45,18 +45,5 @@ func TestFlagGridMapsToValidSpecs(t *testing.T) {
 				t.Fatalf("round trip changed the spec:\n before %+v\n after  %+v", spec, back)
 			}
 		})
-	}
-}
-
-// TestResumeWithoutCheckpointDirRejected: the flag combination parses
-// (flag-shaped checks pass) but the spec layer rejects it — the CLI
-// surfaces the engine's message.
-func TestResumeWithoutCheckpointDirRejected(t *testing.T) {
-	spec, _, err := parseSpec([]string{"-resume"})
-	if err != nil {
-		t.Fatalf("parseSpec: %v", err)
-	}
-	if err := spec.Validate(); err == nil {
-		t.Fatal("spec with -resume and no -checkpoint-dir validated")
 	}
 }

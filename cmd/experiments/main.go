@@ -5,9 +5,8 @@
 // Usage:
 //
 //	experiments [-run E6[,E9,...]] [-full]
-//	experiments -checkpoint-dir DIR          # journal per-experiment results
-//	experiments -checkpoint-dir DIR -resume  # re-run only unfinished ones
 //	experiments -fabric 3                    # Do-All sweep on 3 crash-tolerant workers
+//	experiments -fabric 1 -fabric-state DIR  # resumable sweep: re-run only unfinished experiments
 //	experiments -lab 128 -lab-p 8 -lab-search 32 -lab-journal lab.jsonl
 //
 // With -lab N the command runs the adversary strategy lab instead of
@@ -20,34 +19,29 @@
 //
 // With -fabric N the sweep runs as a Do-All instance on the
 // distributed fabric (internal/fabric): N in-process workers pull
-// experiment tasks under leases, results commit at-most-once to the
-// fsync'd ledger in -fabric-state, and a re-run of the same sweep is
-// served entirely from that ledger (cache hits) unless -fabric-fresh
-// discards it. The output is bit-identical to a plain sweep. Fabric
-// tasks run their points one at a time without a point deadline, and
-// the ledger is their checkpoint, so -fabric rejects -deadline,
-// -checkpoint-dir and -resume, and ignores -parallel.
+// experiment tasks under leases, and results commit at-most-once to the
+// fsync'd ledger in -fabric-state. The ledger is the sweep's
+// checkpoint: a re-run of the same sweep serves every committed
+// experiment from it (cache hits) and runs only the missing ones,
+// unless -fabric-fresh discards it. The output is bit-identical to a
+// plain sweep. Each task carries -deadline and runs its points one at
+// a time, so the sweep's parallelism is N and -parallel is ignored.
 //
 // Without -run it executes every experiment; -full uses the (slower) sizes
-// recorded in EXPERIMENTS.md instead of the quick ones. With
-// -checkpoint-dir each finished experiment's tables are journaled to
-// DIR/journal.jsonl as they complete; after an interruption, -resume
-// replays the journaled tables verbatim and re-runs only the experiments
-// the journal is missing, producing the same output as an uninterrupted
-// sweep.
+// recorded in EXPERIMENTS.md instead of the quick ones.
 //
 // An interrupt (SIGINT/SIGTERM) stops the sweep at the next tick
-// boundary: in-flight points drain as canceled, the journal keeps every
-// experiment that finished before the signal (each entry is synced as it
-// is written), and the process exits nonzero. -deadline bounds each sweep
-// point's wall-clock time, so a hung point degrades to an error row
-// instead of wedging the sweep. Fault injection in the harness's own I/O
-// is controlled by the PRAM_FAULTS / PRAM_FAULT_SEED environment
+// boundary: in-flight points drain as canceled, a fabric ledger keeps
+// every experiment committed before the signal (each entry is synced as
+// it is written), and the process exits nonzero. -deadline bounds each
+// sweep point's wall-clock time, so a hung point degrades to an error
+// row instead of wedging the sweep. Fault injection in the harness's own
+// I/O is controlled by the PRAM_FAULTS / PRAM_FAULT_SEED environment
 // variables (see internal/faultinject).
 //
 // The command is a thin client of internal/engine: flags parse into an
-// engine.SweepSpec, engine.ExecuteSweep drives the journal and the
-// experiment registry, and this file only renders tables as they arrive.
+// engine.SweepSpec, engine.ExecuteSweep (or fabric.RunSweep) drives the
+// experiment registry, and this file only renders tables.
 package main
 
 import (
@@ -110,10 +104,8 @@ func parseSpec(args []string) (engine.SweepSpec, cliOptions, error) {
 	fs.DurationVar(&opts.progress, "progress", 0, "print a live progress line (points done, degraded, tick rate) to stderr at this interval, e.g. 2s (0 disables)")
 	fs.BoolVar(&spec.Full, "full", false, "use the full sizes recorded in EXPERIMENTS.md")
 	fs.IntVar(&spec.Parallel, "parallel", 1, "sweep points evaluated concurrently (0 = GOMAXPROCS); output is identical at any setting")
-	fs.StringVar(&spec.CheckpointDir, "checkpoint-dir", "", "journal finished experiments to DIR/journal.jsonl so an interrupted sweep can be resumed")
-	fs.BoolVar(&spec.Resume, "resume", false, "with -checkpoint-dir, replay journaled experiments and run only the unfinished ones")
 	fs.DurationVar(&spec.Deadline, "deadline", 0, "wall-clock budget per sweep point; overrunning points degrade to error rows (0 disables)")
-	fs.IntVar(&opts.fabricWorkers, "fabric", 0, "run the sweep on the crash-tolerant fabric with this many in-process workers (0 = off); committed experiments in the ledger are cache hits on re-run")
+	fs.IntVar(&opts.fabricWorkers, "fabric", 0, "run the sweep on the crash-tolerant fabric with this many in-process workers (0 = off); committed experiments in the ledger are cache hits on re-run, so an interrupted sweep resumes")
 	fs.StringVar(&opts.fabricState, "fabric-state", "fabric.state", "fabric ledger directory (with -fabric)")
 	fs.BoolVar(&opts.fabricFresh, "fabric-fresh", false, "discard an existing fabric ledger instead of resuming from it (with -fabric)")
 	fs.IntVar(&opts.lab.N, "lab", 0, "run the adversary strategy lab at this Write-All size instead of the sweep (0 = off)")
@@ -204,11 +196,7 @@ func run(ctx context.Context, args []string) error {
 				render(&ev.Tables[i])
 			}
 			if opts.format == "text" {
-				if ev.Replayed {
-					fmt.Printf("  [%s replayed from journal]\n\n", ev.ID)
-				} else {
-					fmt.Printf("  [%s took %v]\n\n", ev.ID, ev.Elapsed.Round(time.Millisecond))
-				}
+				fmt.Printf("  [%s took %v]\n\n", ev.ID, ev.Elapsed.Round(time.Millisecond))
 			}
 		},
 	})

@@ -60,68 +60,77 @@ func captureRun(t *testing.T, args ...string) string {
 	return buf.String()
 }
 
-// TestRunResumesInterruptedSweep simulates an interrupted sweep: the
-// first invocation journals only E4, the resumed invocation must replay
-// E4 from the journal (not re-run it) and run only E13, and the combined
-// output must match an uninterrupted sweep table for table.
+// ledgerResults reads a fabric ledger and counts its committed results.
+func ledgerResults(t *testing.T, path string) (string, int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read ledger: %v", err)
+	}
+	return string(data), strings.Count(string(data), `{"key":"result/`)
+}
+
+// TestRunResumesInterruptedSweep simulates an interrupted sweep on the
+// fabric: the first invocation commits only E4 to the ledger, the
+// resumed invocation must serve E4 from the ledger (not re-run it) and
+// run only E13, and the combined output must match an uninterrupted
+// plain sweep byte for byte.
 func TestRunResumesInterruptedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are slow")
 	}
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "journal.jsonl")
+	ledger := filepath.Join(dir, "ledger.jsonl")
 
 	// Markdown output omits the wall-clock lines, so uninterrupted and
 	// resumed sweeps are comparable byte for byte.
 	want := captureRun(t, "-run", "E4,E13", "-format", "markdown")
 
-	captureRun(t, "-run", "E4", "-format", "markdown", "-checkpoint-dir", dir)
-	firstHalf, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
-	}
-	if lines := strings.Count(string(firstHalf), "\n"); lines != 1 {
-		t.Fatalf("journal has %d entries after interrupted sweep, want 1", lines)
+	captureRun(t, "-run", "E4", "-format", "markdown", "-fabric", "1", "-fabric-state", dir)
+	firstHalf, n := ledgerResults(t, ledger)
+	if n != 1 {
+		t.Fatalf("ledger has %d results after the interrupted sweep, want 1", n)
 	}
 
-	got := captureRun(t, "-run", "E4,E13", "-format", "markdown", "-checkpoint-dir", dir, "-resume")
+	got := captureRun(t, "-run", "E4,E13", "-format", "markdown", "-fabric", "1", "-fabric-state", dir)
 	if got != want {
 		t.Errorf("resumed sweep output diverges from uninterrupted sweep:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	resumedJournal, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
+	resumed, n := ledgerResults(t, ledger)
+	if n != 2 {
+		t.Errorf("ledger has %d results after the resume, want 2", n)
 	}
-	if lines := strings.Count(string(resumedJournal), "\n"); lines != 2 {
-		t.Errorf("journal has %d entries after resume, want 2", lines)
-	}
-	if !strings.HasPrefix(string(resumedJournal), string(firstHalf)) {
-		t.Error("resume rewrote the already-journaled entry")
+	if !strings.HasPrefix(resumed, firstHalf) {
+		t.Error("resume rewrote the already-committed entry")
 	}
 }
 
-func TestRunResumeRequiresCheckpointDir(t *testing.T) {
-	err := run(context.Background(), []string{"-resume", "-run", "E4"})
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
-		t.Errorf("err = %v, want -checkpoint-dir requirement", err)
-	}
-}
-
-// TestRunFabricRejectsDroppedSettings checks that -fabric refuses the
-// flags its tasks would drop, before any experiment runs.
-func TestRunFabricRejectsDroppedSettings(t *testing.T) {
-	for _, flags := range [][]string{
-		{"-deadline", "1s"},
-		{"-checkpoint-dir", "d"},
+// TestRunRejectsJournalFlags: the fabric ledger is the sweep's only
+// checkpoint, so -checkpoint-dir and -resume fail as unknown flags.
+func TestRunRejectsJournalFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-checkpoint-dir", "x", "-run", "E4"},
+		{"-resume", "-run", "E4"},
 	} {
-		state := filepath.Join(t.TempDir(), "fabric")
-		args := append([]string{"-run", "E1", "-fabric", "1", "-fabric-state", state}, flags...)
-		if err := run(context.Background(), args); err == nil {
-			t.Errorf("run(%v) succeeded; want the fabric to reject %s", args, flags[0])
+		err := run(context.Background(), args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
 		}
-		if _, err := os.Stat(state); !os.IsNotExist(err) {
-			t.Errorf("run(%v) created the fabric state dir before rejecting %s", args, flags[0])
-		}
+	}
+}
+
+// TestRunFabricRejectsDroppedSettings checks that -fabric drops no
+// setting: its tasks carry -deadline, so a fabric sweep under a
+// deadline no point can meet prints what the plain sweep prints.
+func TestRunFabricRejectsDroppedSettings(t *testing.T) {
+	want := captureRun(t, "-run", "E1", "-deadline", "1ns", "-format", "markdown")
+	if !strings.Contains(want, "deadline exceeded") {
+		t.Fatalf("plain sweep under a 1ns deadline degraded nothing:\n%s", want)
+	}
+	state := filepath.Join(t.TempDir(), "fabric")
+	got := captureRun(t, "-run", "E1", "-deadline", "1ns", "-format", "markdown", "-fabric", "2", "-fabric-state", state)
+	if got != want {
+		t.Errorf("fabric sweep under -deadline diverges from the plain sweep:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 

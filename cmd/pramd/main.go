@@ -3,8 +3,9 @@
 // experiment sweeps, robust PRAM simulations) as JSON, watch their event
 // streams live over SSE, and fetch results; the daemon persists every
 // job under its state directory, so a crash or restart loses no work —
-// interrupted jobs resume from their checkpoints, the same
-// fail-stop/restart discipline the paper's algorithms run under.
+// interrupted jobs resume from their checkpoints (a sweep job from its
+// fabric ledger), the same fail-stop/restart discipline the paper's
+// algorithms run under.
 //
 // Usage:
 //

@@ -144,9 +144,16 @@ func TestHTTPErrorMapping(t *testing.T) {
 			t.Errorf("unknown field status = %d for %s", resp.StatusCode, body)
 		}
 	}
-	// Path-carrying spec: 400 (the store owns the files).
-	if resp, _ := postJSON(t, srv.URL+"/v1/jobs", `{"kind":"run","run":{"algorithm":"X","adversary":"none","n":8,"csv":"/tmp/x"}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("path field status = %d", resp.StatusCode)
+	// Path-carrying spec: 400 (the store owns the files), for a run
+	// path and for checkpoint_dir and resume, which a sweep spec lacks.
+	for _, body := range []string{
+		`{"kind":"run","run":{"algorithm":"X","adversary":"none","n":8,"csv":"/tmp/x"}}`,
+		`{"kind":"sweep","sweep":{"checkpoint_dir":"/tmp/x"}}`,
+		`{"kind":"sweep","sweep":{"resume":true}}`,
+	} {
+		if resp, _ := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("path field status = %d for %s", resp.StatusCode, body)
+		}
 	}
 	// Unknown job: 404.
 	if resp := getJSON(t, srv.URL+"/v1/jobs/j999999", nil); resp.StatusCode != http.StatusNotFound {
@@ -213,16 +220,30 @@ func TestEventsStream(t *testing.T) {
 	waitDone(t, srv.URL, job.ID)
 }
 
-// TestSweepKillRestartOverHTTP is the ISSUE's service-level chaos
-// drill end to end: submit a sweep over HTTP, kill the daemon mid-run
-// via the faultinject registry, restart over the same state directory,
-// and require the resumed job's result to match an uninterrupted
-// baseline's bit for bit (modulo the journal-provenance markers).
+// TestSweepKillRestartOverHTTP is the service-level chaos drill end
+// to end: submit a sweep over HTTP, kill the daemon mid-run via the
+// faultinject registry, restart over the same state directory, and
+// require the resumed job's result to match an uninterrupted
+// baseline's byte for byte, with only the experiments missing from the
+// job's fabric ledger executed again.
 func TestSweepKillRestartOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep jobs run real experiments")
 	}
 	const sweepBody = `{"kind":"sweep","sweep":{"run":["E1","E4","E13"]}}`
+	result := func(base, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatalf("GET result: %v", err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET result: status %d, %v", resp.StatusCode, err)
+		}
+		return raw
+	}
 
 	// Baseline daemon: uninterrupted.
 	baseStore, baseSrv := newDaemon(t, t.TempDir())
@@ -234,13 +255,12 @@ func TestSweepKillRestartOverHTTP(t *testing.T) {
 	if got := waitDone(t, baseSrv.URL, baseJob.ID); got.State != jobs.StateDone {
 		t.Fatalf("baseline state = %s (error %q)", got.State, got.Error)
 	}
-	var baseRes engine.SweepResult
-	getJSON(t, baseSrv.URL+"/v1/jobs/"+baseJob.ID+"/result", &baseRes)
+	baseRes := result(baseSrv.URL, baseJob.ID)
 	baseSrv.Close()
 	baseStore.Kill()
 
 	// Chaos daemon: the kill point fires after the second experiment
-	// journals, simulating SIGKILL mid-sweep.
+	// commits, simulating SIGKILL mid-sweep.
 	reg := faultinject.New(1)
 	reg.Set(jobs.KillPoint, faultinject.Spec{Mode: faultinject.Error, After: 1})
 	old := faultinject.Swap(reg)
@@ -263,8 +283,8 @@ func TestSweepKillRestartOverHTTP(t *testing.T) {
 	srv.Close()
 	store.Kill()
 
-	// The crash left the job "running" on disk, with a journal holding
-	// the experiments that finished before the kill.
+	// The crash left the job "running" on disk, with a fabric ledger
+	// holding the experiments committed before the kill.
 	var onDisk jobs.Job
 	status, err := os.ReadFile(filepath.Join(dir, "jobs", job.ID, "status.json"))
 	if err != nil {
@@ -276,12 +296,19 @@ func TestSweepKillRestartOverHTTP(t *testing.T) {
 	if onDisk.State != jobs.StateRunning {
 		t.Fatalf("killed job on disk = %s, want running", onDisk.State)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs", job.ID, "sweep", "journal.jsonl")); err != nil {
-		t.Fatalf("sweep journal missing after kill: %v", err)
+	ledger, err := os.ReadFile(filepath.Join(dir, "jobs", job.ID, "sweep", "ledger.jsonl"))
+	if err != nil {
+		t.Fatalf("sweep ledger missing after kill: %v", err)
+	}
+	kept := bytes.Count(ledger, []byte(`{"key":"result/`))
+	if kept < 2 {
+		t.Fatalf("killed sweep's ledger holds %d results, want the 2 committed before the kill", kept)
 	}
 
 	// Restart the daemon over the same state dir, without the failpoint.
 	faultinject.Swap(old)
+	mreg := obs.NewRegistry()
+	fabric.EnableObs(mreg)
 	store2, srv2 := newDaemon(t, dir)
 	defer srv2.Close()
 	defer store2.Kill()
@@ -293,23 +320,13 @@ func TestSweepKillRestartOverHTTP(t *testing.T) {
 	if got.Resumes != 1 {
 		t.Fatalf("recovered resumes = %d, want 1", got.Resumes)
 	}
-	var res engine.SweepResult
-	getJSON(t, srv2.URL+"/v1/jobs/"+job.ID+"/result", &res)
-
-	replayed := 0
-	for i := range res.Experiments {
-		if res.Experiments[i].Replayed {
-			replayed++
-			res.Experiments[i].Replayed = false
-		}
+	if res := result(srv2.URL, job.ID); !bytes.Equal(res, baseRes) {
+		t.Fatalf("recovered sweep result differs from baseline:\n%s\nvs\n%s", res, baseRes)
 	}
-	if replayed == 0 {
-		t.Fatalf("recovered sweep replayed nothing from the journal")
-	}
-	baseJSON, _ := json.Marshal(baseRes)
-	gotJSON, _ := json.Marshal(res)
-	if !bytes.Equal(baseJSON, gotJSON) {
-		t.Fatalf("recovered sweep result differs from baseline:\n%s\nvs\n%s", gotJSON, baseJSON)
+	hits, _ := mreg.Value(obs.MetricFabricCacheHits)
+	commits, _ := mreg.Value(obs.MetricFabricCommits)
+	if int(hits) != kept || int(commits) != 3-kept {
+		t.Fatalf("recovery served %v cache hit(s) and executed %v experiment(s); want the ledger's %d and the missing %d", hits, commits, kept, 3-kept)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Journal is an append-only completion log for resumable sweeps. Each
-// entry binds a point key (e.g. "E6/scale=1") to that point's recorded
-// result, one JSON object per line. A sweep interrupted mid-way is
-// resumed by reopening the journal: finished points are served from the
-// log and only the unfinished remainder re-runs.
+// Journal is an append-only completion log: the fabric's ledger and the
+// adversary lab's search journal. Each entry binds a key (e.g.
+// "result/<cachekey>") to a recorded JSON value, one object per line,
+// and a reopened journal replays its entries last-wins, so work
+// interrupted mid-way resumes with only the unrecorded remainder.
 //
 // Writes are synced to disk before Put returns, so an entry is either
 // fully durable or absent; a torn final line (the process died mid-
@@ -30,17 +30,13 @@ type journalEntry struct {
 	Val json.RawMessage `json:"val"`
 }
 
-// OpenJournal opens (creating if absent) the journal at path and loads
-// every complete entry. A trailing partial line from an interrupted
-// write is discarded and the file truncated to the last good entry.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalScope(path, "journal")
-}
-
-// OpenJournalScope is OpenJournal with a caller-chosen faultinject
-// scope, so journals serving different roles (sweep journal, fabric
-// ledger) expose distinct failpoints (<scope>.open, <scope>.write,
-// <scope>.sync).
+// OpenJournalScope opens (creating if absent) the journal at path and
+// loads every complete entry. A torn or corrupt line ends the replay:
+// it and everything after it are discarded and the file truncated to
+// the last good entry. The faultinject scope names the journal's
+// failpoints (<scope>.open, <scope>.write, <scope>.sync), so journals
+// serving different roles (fabric ledger, search journal) fail
+// independently.
 func OpenJournalScope(path, scope string) (*Journal, error) {
 	f, err := faultinject.OpenFile(faultinject.Active(), scope, path,
 		os.O_RDWR|os.O_CREATE, 0o644)

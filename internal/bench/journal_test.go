@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,9 +11,9 @@ import (
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalScope(path, "journal")
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenJournalScope: %v", err)
 	}
 	tables := []Table{{ID: "E4", Title: "t", Header: []string{"a"}, Rows: [][]string{{"1"}}}}
 	if err := j.Put("E4/scale=1", tables); err != nil {
@@ -23,7 +25,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.Close()
 
 	// Reopen: both entries must be back, contents intact.
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -48,9 +50,9 @@ func TestJournalRoundTrip(t *testing.T) {
 // while every complete entry survives.
 func TestJournalDiscardsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalScope(path, "journal")
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenJournalScope: %v", err)
 	}
 	if err := j.Put("done", "ok"); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -66,7 +68,7 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -81,7 +83,7 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 		t.Fatalf("Put after recovery: %v", err)
 	}
 	j2.Close()
-	j3, err := OpenJournal(path)
+	j3, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
@@ -89,4 +91,59 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 	if !j3.Has("done") || !j3.Has("after") || j3.Len() != 2 {
 		t.Errorf("recovered journal has %d entries", j3.Len())
 	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the journal's replay, the
+// one reader of the fabric ledger after a crash. No input panics; the
+// file is cut to its longest prefix of complete entries, whose values
+// replay last-wins; reopening changes neither the entries nor the size;
+// and a Put after recovery survives the next reopen.
+func FuzzJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The model: complete lines decode, in order, until the first
+		// torn or corrupt one.
+		want := make(map[string]json.RawMessage)
+		var good int
+		for rest := data; ; {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			var e journalEntry
+			if json.Unmarshal(rest[:i+1], &e) != nil || e.Key == "" {
+				break
+			}
+			want[e.Key] = e.Val
+			good += i + 1
+			rest = rest[i+1:]
+		}
+
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopen := func(stage string, entries map[string]json.RawMessage, size int) *Journal {
+			t.Helper()
+			j, err := OpenJournalScope(path, "journal")
+			if err != nil {
+				t.Fatalf("%s: open: %v", stage, err)
+			}
+			if !reflect.DeepEqual(j.entries, entries) {
+				t.Fatalf("%s: replayed %q, want %q", stage, j.entries, entries)
+			}
+			if got, err := os.ReadFile(path); err != nil || len(got) != size || !bytes.Equal(got[:good], data[:good]) {
+				t.Fatalf("%s: file is %d bytes (%v), want the %d-byte prefix of complete entries", stage, len(got), err, size)
+			}
+			return j
+		}
+		reopen("first open", want, good).Close()
+		j := reopen("reopen", want, good)
+		line, _ := json.Marshal(journalEntry{Key: "fuzz/after", Val: json.RawMessage("1")})
+		if err := j.Put("fuzz/after", 1); err != nil {
+			t.Fatalf("Put after recovery: %v", err)
+		}
+		j.Close()
+		want["fuzz/after"] = json.RawMessage("1")
+		reopen("after Put", want, good+len(line)+1).Close()
+	})
 }

@@ -26,10 +26,10 @@ func TestJournalRecoversFromInjectedTornWrite(t *testing.T) {
 	// Hit 0 is the first Put's write; tear the second.
 	reg.Set("journal.write", faultinject.Spec{Mode: faultinject.Torn, After: 1, Max: 1})
 	old := faultinject.Swap(reg)
-	j, err := OpenJournal(path)
+	j, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		faultinject.Swap(old)
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenJournalScope: %v", err)
 	}
 	if err := j.Put("done", "ok"); err != nil {
 		faultinject.Swap(old)
@@ -42,7 +42,7 @@ func TestJournalRecoversFromInjectedTornWrite(t *testing.T) {
 	j.Close()
 	faultinject.Swap(old)
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		t.Fatalf("reopen after torn write: %v", err)
 	}
@@ -72,10 +72,10 @@ func TestJournalSurvivesInjectedSyncFailure(t *testing.T) {
 	reg := faultinject.New(3)
 	reg.Set("journal.sync", faultinject.Spec{Mode: faultinject.Error, After: 1, Max: 1})
 	old := faultinject.Swap(reg)
-	j, err := OpenJournal(path)
+	j, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		faultinject.Swap(old)
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenJournalScope: %v", err)
 	}
 	if err := j.Put("done", "ok"); err != nil {
 		faultinject.Swap(old)
@@ -88,7 +88,7 @@ func TestJournalSurvivesInjectedSyncFailure(t *testing.T) {
 	j.Close()
 	faultinject.Swap(old)
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalScope(path, "journal")
 	if err != nil {
 		t.Fatalf("reopen after sync failure: %v", err)
 	}

@@ -3,9 +3,7 @@ package engine
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"slices"
 
@@ -15,7 +13,7 @@ import (
 
 // RunOptions carries per-invocation wiring that is not part of the
 // spec: extra sinks (a daemon's event stream), warning/log routing, and
-// the job service's crash-recovery resume. The zero value is usable.
+// the job service's crash-recovery snapshot. The zero value is usable.
 type RunOptions struct {
 	// Sink, if non-nil, receives the run's event stream in addition to
 	// any sinks the spec configures (CSV, trace).
@@ -27,13 +25,11 @@ type RunOptions struct {
 	// Logf routes the Runner's notices; nil means the Runner's default
 	// (log.Printf).
 	Logf func(format string, args ...any)
-	// Resume, when the spec configures checkpointing, resumes from the
-	// newest loadable generation at CheckpointPath instead of starting
-	// fresh. Unlike RestorePath it is best-effort: with no loadable
-	// checkpoint (none written yet, or all generations corrupt) the run
-	// starts from scratch, which determinism makes merely slower, never
-	// wrong. This is the job service's crash-recovery path.
-	Resume bool
+	// Snapshot, if non-nil, resumes the run from it instead of starting
+	// fresh: the job service's crash recovery loads a job's checkpoint
+	// once, cuts its event trace to the snapshot's tick, and resumes
+	// here. A spec's RestorePath takes precedence.
+	Snapshot *pram.Snapshot
 }
 
 func (o RunOptions) warnf(format string, args ...any) {
@@ -62,23 +58,6 @@ type RunResult struct {
 	// ResumedFromTick is the snapshot tick the run restarted from
 	// (0 for a fresh run).
 	ResumedFromTick int `json:"resumed_from_tick,omitempty"`
-}
-
-// ResumeTick reports the tick a run with Resume set resumes at: that of
-// the checkpoint at path (current generation, or the previous one when
-// the current does not load), and whether there is one. The job service
-// uses it to cut a recovered job's event trace back to that tick. It
-// counts no checkpoint fallback: ExecuteRun's own load of the same
-// checkpoint does, once per resume.
-func ResumeTick(path string) (int, bool) {
-	if path == "" {
-		return 0, false
-	}
-	snap, _, err := pram.LoadSnapshotFallback(path)
-	if err != nil {
-		return 0, false
-	}
-	return snap.Tick, true
 }
 
 // idle holds the Runner of the last finished ExecuteRun, so the next
@@ -126,25 +105,13 @@ func ExecuteRun(ctx context.Context, spec RunSpec, opt RunOptions) (RunResult, e
 		return res, err
 	}
 
-	// An explicit restore fixes the machine shape; the spec then only
+	// A restore or resume fixes the machine shape; the spec then only
 	// selects the (matching) algorithm and adversary constructions.
-	var snap *pram.Snapshot
+	snap := opt.Snapshot
 	if spec.RestorePath != "" {
 		var err error
 		if snap, err = pram.LoadCheckpoint(spec.RestorePath, opt.warnf); err != nil {
 			return res, err
-		}
-	} else if opt.Resume && spec.CheckpointPath != "" {
-		var err error
-		snap, err = pram.LoadCheckpoint(spec.CheckpointPath, opt.warnf)
-		switch {
-		case err == nil:
-		case errors.Is(err, fs.ErrNotExist):
-			// Crashed before the first checkpoint: run from scratch.
-		default:
-			// Both generations corrupt: determinism makes a restart
-			// from scratch correct, just slower.
-			opt.warnf("warning: no loadable checkpoint at %s (%v); restarting from scratch", spec.CheckpointPath, err)
 		}
 	}
 	if snap != nil {

@@ -100,9 +100,10 @@ func TestExecuteRunTraceKeepsQuietWindows(t *testing.T) {
 // TestResumePastTornCheckpointCountsOneFallback tears the newest
 // checkpoint generation of a finished run and resumes it both ways
 // ExecuteRun can: from RestorePath, and as the job service's crash
-// recovery (ResumeTick, then Resume). Each resume falls back to the
-// previous generation, warns, reproduces the uninterrupted run's
-// metrics, and raises pram_checkpoint_fallbacks_total by exactly one.
+// recovery (pram.LoadCheckpoint, then RunOptions.Snapshot). Each resume
+// falls back to the previous generation, warns, reproduces the
+// uninterrupted run's metrics, and raises
+// pram_checkpoint_fallbacks_total by exactly one.
 func TestResumePastTornCheckpointCountsOneFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	pram.EnableObs(reg)
@@ -127,16 +128,16 @@ func TestResumePastTornCheckpointCountsOneFallback(t *testing.T) {
 		if err := os.Truncate(path, 10); err != nil {
 			t.Fatalf("%s: Truncate: %v", tc.name, err)
 		}
-		if tc.resume {
-			if _, ok := ResumeTick(path); !ok {
-				t.Fatalf("%s: ResumeTick found no checkpoint", tc.name)
-			}
-		}
 		before, _ := reg.Value(obs.MetricCheckpointFallbacks)
 		var warned []string
-		opt := RunOptions{Resume: tc.resume, Warnf: func(format string, args ...any) {
+		opt := RunOptions{Warnf: func(format string, args ...any) {
 			warned = append(warned, fmt.Sprintf(format, args...))
 		}}
+		if tc.resume {
+			if opt.Snapshot, err = pram.LoadCheckpoint(path, opt.Warnf); err != nil {
+				t.Fatalf("%s: LoadCheckpoint: %v", tc.name, err)
+			}
+		}
 		got, err := ExecuteRun(context.Background(), tc.spec, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

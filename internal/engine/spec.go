@@ -4,7 +4,7 @@
 // wiring the thin clients used to duplicate: flag-shaped configuration
 // becomes a validated, JSON-round-trippable spec, and Execute* drives
 // machine construction, Runner pooling, checkpoint/resume, sink setup,
-// journaling, and graceful shutdown for that spec. It also owns the one
+// and graceful shutdown for that spec. It also owns the one
 // registry of algorithm, adversary and program names (registry.go) that
 // the specs, the CLIs and the adversary lab construct through.
 //
@@ -137,7 +137,9 @@ func (s RunSpec) Validate() error {
 
 // SweepSpec describes one experiment sweep: the flag surface of
 // cmd/experiments as data. The zero value runs every experiment at
-// quick scale, GOMAXPROCS points at a time, without journaling.
+// quick scale, GOMAXPROCS points at a time. A sweep that must survive
+// an interruption runs on the fabric (fabric.RunSweep), whose ledger
+// is its checkpoint.
 type SweepSpec struct {
 	// Run selects experiment IDs (e.g. ["E4", "E13"]); empty means all.
 	// Matching is case-insensitive, like the CLI flag.
@@ -146,25 +148,17 @@ type SweepSpec struct {
 	Full bool `json:"full,omitempty"`
 	// Parallel is the number of sweep points evaluated concurrently
 	// (<= 0 selects GOMAXPROCS); tables are identical at any setting.
-	// Fabric tasks ignore it and run their points one at a time.
+	// A fabric sweep's parallelism is its worker count instead: each
+	// task runs its points one at a time.
 	Parallel int `json:"parallel,omitempty"`
 	// Deadline bounds each sweep point's wall-clock time; overrunning
-	// points degrade to error rows (0 disables). Fabric tasks run
-	// without one, so fabric.Decompose rejects a nonzero Deadline.
+	// points degrade to error rows (0 disables). Fabric tasks carry it.
 	Deadline time.Duration `json:"deadline_ns,omitempty"`
-	// CheckpointDir journals finished experiments to
-	// CheckpointDir/journal.jsonl; Resume replays journaled experiments
-	// and re-runs only the missing ones.
-	CheckpointDir string `json:"checkpoint_dir,omitempty"`
-	Resume        bool   `json:"resume,omitempty"`
 }
 
 // Validate reports the first problem that would keep the spec from
 // executing.
 func (s SweepSpec) Validate() error {
-	if s.Resume && s.CheckpointDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
 	if s.Deadline < 0 {
 		return fmt.Errorf("sweep spec: deadline must be non-negative, got %v", s.Deadline)
 	}

@@ -81,16 +81,12 @@ func TestRunSpecPropertyRoundTrip(t *testing.T) {
 }
 
 func randomSweepSpec(rng *rand.Rand) SweepSpec {
-	spec := SweepSpec{
-		Run:           pick(rng, nil, []string{"E1"}, []string{"E4", "E13"}, []string{"e9"}),
-		Full:          rng.Intn(2) == 0,
-		Parallel:      pick(rng, 0, 1, 4),
-		Deadline:      pick(rng, 0, time.Second, 250*time.Millisecond),
-		CheckpointDir: pick(rng, "", "ckpt"),
+	return SweepSpec{
+		Run:      pick(rng, nil, []string{"E1"}, []string{"E4", "E13"}, []string{"e9"}),
+		Full:     rng.Intn(2) == 0,
+		Parallel: pick(rng, 0, 1, 4),
+		Deadline: pick(rng, 0, time.Second, 250*time.Millisecond),
 	}
-	// Resume is only valid with a checkpoint dir; generate the valid half.
-	spec.Resume = spec.CheckpointDir != "" && rng.Intn(2) == 0
-	return spec
 }
 
 func TestSweepSpecPropertyRoundTrip(t *testing.T) {
@@ -186,10 +182,6 @@ func TestRunSpecValidateRejects(t *testing.T) {
 }
 
 func TestSweepSpecValidateRejects(t *testing.T) {
-	if err := (SweepSpec{Resume: true}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), "-resume requires -checkpoint-dir") {
-		t.Errorf("resume without checkpoint dir: Validate() = %v", err)
-	}
 	if err := (SweepSpec{Deadline: -time.Second}).Validate(); err == nil ||
 		!strings.Contains(err.Error(), "deadline") {
 		t.Errorf("negative deadline: Validate() = %v", err)
@@ -257,9 +249,8 @@ func TestSpecWireFormat(t *testing.T) {
 		}
 	}
 
-	sweep := SweepSpec{Run: []string{"E1"}, Full: true, Parallel: 2,
-		Deadline: time.Second, CheckpointDir: "d", Resume: true}
-	for _, key := range []string{"run", "full", "parallel", "deadline_ns", "checkpoint_dir", "resume"} {
+	sweep := SweepSpec{Run: []string{"E1"}, Full: true, Parallel: 2, Deadline: time.Second}
+	for _, key := range []string{"run", "full", "parallel", "deadline_ns"} {
 		if !keysOf(sweep)[key] {
 			t.Errorf("SweepSpec wire format lost key %q", key)
 		}

@@ -29,7 +29,7 @@ const (
 
 // ledgerScope is the faultinject scope of the coordinator's ledger
 // file, exposing ledger.open / ledger.write / ledger.sync failpoints
-// distinct from the sweep journal's.
+// distinct from the strategy search journal's.
 const ledgerScope = "ledger"
 
 // Options tunes a Coordinator. The zero value gets usable defaults.
@@ -143,6 +143,10 @@ type Coordinator struct {
 	results map[string]json.RawMessage // by task key; mirror of ledger + degraded commits
 	seq     uint64
 	stats   Stats
+	// shown is this coordinator's share of the process-wide pending and
+	// live-worker gauges; closed stops it publishing more.
+	shown  [2]int64
+	closed bool
 }
 
 // NewCoordinator opens (or resumes) a coordinator over the ledger at
@@ -203,23 +207,40 @@ func NewCoordinator(tasks []Task, ledgerPath string, opts Options) (*Coordinator
 		c.state[t.Key] = st
 	}
 	c.stats.Pending = c.stats.Tasks - c.stats.Done - c.stats.Quarantined
-	obsSync(c.stats)
+	obsTasks(c.stats.Tasks)
+	c.publishGauges()
 	return c, nil
 }
 
-// Close releases the ledger file. In-flight workers observe a closed
-// coordinator as lease errors and back off; a successor coordinator on
-// the same ledger picks the work up.
+// Close releases the ledger file and withdraws the coordinator's share
+// of the gauges. In-flight workers observe a closed coordinator as
+// lease errors and back off; a successor coordinator on the same
+// ledger picks the work up.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	obsGauges(&c.shown, 0, 0)
+	c.closed = true
 	return c.ledger.Close()
+}
+
+// publishGauges moves this coordinator's share of the pending and
+// live-worker gauges to its current counts, so each gauge reads the
+// sum over the process's open coordinators. Callers hold c.mu.
+func (c *Coordinator) publishGauges() {
+	if !c.closed {
+		obsGauges(&c.shown, int64(c.stats.Pending), int64(c.workersLive()))
+	}
 }
 
 // Stats returns a consistent snapshot of the accounting.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.publishGauges()
 	c.expireLeases()
 	s := c.stats
 	s.WorkersLive = c.workersLive()
@@ -301,7 +322,6 @@ func (c *Coordinator) expireLeases() {
 		st.leaseID = ""
 		c.recordFailure(st, fmt.Sprintf("lease %s expired: worker %s missed its heartbeat", id, l.worker))
 	}
-	obsWorkers(c.workersLive())
 }
 
 // recordFailure counts one failed attempt of st, persists the count,
@@ -322,7 +342,7 @@ func (c *Coordinator) recordFailure(st *taskState, cause string) {
 		}
 		c.stats.Quarantined++
 		c.stats.Pending--
-		obsQuarantined(c.stats)
+		obsQuarantined()
 		c.logf("fabric: %s", st.cause)
 		return
 	}
@@ -353,6 +373,7 @@ type LeaseReply struct {
 func (c *Coordinator) Lease(workerID string) (LeaseReply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.publishGauges()
 	c.expireLeases()
 	now := c.opts.Now()
 
@@ -382,7 +403,7 @@ func (c *Coordinator) Lease(workerID string) (LeaseReply, error) {
 		c.leases[l.id] = l
 		st.leaseID = l.id
 		c.stats.LeasesGranted++
-		obsLeaseGranted(c.workersLive())
+		obsLeaseGranted()
 		task := st.task
 		return LeaseReply{LeaseID: l.id, Task: &task, TTL: c.opts.LeaseTTL}, nil
 	}
@@ -402,6 +423,7 @@ func (c *Coordinator) Lease(workerID string) (LeaseReply, error) {
 func (c *Coordinator) Heartbeat(leaseID string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.publishGauges()
 	c.expireLeases()
 	l, ok := c.leases[leaseID]
 	if !ok {
@@ -422,18 +444,26 @@ func (c *Coordinator) Heartbeat(leaseID string) error {
 // identical to any other execution of the task), so it commits if and
 // only if no result is recorded yet.
 func (c *Coordinator) Complete(leaseID, taskKey string, result json.RawMessage) error {
+	_, err := c.commit(leaseID, taskKey, result)
+	return err
+}
+
+// commit is Complete, returning the task it committed, or nil when the
+// completion was a suppressed duplicate.
+func (c *Coordinator) commit(leaseID, taskKey string, result json.RawMessage) (*Task, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.publishGauges()
 	c.expireLeases()
 	st, ok := c.state[taskKey]
 	if !ok {
-		return fmt.Errorf("fabric: complete for unknown task %q", taskKey)
+		return nil, fmt.Errorf("fabric: complete for unknown task %q", taskKey)
 	}
 	c.releaseLease(leaseID, st)
 	if st.done {
 		c.stats.DuplicateCommits++
 		obsDuplicateCommit()
-		return nil
+		return nil, nil
 	}
 	if err := c.ledger.Put(resultPrefix+st.cacheKey, result); err != nil {
 		// Degraded: the result lives only in memory. Correct but not
@@ -454,8 +484,8 @@ func (c *Coordinator) Complete(leaseID, taskKey string, result json.RawMessage) 
 	c.stats.Done++
 	c.stats.Pending--
 	c.stats.Commits++
-	obsCommit(c.stats)
-	return nil
+	obsCommit()
+	return &st.task, nil
 }
 
 // Fail reports a failed execution attempt. Like Complete it tolerates
@@ -463,6 +493,7 @@ func (c *Coordinator) Complete(leaseID, taskKey string, result json.RawMessage) 
 func (c *Coordinator) Fail(leaseID, taskKey, cause string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.publishGauges()
 	c.expireLeases()
 	st, ok := c.state[taskKey]
 	if !ok {
@@ -517,14 +548,6 @@ func (c *Coordinator) Quarantined() map[string]string {
 		}
 	}
 	return out
-}
-
-// Done reports whether every task is resolved (committed or
-// quarantined).
-func (c *Coordinator) Done() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats.Done+c.stats.Quarantined == c.stats.Tasks
 }
 
 // Tasks returns the coordinator's task list in schedule order.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // fakeClock is an injectable clock for pinning lease-expiry edges.
@@ -96,16 +97,14 @@ func TestDecompose(t *testing.T) {
 	if _, err := Decompose(engine.SweepSpec{Run: []string{"E99"}}); err == nil {
 		t.Fatal("unknown experiment ID should fail decomposition")
 	}
-	// Settings a fabric sweep would drop are rejected, not ignored.
-	for _, spec := range []engine.SweepSpec{
-		{Run: []string{"E1"}, Deadline: time.Second},
-		{Run: []string{"E1"}, CheckpointDir: "ckpt"},
-		{Run: []string{"E1"}, CheckpointDir: "ckpt", Resume: true},
-		{Run: []string{"E1"}, Resume: true},
-	} {
-		if _, err := Decompose(spec); err == nil {
-			t.Errorf("Decompose(%+v) accepted a setting fabric tasks drop", spec)
-		}
+	// The point deadline travels with each task; Validate's refusals
+	// are Decompose's.
+	timed, err := Decompose(engine.SweepSpec{Run: []string{"E1"}, Deadline: time.Second})
+	if err != nil || timed[0].Experiment.Deadline != time.Second {
+		t.Errorf("Decompose with a deadline = %+v, %v; want the task to carry 1s", timed, err)
+	}
+	if _, err := Decompose(engine.SweepSpec{Run: []string{"E1"}, Deadline: -time.Second}); err == nil {
+		t.Error("Decompose accepted a negative deadline that SweepSpec.Validate rejects")
 	}
 	if _, err := Decompose(engine.SweepSpec{Run: []string{"E1"}, Parallel: 4}); err != nil {
 		t.Errorf("Decompose with Parallel set: %v; parallelism never changes tables", err)
@@ -417,45 +416,131 @@ func TestHTTPTransport(t *testing.T) {
 
 // TestRunSweepMatchesExecuteSweep is the small-scale equivalence
 // check: a fabric sweep's merged result is bit-identical to a plain
-// single-process sweep, and a re-run over the same ledger is all
-// cache hits with zero re-execution.
+// single-process sweep, with and without a point deadline, and a
+// re-run over the same ledger is all cache hits with zero re-execution.
+// OnCommit sees each executed task once and no cache hit.
 func TestRunSweepMatchesExecuteSweep(t *testing.T) {
 	ctx := context.Background()
-	spec := engine.SweepSpec{Run: []string{"E1"}}
+	for _, spec := range []engine.SweepSpec{
+		{Run: []string{"E1"}},
+		{Run: []string{"E1"}, Deadline: time.Nanosecond},
+	} {
+		baseline, err := engine.ExecuteSweep(ctx, spec, engine.SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var committed []string
+		opts := RunSweepOptions{
+			StateDir:    t.TempDir(),
+			Workers:     2,
+			Coordinator: Options{CodeVersion: "test", LeaseTTL: 5 * time.Second},
+			Logf:        t.Logf,
+			OnCommit:    func(task Task) { committed = append(committed, task.Key) },
+		}
+		got, stats, err := RunSweep(ctx, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := json.Marshal(baseline)
+		gotJSON, _ := json.Marshal(got)
+		if string(wantJSON) != string(gotJSON) {
+			t.Fatalf("deadline %v: fabric sweep diverged from single-process sweep:\nwant %s\ngot  %s", spec.Deadline, wantJSON, gotJSON)
+		}
+		if stats.Commits != 1 || stats.CacheHits != 0 {
+			t.Fatalf("deadline %v: first run must execute, got %+v", spec.Deadline, stats)
+		}
+		if len(committed) != 1 || committed[0] != "E1/scale=1" {
+			t.Fatalf("deadline %v: OnCommit saw %v, want [E1/scale=1]", spec.Deadline, committed)
+		}
 
-	baseline, err := engine.ExecuteSweep(ctx, spec, engine.SweepOptions{})
+		got2, stats2, err := RunSweep(ctx, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON2, _ := json.Marshal(got2)
+		if string(wantJSON) != string(gotJSON2) {
+			t.Fatalf("deadline %v: cached fabric sweep diverged:\nwant %s\ngot  %s", spec.Deadline, wantJSON, gotJSON2)
+		}
+		if stats2.CacheHits != 1 || stats2.Commits != 0 || stats2.LeasesGranted != 0 {
+			t.Fatalf("deadline %v: re-run must be 100%% cache hits with zero execution, got %+v", spec.Deadline, stats2)
+		}
+		if len(committed) != 1 {
+			t.Fatalf("deadline %v: OnCommit fired for a cache hit: %v", spec.Deadline, committed)
+		}
+	}
+}
+
+// TestRunSweepReturnsWhenDone pins that an in-process pool stops as
+// soon as the Do-All is done. With three workers and one task, two
+// workers find the task leased and sleep out a retry interval of
+// LeaseTTL/4 (15s here); RunSweep must not wait for them.
+func TestRunSweepReturnsWhenDone(t *testing.T) {
+	start := time.Now()
+	_, stats, err := RunSweep(context.Background(), engine.SweepSpec{Run: []string{"E1"}}, RunSweepOptions{
+		StateDir:    t.TempDir(),
+		Workers:     3,
+		Coordinator: Options{CodeVersion: "test", LeaseTTL: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stateDir := t.TempDir()
-	opts := RunSweepOptions{
-		StateDir:    stateDir,
-		Workers:     2,
-		Coordinator: Options{CodeVersion: "test", LeaseTTL: 5 * time.Second},
-		Logf:        t.Logf,
+	if stats.Done != 1 {
+		t.Fatalf("sweep finished with %+v, want one task done", stats)
 	}
-	got, stats, err := RunSweep(ctx, spec, opts)
-	if err != nil {
-		t.Fatal(err)
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("RunSweep took %v after a 1-task Do-All; idle workers held it up", took)
 	}
-	wantJSON, _ := json.Marshal(baseline)
-	gotJSON, _ := json.Marshal(got)
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("fabric sweep diverged from single-process sweep:\nwant %s\ngot  %s", wantJSON, gotJSON)
+}
+
+// TestGaugesSumAcrossCoordinators runs two coordinators on one
+// registry, as pramd does with concurrent sweep jobs: the pending and
+// live-worker gauges read the sums of their counts and return to zero
+// once both close.
+func TestGaugesSumAcrossCoordinators(t *testing.T) {
+	old := fObs.Load()
+	defer fObs.Store(old)
+	reg := obs.NewRegistry()
+	EnableObs(reg)
+	gauges := func() (pending, live float64) {
+		pending, _ = reg.Value(obs.MetricFabricTasksPending)
+		live, _ = reg.Value(obs.MetricFabricWorkersLive)
+		return pending, live
 	}
-	if stats.Commits != 1 || stats.CacheHits != 0 {
-		t.Fatalf("first run must execute, got %+v", stats)
+	want := func(stage string, pending, live float64) {
+		t.Helper()
+		if p, l := gauges(); p != pending || l != live {
+			t.Errorf("%s: pending %v, workers live %v; want %v, %v", stage, p, l, pending, live)
+		}
 	}
 
-	got2, stats2, err := RunSweep(ctx, spec, opts)
+	clk := newFakeClock()
+	dir := t.TempDir()
+	a, err := NewCoordinator([]Task{expTask("E1"), expTask("E4")}, filepath.Join(dir, "a.jsonl"), testOptions(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON2, _ := json.Marshal(got2)
-	if string(wantJSON) != string(gotJSON2) {
-		t.Fatalf("cached fabric sweep diverged:\nwant %s\ngot  %s", wantJSON, gotJSON2)
+	b, err := NewCoordinator([]Task{expTask("E13")}, filepath.Join(dir, "b.jsonl"), testOptions(clk))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats2.CacheHits != 1 || stats2.Commits != 0 || stats2.LeasesGranted != 0 {
-		t.Fatalf("re-run must be 100%% cache hits with zero execution, got %+v", stats2)
+	want("opened", 3, 0)
+
+	ra, err := a.Lease("wa")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := b.Lease("wb"); err != nil {
+		t.Fatal(err)
+	}
+	want("leased", 3, 2)
+
+	if err := a.Complete(ra.LeaseID, ra.Task.Key, json.RawMessage(`[]`)); err != nil {
+		t.Fatal(err)
+	}
+	want("one committed", 2, 1)
+
+	a.Close()
+	want("a closed", 1, 1)
+	b.Close()
+	want("both closed", 0, 0)
 }

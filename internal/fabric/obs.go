@@ -33,7 +33,7 @@ func EnableObs(r *obs.Registry) {
 	fObs.Store(&fabricObs{
 		tasks:         r.Counter(obs.MetricFabricTasks, "Do-All tasks enqueued at coordinator start"),
 		done:          r.Counter(obs.MetricFabricTasksDone, "tasks committed, by execution or cache hit"),
-		pending:       r.Gauge(obs.MetricFabricTasksPending, "tasks not yet committed or quarantined"),
+		pending:       r.Gauge(obs.MetricFabricTasksPending, "tasks not yet committed or quarantined, summed over open coordinators"),
 		leases:        r.Counter(obs.MetricFabricLeases, "leases granted to workers"),
 		leasesExpired: r.Counter(obs.MetricFabricLeasesExpired, "leases reclaimed after a missed heartbeat"),
 		heartbeats:    r.Counter(obs.MetricFabricHeartbeats, "heartbeats honored (lease extended)"),
@@ -42,17 +42,27 @@ func EnableObs(r *obs.Registry) {
 		cacheHits:     r.Counter(obs.MetricFabricCacheHits, "tasks satisfied from the content-addressed result cache"),
 		commits:       r.Counter(obs.MetricFabricCommits, "results durably committed to the ledger"),
 		dupCommits:    r.Counter(obs.MetricFabricDuplicateCommits, "late or duplicate completions suppressed (at-most-once)"),
-		workersLive:   r.Gauge(obs.MetricFabricWorkersLive, "workers holding at least one unexpired lease"),
+		workersLive:   r.Gauge(obs.MetricFabricWorkersLive, "workers holding at least one unexpired lease, summed over open coordinators"),
 	})
 }
 
-// obsSync publishes the coordinator's opening position: task count and
-// pending gauge (recovery cache hits are counted separately as they
-// are discovered).
-func obsSync(s Stats) {
+// obsTasks counts a coordinator's task list (recovery cache hits are
+// counted separately as they are discovered).
+func obsTasks(n int) {
 	if h := fObs.Load(); h != nil {
-		h.tasks.Add(int64(s.Tasks))
-		h.pending.Set(int64(s.Pending))
+		h.tasks.Add(int64(n))
+	}
+}
+
+// obsGauges moves one coordinator's share of the pending and
+// live-worker gauges from *shown to the given counts. Each coordinator
+// adds only its own deltas, so with several open in one process (one
+// per pramd sweep job, plus -fabric-sweep's) the gauges read their sum.
+func obsGauges(shown *[2]int64, pending, live int64) {
+	if h := fObs.Load(); h != nil {
+		h.pending.Add(pending - shown[0])
+		h.workersLive.Add(live - shown[1])
+		shown[0], shown[1] = pending, live
 	}
 }
 
@@ -63,11 +73,10 @@ func obsCacheHit() {
 	}
 }
 
-func obsCommit(s Stats) {
+func obsCommit() {
 	if h := fObs.Load(); h != nil {
 		h.commits.Inc()
 		h.done.Inc()
-		h.pending.Set(int64(s.Pending))
 	}
 }
 
@@ -77,10 +86,9 @@ func obsDuplicateCommit() {
 	}
 }
 
-func obsQuarantined(s Stats) {
+func obsQuarantined() {
 	if h := fObs.Load(); h != nil {
 		h.quarantined.Inc()
-		h.pending.Set(int64(s.Pending))
 	}
 }
 
@@ -90,10 +98,9 @@ func obsRetry() {
 	}
 }
 
-func obsLeaseGranted(workersLive int) {
+func obsLeaseGranted() {
 	if h := fObs.Load(); h != nil {
 		h.leases.Inc()
-		h.workersLive.Set(int64(workersLive))
 	}
 }
 
@@ -106,11 +113,5 @@ func obsLeaseExpired() {
 func obsHeartbeat() {
 	if h := fObs.Load(); h != nil {
 		h.heartbeats.Inc()
-	}
-}
-
-func obsWorkers(n int) {
-	if h := fObs.Load(); h != nil {
-		h.workersLive.Set(int64(n))
 	}
 }

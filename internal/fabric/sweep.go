@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 
 	"repro/internal/bench"
@@ -13,14 +14,15 @@ import (
 )
 
 // RunSweepOptions configures a local fabric sweep: an in-process
-// worker pool over a durable ledger. The pool exists for the CLI
-// (`cmd/experiments -fabric N`) and for tests; external workers
-// (cmd/pramw) use a served Coordinator.Handler instead.
+// worker pool over a durable ledger. The pool runs the CLI's
+// (`cmd/experiments -fabric N`) and the job service's sweeps; external
+// workers (cmd/pramw) use a served Coordinator.Handler instead.
 type RunSweepOptions struct {
 	// StateDir holds the ledger (StateDir/ledger.jsonl). Required:
 	// durability is the fabric's reason to exist.
 	StateDir string
-	// Workers is the in-process worker count (default 3).
+	// Workers is the in-process worker count (<= 0 selects GOMAXPROCS,
+	// like SweepSpec.Parallel).
 	Workers int
 	// Fresh discards an existing ledger instead of resuming from it.
 	// The default resumes: committed results are cache hits, which is
@@ -30,6 +32,10 @@ type RunSweepOptions struct {
 	Coordinator Options
 	// Logf receives coordinator and worker notices; nil discards them.
 	Logf func(format string, args ...any)
+	// OnCommit, if non-nil, observes each executed task right after the
+	// coordinator commits its result; cache hits never reach it. It
+	// runs on the committing worker's goroutine, one call at a time.
+	OnCommit func(Task)
 }
 
 // RunSweep runs spec as a Do-All instance on an in-process worker
@@ -65,15 +71,25 @@ func RunSweep(ctx context.Context, spec engine.SweepSpec, opt RunSweepOptions) (
 
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = 3
+		workers = runtime.GOMAXPROCS(0)
 	}
+	var tr Transport = coord
+	if opt.OnCommit != nil {
+		tr = &notifier{Coordinator: coord, onCommit: opt.OnCommit}
+	}
+	// The first worker to see the Do-All done stops the pool: the
+	// others may be sleeping out a retry interval of LeaseTTL/4.
+	pool, stop := context.WithCancel(ctx)
+	defer stop()
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		w := &Worker{ID: fmt.Sprintf("local-%d", i), Coord: coord, Logf: opt.Logf}
+		w := &Worker{ID: fmt.Sprintf("local-%d", i), Coord: tr, Logf: opt.Logf}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.Run(ctx)
+			if w.Run(pool) == nil {
+				stop()
+			}
 		}()
 	}
 	wg.Wait()
@@ -83,6 +99,26 @@ func RunSweep(ctx context.Context, spec engine.SweepSpec, opt RunSweepOptions) (
 	}
 	res, err := Assemble(coord)
 	return res, stats, err
+}
+
+// notifier is the in-process workers' transport when RunSweep has an
+// OnCommit callback: the coordinator itself, with each fresh commit
+// reported after the coordinator has recorded it.
+type notifier struct {
+	*Coordinator
+	mu       sync.Mutex
+	onCommit func(Task)
+}
+
+// Complete implements Transport.
+func (n *notifier) Complete(leaseID, taskKey string, result json.RawMessage) error {
+	t, err := n.commit(leaseID, taskKey, result)
+	if t != nil {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.onCommit(*t)
+	}
+	return err
 }
 
 // Assemble merges a finished coordinator's committed results into an

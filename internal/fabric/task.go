@@ -18,18 +18,23 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
 )
 
 // ExperimentTask names one registered experiment at one scale: the
-// sweep's unit of distribution, matching the sweep journal's
-// engine.ExperimentKey granularity.
+// sweep's unit of distribution.
 type ExperimentTask struct {
 	// ID is the experiment identifier (e.g. "E6").
 	ID string `json:"id"`
 	// Full selects the slow sizes recorded in EXPERIMENTS.md.
 	Full bool `json:"full,omitempty"`
+	// Deadline is the sweep's point deadline (0 disables it). It is
+	// omitted when zero, so deadline-free tasks keep the cache keys that
+	// existing ledgers hold.
+	Deadline time.Duration `json:"deadline_ns,omitempty"`
 }
 
 // Task is one unit of Do-All work: one registered bench experiment.
@@ -54,36 +59,35 @@ func (t Task) Validate() error {
 }
 
 // Decompose expands a sweep spec into its Do-All task list, one task
-// per selected experiment, in registry order. Task keys are the sweep
-// journal's engine.ExperimentKey. Durability belongs to the ledger and
-// tasks run their points one at a time without a point deadline, so
-// Decompose rejects a spec that sets CheckpointDir, Resume or Deadline
-// rather than drop them; it ignores Parallel, which never changes
-// tables.
+// per selected experiment, in registry order, keyed "<ID>/scale=<N>"
+// (existing ledgers depend on these bytes). Each task carries the
+// spec's point deadline; Parallel never changes tables, and a fabric
+// sweep's parallelism is its worker count, so tasks leave it out.
 func Decompose(spec engine.SweepSpec) ([]Task, error) {
-	if spec.CheckpointDir != "" || spec.Resume {
-		return nil, fmt.Errorf("fabric: a fabric sweep takes no checkpoint dir or resume: the fabric ledger is the checkpoint")
-	}
-	if spec.Deadline != 0 {
-		return nil, fmt.Errorf("fabric: a fabric sweep takes no point deadline (got %v): its tasks run without one", spec.Deadline)
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	ids, err := spec.ExperimentIDs()
 	if err != nil {
 		return nil, err
 	}
+	scale := bench.Quick
+	if spec.Full {
+		scale = bench.Full
+	}
 	tasks := make([]Task, 0, len(ids))
 	for _, id := range ids {
 		tasks = append(tasks, Task{
-			Key:        engine.ExperimentKey(id, spec.Full),
-			Experiment: ExperimentTask{ID: id, Full: spec.Full},
+			Key:        fmt.Sprintf("%s/scale=%d", id, scale),
+			Experiment: ExperimentTask{ID: id, Full: spec.Full, Deadline: spec.Deadline},
 		})
 	}
 	return tasks, nil
 }
 
 // CacheKey returns the content address of a task's result: the SHA-256
-// of the task's canonical JSON (which covers the experiment and its
-// scale — everything that determines the deterministic output) bound
+// of the task's canonical JSON (which covers the experiment, its scale
+// and its point deadline — everything that determines the output) bound
 // to the code version that would produce it. Re-executed and
 // resumed tasks with the same address hit the ledger's result cache;
 // a code change rotates every address so stale results cannot leak

@@ -200,7 +200,7 @@ func (w *Worker) report(r LeaseReply, result json.RawMessage, execErr error) {
 // runTask executes the task's experiment through the engine layer and
 // returns its tables as canonical JSON.
 func (w *Worker) runTask(ctx context.Context, t Task) (json.RawMessage, error) {
-	tables, err := engine.RunExperiment(ctx, t.Experiment.ID, t.Experiment.Full)
+	tables, err := engine.RunExperiment(ctx, t.Experiment.ID, t.Experiment.Full, t.Experiment.Deadline)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,13 @@
 // Package faultinject is a deterministic, seedable failpoint registry
 // for the harness's own I/O and execution layers. The paper's subject is
 // surviving failures; this package holds the harness's recovery
-// machinery (snapshot files, the sweep journal, the simulator's
+// machinery (snapshot files, the fabric ledger, the simulator's
 // update-cycle attempts) to the same standard by letting tests and chaos
 // runs inject write/fsync/rename errors, torn writes, silent bit
 // corruption, and panics at named failpoints.
 //
 // A failpoint is a named site in harness code (e.g. "snapshot.write",
-// "journal.sync", "kernel.cycle"). Production code resolves the point
+// "ledger.sync", "kernel.cycle"). Production code resolves the point
 // once ([Registry.Point]) and asks it whether to fire on each hit; an
 // unarmed point resolves to nil and costs one nil check. Decisions are
 // pure functions of (registry seed, point name, hit index or caller

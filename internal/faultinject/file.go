@@ -6,7 +6,7 @@ import (
 )
 
 // File wraps an *os.File with injectable write, sync, and close faults
-// under a scope ("snapshot", "journal", ...). Points are resolved once
+// under a scope ("snapshot", "ledger", ...). Points are resolved once
 // at wrap time; an unarmed scope degenerates to nil-check passthrough.
 //
 // Points consulted, all optional:

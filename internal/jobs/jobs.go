@@ -5,19 +5,22 @@
 //
 // Each job is a directory under <state dir>/jobs/<id>/:
 //
-//	spec.json       the submitted spec, verbatim
-//	status.json     the job record (state, timestamps, resume count)
+//	status.json     the job record: the submitted spec verbatim, state,
+//	                timestamps, resume count
 //	events.jsonl    the run's event trace (run jobs)
 //	checkpoint.snap the machine checkpoint generations (run jobs)
-//	sweep/          the sweep journal (sweep jobs)
+//	sweep/          the fabric ledger (sweep jobs)
 //	result.json     the engine result (terminal done state only)
+//
+// A sweep job is a fabric Do-All (internal/fabric) on the spec's
+// Parallel in-process workers (GOMAXPROCS when Parallel is 0).
 //
 // Recovery mirrors the paper's fail-stop/restart model one level up:
 // a job found "running" at Open was interrupted by a crash, so it is
 // re-enqueued with Resume set, and execution resumes from the newest
-// loadable checkpoint (run jobs) or replays the journal (sweep jobs).
-// Determinism makes the resumed job's results identical to an
-// uninterrupted run's.
+// loadable checkpoint (run jobs) or from the ledger, whose committed
+// experiments are cache hits (sweep jobs). Determinism makes the
+// resumed job's results identical to an uninterrupted run's.
 package jobs
 
 import (
@@ -81,9 +84,6 @@ func (s Spec) Validate() error {
 	case KindSweep:
 		if s.Sweep == nil {
 			return fmt.Errorf("jobs: kind %q needs its matching spec field", s.Kind)
-		}
-		if s.Sweep.CheckpointDir != "" || s.Sweep.Resume {
-			return fmt.Errorf("jobs: sweep checkpointing is store-managed; leave checkpoint_dir and resume unset")
 		}
 		return s.Sweep.Validate()
 	case KindSim:
@@ -149,8 +149,8 @@ var (
 )
 
 // KillPoint is the faultinject failpoint consulted during job execution
-// (per tick for run jobs, per experiment for sweep jobs). When it fires,
-// the store abandons the job as a process crash would: the job's context
-// is canceled and its on-disk status stays "running", so the next Open
-// must recover it. Chaos tests arm it via faultinject.Swap.
+// (per tick for run jobs, per committed experiment for sweep jobs). When
+// it fires, the store abandons the job as a process crash would: the
+// job's context is canceled and its on-disk status stays "running", so
+// the next Open must recover it. Chaos tests arm it via faultinject.Swap.
 const KillPoint = "jobs.kill"

@@ -3,8 +3,10 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fabric"
 	"repro/internal/faultinject"
 	"repro/internal/pram"
 )
@@ -177,9 +180,6 @@ func (s *Store) Submit(spec Spec) (Job, error) {
 	dir := s.jobDir(id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Job{}, fmt.Errorf("jobs: create job dir: %w", err)
-	}
-	if err := writeJSONAtomic(filepath.Join(dir, "spec.json"), spec); err != nil {
-		return Job{}, err
 	}
 	if err := writeJSONAtomic(filepath.Join(dir, "status.json"), job); err != nil {
 		return Job{}, err
@@ -396,7 +396,15 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 		defer f.Close()
 		jsonl := pram.NewJSONL(io.MultiWriter(f, hubWriter{js.hub}))
 		jsonl.Ticks, jsonl.Sample = spec.TraceTicksOnly, spec.TraceSample
-		if err := resumeEvents(f, jsonl, js.job.Resume, spec.CheckpointPath); err != nil {
+		var snap *pram.Snapshot
+		if js.job.Resume {
+			// With no loadable checkpoint the job restarts from scratch,
+			// which determinism makes merely slower, never wrong.
+			if snap, err = pram.LoadCheckpoint(spec.CheckpointPath, warnf); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				warnf("warning: no loadable checkpoint at %s (%v); restarting from scratch", spec.CheckpointPath, err)
+			}
+		}
+		if err := resumeEvents(f, jsonl, snap); err != nil {
 			return nil, err
 		}
 		var sink pram.Sink = jsonl
@@ -408,23 +416,27 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 			}}
 		}
 		return engine.ExecuteRun(ctx, spec, engine.RunOptions{
-			Sink:   sink,
-			Resume: js.job.Resume,
-			Warnf:  warnf,
-			Logf:   s.logf,
+			Sink:     sink,
+			Snapshot: snap,
+			Warnf:    warnf,
+			Logf:     s.logf,
 		})
 	case KindSweep:
+		// A sweep job is a fabric Do-All on the spec's Parallel
+		// in-process workers over the ledger in sweep/. A resumed job
+		// keeps the ledger, so the experiments committed before the
+		// interruption are cache hits and only the missing ones run.
 		spec := *js.job.Spec.Sweep
-		spec.CheckpointDir = filepath.Join(dir, "sweep")
-		spec.Resume = js.job.Resume
-		return engine.ExecuteSweep(ctx, spec, engine.SweepOptions{
-			Warnf: warnf,
-			OnResult: func(ev engine.SweepEvent) {
+		res, _, err := fabric.RunSweep(ctx, spec, fabric.RunSweepOptions{
+			StateDir: filepath.Join(dir, "sweep"),
+			Workers:  spec.Parallel,
+			Fresh:    !js.job.Resume,
+			Logf:     warnf,
+			OnCommit: func(t fabric.Task) {
 				line, err := json.Marshal(struct {
-					Ev       string `json:"ev"`
-					ID       string `json:"id"`
-					Replayed bool   `json:"replayed,omitempty"`
-				}{"experiment", ev.ID, ev.Replayed})
+					Ev string `json:"ev"`
+					ID string `json:"id"`
+				}{"experiment", t.Experiment.ID})
 				if err == nil {
 					js.hub.publish(line)
 				}
@@ -433,6 +445,7 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 				}
 			},
 		})
+		return res, err
 	case KindSim:
 		// ExecuteSim polls ctx once per tick, so a cancel or a drain
 		// stops a running simulation at the next tick boundary. It keeps
@@ -445,21 +458,18 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 }
 
 // resumeEvents readies a run job's events file, its durable trace, for
-// the run about to start. A resumed job keeps the lines of the ticks
-// before the checkpoint it resumes from and appends after them: the
-// engine continues at that tick, so the file ends up byte-identical to
-// an uninterrupted run's, even when the crash came after later ticks
-// were written or the newest checkpoint generation does not load. With
-// no loadable checkpoint the run restarts from scratch, and so does the
-// file.
-func resumeEvents(f *os.File, jsonl *pram.JSONL, resume bool, checkpoint string) error {
+// the run about to start. A job resuming from snap keeps the lines of
+// the ticks before snap.Tick and appends after them: the engine
+// continues at that tick, so the file ends up byte-identical to an
+// uninterrupted run's, even when the crash came after later ticks were
+// written or the newest checkpoint generation did not load. With no
+// snapshot the run starts from scratch, and so does the file.
+func resumeEvents(f *os.File, jsonl *pram.JSONL, snap *pram.Snapshot) error {
 	var keep int64
-	if resume {
-		if tick, ok := engine.ResumeTick(checkpoint); ok {
-			var err error
-			if keep, err = jsonl.Resume(f, tick); err != nil {
-				return fmt.Errorf("jobs: read events file: %w", err)
-			}
+	if snap != nil {
+		var err error
+		if keep, err = jsonl.Resume(f, snap.Tick); err != nil {
+			return fmt.Errorf("jobs: read events file: %w", err)
 		}
 	}
 	if err := f.Truncate(keep); err != nil {

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fabric"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // runSpec is a deterministic Write-All run long enough to be killed
@@ -124,8 +126,6 @@ func TestSpecValidateRejectsPathsAndShape(t *testing.T) {
 		{Kind: KindRun, Run: &engine.RunSpec{Algorithm: "X", Adversary: "none", N: 8, CSVPath: "/tmp/x.csv"}},
 		{Kind: KindRun, Run: &engine.RunSpec{Algorithm: "X", Adversary: "none", N: 8, ReplayPath: "/etc/passwd"}},
 		{Kind: KindRun, Run: &engine.RunSpec{Algorithm: "X", Adversary: "none", N: 8, RestorePath: "x.snap"}},
-		{Kind: KindSweep, Sweep: &engine.SweepSpec{CheckpointDir: "/tmp/j"}},
-		{Kind: KindSweep, Sweep: &engine.SweepSpec{Resume: true}},
 		{Kind: KindRun, Run: &engine.RunSpec{Algorithm: "nope", Adversary: "none", N: 8}},
 	}
 	for i, spec := range cases {
@@ -256,9 +256,7 @@ func TestCloseDrainsAndReopenResumes(t *testing.T) {
 	}
 	// A state dir written before the kernel knob was removed carries
 	// "workers" in its run specs; recovery must still read them.
-	for _, name := range []string{"spec.json", "status.json"} {
-		addRunSpecField(t, filepath.Join(dir, "jobs", job.ID, name), "workers", 2)
-	}
+	addRunSpecField(t, filepath.Join(dir, "jobs", job.ID, "status.json"), "workers", 2)
 
 	s2 := openStore(t, dir)
 	defer s2.Kill()
@@ -294,8 +292,8 @@ func TestCloseDrainsRunningSimJob(t *testing.T) {
 	}
 }
 
-// addRunSpecField adds key: v to the run spec inside the JSON file at
-// path, which holds either a Spec or a Job embedding one.
+// addRunSpecField adds key: v to the run spec of the job record at
+// path.
 func addRunSpecField(t *testing.T, path, key string, v any) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -306,10 +304,7 @@ func addRunSpecField(t *testing.T, path, key string, v any) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	spec := doc
-	if inner, ok := doc["spec"].(map[string]any); ok {
-		spec = inner
-	}
+	spec, _ := doc["spec"].(map[string]any)
 	run, ok := spec["run"].(map[string]any)
 	if !ok {
 		t.Fatalf("%s holds no run spec", path)
@@ -553,10 +548,23 @@ func TestBatchedJobKeepsQuietWindows(t *testing.T) {
 	}
 }
 
+// ledgerResults counts the committed results in a sweep job's fabric
+// ledger.
+func ledgerResults(t *testing.T, dir string) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "sweep", "ledger.jsonl"))
+	if err != nil {
+		t.Fatalf("sweep ledger: %v", err)
+	}
+	return bytes.Count(data, []byte(`{"key":"result/`))
+}
+
 // TestKillMidSweepResumesIdentical kills a sweep job after its second
-// experiment journals, restarts the store, and requires the recovered
-// sweep's tables to match an uninterrupted baseline's (modulo the
-// Replayed markers, which record provenance, not results).
+// experiment commits to the job's ledger, restarts the store, and
+// requires the recovered job's result.json to equal an uninterrupted
+// baseline's byte for byte. Recovery executes only the experiments the
+// ledger is missing: the ones it holds are cache hits, and the ledger
+// ends with each experiment's result exactly once.
 func TestKillMidSweepResumesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep jobs run real experiments")
@@ -578,7 +586,7 @@ func TestKillMidSweepResumesIdentical(t *testing.T) {
 	}
 	base.Kill()
 
-	// Kill after the second experiment (E4) completes and journals.
+	// Kill after the second experiment commits.
 	reg := faultinject.New(1)
 	reg.Set(KillPoint, faultinject.Spec{Mode: faultinject.Error, After: 1})
 	old := faultinject.Swap(reg)
@@ -599,8 +607,15 @@ func TestKillMidSweepResumesIdentical(t *testing.T) {
 	if onDisk.State != StateRunning {
 		t.Fatalf("killed sweep on disk = %s, want running", onDisk.State)
 	}
+	jobDir := filepath.Join(dir, "jobs", job.ID)
+	kept := ledgerResults(t, jobDir)
+	if kept < 2 || kept > 3 {
+		t.Fatalf("killed sweep's ledger holds %d results, want the 2 committed before the kill (3 if a worker raced it)", kept)
+	}
 
 	faultinject.Swap(old)
+	mreg := obs.NewRegistry()
+	fabric.EnableObs(mreg)
 	s2 := openStore(t, dir)
 	defer s2.Kill()
 	got := waitTerminal(t, s2, job.ID)
@@ -611,28 +626,16 @@ func TestKillMidSweepResumesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed result: %v", err)
 	}
-
-	var baseRes, res engine.SweepResult
-	if err := json.Unmarshal(baseRaw, &baseRes); err != nil {
-		t.Fatalf("baseline result.json: %v", err)
+	if !bytes.Equal(raw, baseRaw) {
+		t.Fatalf("recovered sweep result differs from baseline:\n%s\nvs\n%s", raw, baseRaw)
 	}
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("resumed result.json: %v", err)
+	hits, _ := mreg.Value(obs.MetricFabricCacheHits)
+	commits, _ := mreg.Value(obs.MetricFabricCommits)
+	if int(hits) != kept || int(commits) != 3-kept {
+		t.Fatalf("recovery served %v cache hit(s) and executed %v experiment(s); want the ledger's %d and the missing %d", hits, commits, kept, 3-kept)
 	}
-	replayed := 0
-	for i := range res.Experiments {
-		if res.Experiments[i].Replayed {
-			replayed++
-			res.Experiments[i].Replayed = false
-		}
-	}
-	if replayed == 0 {
-		t.Fatalf("recovered sweep replayed nothing: the journal was not used")
-	}
-	baseJSON, _ := json.Marshal(baseRes)
-	gotJSON, _ := json.Marshal(res)
-	if !bytes.Equal(baseJSON, gotJSON) {
-		t.Fatalf("recovered sweep result differs from baseline")
+	if n := ledgerResults(t, jobDir); n != 3 {
+		t.Fatalf("ledger holds %d results after recovery, want 3", n)
 	}
 }
 
