@@ -18,14 +18,17 @@
 // feeds back in through -lab-strategies. See internal/advlab.
 //
 // With -fabric N the sweep runs as a Do-All instance on the
-// distributed fabric (internal/fabric): N in-process workers pull
+// distributed fabric (internal/fabric): in-process workers pull
 // experiment tasks under leases, and results commit at-most-once to the
 // fsync'd ledger in -fabric-state. The ledger is the sweep's
 // checkpoint: a re-run of the same sweep serves every committed
 // experiment from it (cache hits) and runs only the missing ones,
 // unless -fabric-fresh discards it. The output is bit-identical to a
-// plain sweep. Each task carries -deadline and runs its points one at
-// a time, so the sweep's parallelism is N and -parallel is ignored.
+// plain sweep but prints only when every task is resolved, without
+// timings (an interrupted run prints nothing; the ledger keeps its
+// commits). N is the sweep's parallelism, split between experiments
+// and their points; tasks carry -deadline; -parallel is ignored. Under
+// go run cache keys carry no code version: add -fabric-fresh after edits.
 //
 // Without -run it executes every experiment; -full uses the (slower) sizes
 // recorded in EXPERIMENTS.md instead of the quick ones.
@@ -78,8 +81,8 @@ type cliOptions struct {
 	debugAddr string
 	progress  time.Duration
 	// fabricWorkers > 0 runs the sweep as a Do-All instance on the
-	// distributed fabric (internal/fabric) with that many in-process
-	// workers; fabricState holds the ledger, fabricFresh discards it.
+	// distributed fabric (internal/fabric) with that much in-process
+	// parallelism; fabricState holds the ledger, fabricFresh discards it.
 	fabricWorkers int
 	fabricState   string
 	fabricFresh   bool
@@ -105,7 +108,7 @@ func parseSpec(args []string) (engine.SweepSpec, cliOptions, error) {
 	fs.BoolVar(&spec.Full, "full", false, "use the full sizes recorded in EXPERIMENTS.md")
 	fs.IntVar(&spec.Parallel, "parallel", 1, "sweep points evaluated concurrently (0 = GOMAXPROCS); output is identical at any setting")
 	fs.DurationVar(&spec.Deadline, "deadline", 0, "wall-clock budget per sweep point; overrunning points degrade to error rows (0 disables)")
-	fs.IntVar(&opts.fabricWorkers, "fabric", 0, "run the sweep on the crash-tolerant fabric with this many in-process workers (0 = off); committed experiments in the ledger are cache hits on re-run, so an interrupted sweep resumes")
+	fs.IntVar(&opts.fabricWorkers, "fabric", 0, "run the sweep on the crash-tolerant fabric with this much in-process parallelism (0 = off); committed experiments in the ledger are cache hits on re-run, so an interrupted sweep resumes")
 	fs.StringVar(&opts.fabricState, "fabric-state", "fabric.state", "fabric ledger directory (with -fabric)")
 	fs.BoolVar(&opts.fabricFresh, "fabric-fresh", false, "discard an existing fabric ledger instead of resuming from it (with -fabric)")
 	fs.IntVar(&opts.lab.N, "lab", 0, "run the adversary strategy lab at this Write-All size instead of the sweep (0 = off)")

@@ -148,8 +148,8 @@ type SweepSpec struct {
 	Full bool `json:"full,omitempty"`
 	// Parallel is the number of sweep points evaluated concurrently
 	// (<= 0 selects GOMAXPROCS); tables are identical at any setting.
-	// A fabric sweep's parallelism is its worker count instead: each
-	// task runs its points one at a time.
+	// A pramd sweep job hands it to fabric.RunSweep as its Workers
+	// budget, which runs several experiments at once when it can.
 	Parallel int `json:"parallel,omitempty"`
 	// Deadline bounds each sweep point's wall-clock time; overrunning
 	// points degrade to error rows (0 disables). Fabric tasks carry it.

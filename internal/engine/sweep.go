@@ -64,7 +64,7 @@ func ExecuteSweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (SweepR
 	if err != nil {
 		return res, err
 	}
-	sweep := bench.Sweep{Scale: scale(spec.Full), Parallel: spec.Parallel, Deadline: spec.Deadline}
+	sweep := bench.Sweep{Scale: Scale(spec.Full), Parallel: spec.Parallel, Deadline: spec.Deadline}
 	if sweep.Parallel <= 0 {
 		sweep.Parallel = runtime.GOMAXPROCS(0)
 	}
@@ -120,7 +120,8 @@ func (s SweepSpec) ExperimentIDs() ([]string, error) {
 	return ids, nil
 }
 
-func scale(full bool) bench.Scale {
+// Scale maps a spec's Full setting to its bench scale.
+func Scale(full bool) bench.Scale {
 	if full {
 		return bench.Full
 	}
@@ -128,12 +129,10 @@ func scale(full bool) bench.Scale {
 }
 
 // RunExperiment runs one registered experiment at the given scale and
-// point deadline (0 disables it) and returns its tables. It runs the
-// points one at a time, so concurrent callers — fabric workers sharing
-// a process — each get the tables a sweep with the same deadline
-// produces at any parallelism.
-func RunExperiment(ctx context.Context, id string, full bool, deadline time.Duration) ([]bench.Table, error) {
-	tables, err := runExperiment(ctx, id, bench.Sweep{Scale: scale(full), Deadline: deadline})
+// point deadline (0 disables it), up to parallel points at once, and
+// returns its tables, which no parallelism changes.
+func RunExperiment(ctx context.Context, id string, full bool, parallel int, deadline time.Duration) ([]bench.Table, error) {
+	tables, err := runExperiment(ctx, id, bench.Sweep{Scale: Scale(full), Parallel: parallel, Deadline: deadline})
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func TestSweepDeadlineDoesNotOutliveSweep(t *testing.T) {
 	if got := sweepE1(t, time.Nanosecond).Degraded; got != 8 {
 		t.Fatalf("E1 under a 1ns deadline degraded %d points, want all 8", got)
 	}
-	tables, err := RunExperiment(context.Background(), "E1", false, 0)
+	tables, err := RunExperiment(context.Background(), "E1", false, 1, 0)
 	if err != nil {
 		t.Fatalf("RunExperiment: %v", err)
 	}

@@ -471,12 +471,13 @@ func TestRunSweepMatchesExecuteSweep(t *testing.T) {
 }
 
 // TestRunSweepReturnsWhenDone pins that an in-process pool stops as
-// soon as the Do-All is done. With three workers and one task, two
-// workers find the task leased and sleep out a retry interval of
-// LeaseTTL/4 (15s here); RunSweep must not wait for them.
+// soon as the Do-All is done. With two workers on two tasks, the
+// worker that finishes first finds the other task leased and sleeps
+// out a retry interval of LeaseTTL/4 (15s here); RunSweep must not
+// wait for it.
 func TestRunSweepReturnsWhenDone(t *testing.T) {
 	start := time.Now()
-	_, stats, err := RunSweep(context.Background(), engine.SweepSpec{Run: []string{"E1"}}, RunSweepOptions{
+	_, stats, err := RunSweep(context.Background(), engine.SweepSpec{Run: []string{"E1", "E4"}}, RunSweepOptions{
 		StateDir:    t.TempDir(),
 		Workers:     3,
 		Coordinator: Options{CodeVersion: "test", LeaseTTL: time.Minute},
@@ -484,11 +485,31 @@ func TestRunSweepReturnsWhenDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Done != 1 {
-		t.Fatalf("sweep finished with %+v, want one task done", stats)
+	if stats.Done != 2 {
+		t.Fatalf("sweep finished with %+v, want two tasks done", stats)
 	}
 	if took := time.Since(start); took > 10*time.Second {
-		t.Fatalf("RunSweep took %v after a 1-task Do-All; idle workers held it up", took)
+		t.Fatalf("RunSweep took %v after a 2-task Do-All; an idle worker held it up", took)
+	}
+}
+
+// TestPoolSize pins how RunSweep splits its Workers budget: never more
+// workers than pending tasks, however large the budget (a remote spec
+// sets it), and the unstarted share goes to each task's points.
+func TestPoolSize(t *testing.T) {
+	for _, c := range []struct{ budget, pending, workers, parallel int }{
+		{1, 3, 1, 1},
+		{2, 3, 2, 1},
+		{2, 1, 1, 2},
+		{16, 3, 3, 5},
+		{4, 0, 1, 4},
+		{1_000_000_000, 1, 1, 1_000_000_000},
+		{1_000_000_000, 18, 18, 55_555_555},
+	} {
+		w, p := poolSize(c.budget, c.pending)
+		if w != c.workers || p != c.parallel {
+			t.Errorf("poolSize(%d, %d) = (%d, %d), want (%d, %d)", c.budget, c.pending, w, p, c.workers, c.parallel)
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ type RunSweepOptions struct {
 	// StateDir holds the ledger (StateDir/ledger.jsonl). Required:
 	// durability is the fabric's reason to exist.
 	StateDir string
-	// Workers is the in-process worker count (<= 0 selects GOMAXPROCS,
-	// like SweepSpec.Parallel).
+	// Workers is the sweep's parallelism (<= 0 selects GOMAXPROCS),
+	// split between in-process workers and their tasks' points.
 	Workers int
 	// Fresh discards an existing ledger instead of resuming from it.
 	// The default resumes: committed results are cache hits, which is
@@ -69,10 +69,7 @@ func RunSweep(ctx context.Context, spec engine.SweepSpec, opt RunSweepOptions) (
 	}
 	defer coord.Close()
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers, parallel := poolSize(opt.Workers, coord.Stats().Pending)
 	var tr Transport = coord
 	if opt.OnCommit != nil {
 		tr = &notifier{Coordinator: coord, onCommit: opt.OnCommit}
@@ -82,9 +79,9 @@ func RunSweep(ctx context.Context, spec engine.SweepSpec, opt RunSweepOptions) (
 	pool, stop := context.WithCancel(ctx)
 	defer stop()
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		w := &Worker{ID: fmt.Sprintf("local-%d", i), Coord: tr, Logf: opt.Logf}
-		wg.Add(1)
+		w := &Worker{ID: fmt.Sprintf("local-%d", i), Coord: tr, Logf: opt.Logf, parallel: parallel}
 		go func() {
 			defer wg.Done()
 			if w.Run(pool) == nil {
@@ -99,6 +96,17 @@ func RunSweep(ctx context.Context, spec engine.SweepSpec, opt RunSweepOptions) (
 	}
 	res, err := Assemble(coord)
 	return res, stats, err
+}
+
+// poolSize splits a parallelism budget (<= 0: GOMAXPROCS) into
+// in-process workers, at most one per pending task however large the
+// budget, and the points each worker's task runs at once.
+func poolSize(budget, pending int) (workers, parallel int) {
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(budget, pending))
+	return workers, max(1, budget/workers)
 }
 
 // notifier is the in-process workers' transport when RunSweep has an

@@ -20,7 +20,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 )
 
@@ -61,8 +60,8 @@ func (t Task) Validate() error {
 // Decompose expands a sweep spec into its Do-All task list, one task
 // per selected experiment, in registry order, keyed "<ID>/scale=<N>"
 // (existing ledgers depend on these bytes). Each task carries the
-// spec's point deadline; Parallel never changes tables, and a fabric
-// sweep's parallelism is its worker count, so tasks leave it out.
+// spec's point deadline; Parallel never changes tables, so tasks leave
+// it out and the worker picks how many points run at once.
 func Decompose(spec engine.SweepSpec) ([]Task, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -71,14 +70,10 @@ func Decompose(spec engine.SweepSpec) ([]Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	scale := bench.Quick
-	if spec.Full {
-		scale = bench.Full
-	}
 	tasks := make([]Task, 0, len(ids))
 	for _, id := range ids {
 		tasks = append(tasks, Task{
-			Key:        fmt.Sprintf("%s/scale=%d", id, scale),
+			Key:        fmt.Sprintf("%s/scale=%d", id, engine.Scale(spec.Full)),
 			Experiment: ExperimentTask{ID: id, Full: spec.Full, Deadline: spec.Deadline},
 		})
 	}

@@ -60,6 +60,8 @@ type Worker struct {
 	Poll time.Duration
 	// Logf receives worker notices; nil discards them.
 	Logf func(format string, args ...any)
+	// parallel is how many points a task runs at once (RunSweep's share).
+	parallel int
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -200,7 +202,7 @@ func (w *Worker) report(r LeaseReply, result json.RawMessage, execErr error) {
 // runTask executes the task's experiment through the engine layer and
 // returns its tables as canonical JSON.
 func (w *Worker) runTask(ctx context.Context, t Task) (json.RawMessage, error) {
-	tables, err := engine.RunExperiment(ctx, t.Experiment.ID, t.Experiment.Full, t.Experiment.Deadline)
+	tables, err := engine.RunExperiment(ctx, t.Experiment.ID, t.Experiment.Full, w.parallel, t.Experiment.Deadline)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,8 @@
 //	sweep/          the fabric ledger (sweep jobs)
 //	result.json     the engine result (terminal done state only)
 //
-// A sweep job is a fabric Do-All (internal/fabric) on the spec's
-// Parallel in-process workers (GOMAXPROCS when Parallel is 0).
+// A sweep job is a fabric Do-All (internal/fabric) with the spec's
+// Parallel (GOMAXPROCS when 0) as its in-process parallelism.
 //
 // Recovery mirrors the paper's fail-stop/restart model one level up:
 // a job found "running" at Open was interrupted by a crash, so it is

@@ -422,8 +422,8 @@ func (s *Store) execute(ctx context.Context, js *jobState) (any, error) {
 			Logf:     s.logf,
 		})
 	case KindSweep:
-		// A sweep job is a fabric Do-All on the spec's Parallel
-		// in-process workers over the ledger in sweep/. A resumed job
+		// A sweep job is a fabric Do-All over the ledger in sweep/, with
+		// the spec's Parallel as its parallelism budget. A resumed job
 		// keeps the ledger, so the experiments committed before the
 		// interruption are cache hits and only the missing ones run.
 		spec := *js.job.Spec.Sweep
