@@ -162,6 +162,7 @@ FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
 	FuzzMachineVsReference:./internal/pram/ \
 	FuzzJSONLMatchesEncodingJSON:./internal/pram/ \
 	FuzzReadPattern:./internal/adversary/ \
+	FuzzParseStrategy:./internal/advlab/ \
 	FuzzJournalReplay:./internal/bench/ \
 	FuzzCountingMatchesStandardSource:./internal/rng/
 
@@ -181,16 +182,17 @@ fuzz:
 	done
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON, fabric ledger replay), the random source's
-# differential check against math/rand, the machine's differential
-# check against the reference stepper and the event sink's hand
-# encoder's check against encoding/json a brief randomized shake beyond
-# their committed corpora; cheap enough to live inside `make check`.
+# failure-pattern JSON, lab strategy JSON, fabric ledger replay), the
+# random source's differential check against math/rand, the machine's
+# differential check against the reference stepper and the event sink's
+# hand encoder's check against encoding/json a brief randomized shake
+# beyond their committed corpora; cheap enough to live inside `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
+	$(GO) test -fuzz FuzzParseStrategy -fuzztime 5s ./internal/advlab/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/bench/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 

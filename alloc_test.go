@@ -81,14 +81,63 @@ func TestSteadyStateTicksAllocationFreeUnderChurn(t *testing.T) {
 }
 
 // allocsOver returns the number of heap allocations runs calls of f make
-// in total, measured the way testing.AllocsPerRun measures.
-func allocsOver(runs int, f func()) uint64 {
+// in total. It counts only the allocations whose stacks pass through
+// runSteps, read from a memory profile sampling every allocation, so the
+// runtime's own background work (the scavenger's timers, say) during the
+// calls is not charged to f, as it would be by testing.AllocsPerRun's
+// process-wide MemStats.Mallocs.
+func allocsOver(runs int, f func()) int64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocsUnderRunSteps()
+	runSteps(runs, f)
+	return allocsUnderRunSteps() - before
+}
+
+// runSteps calls f runs times; allocsOver charges f with the allocations
+// whose stacks contain this frame.
+//
+//go:noinline
+func runSteps(runs int, f func()) {
 	for i := 0; i < runs; i++ {
 		f()
 	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+}
+
+// allocsUnderRunSteps returns the number of allocations the memory
+// profile attributes to runSteps so far. The profile publishes an
+// allocation two garbage collections after it happens, so it collects
+// twice first. A stack the profile cut short cannot be attributed and
+// is counted, so truncation cannot hide an allocation.
+func allocsUnderRunSteps() int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for i := range recs[:n] {
+		if stack := recs[i].Stack(); len(stack) == len(recs[i].Stack0) || underRunSteps(stack) {
+			total += recs[i].AllocObjects
+		}
+	}
+	return total
+}
+
+// underRunSteps reports whether the call stack passes through runSteps.
+func underRunSteps(stack []uintptr) bool {
+	frames := runtime.CallersFrames(stack)
+	for {
+		frame, more := frames.Next()
+		if frame.Function == "repro.runSteps" {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }

@@ -27,8 +27,10 @@
 // plain sweep but prints only when every task is resolved, without
 // timings (an interrupted run prints nothing; the ledger keeps its
 // commits). N is the sweep's parallelism, split between experiments
-// and their points; tasks carry -deadline; -parallel is ignored. Under
-// go run cache keys carry no code version: add -fabric-fresh after edits.
+// and their points; tasks carry -deadline; -parallel is ignored. Cache
+// hits need a code version: PRAM_CODE_VERSION, or the VCS stamp of a
+// binary built from an unmodified checkout. Without one (go run, or a
+// build of an edited tree) every experiment runs again.
 //
 // Without -run it executes every experiment; -full uses the (slower) sizes
 // recorded in EXPERIMENTS.md instead of the quick ones.

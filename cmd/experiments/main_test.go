@@ -79,6 +79,9 @@ func TestRunResumesInterruptedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are slow")
 	}
+	// A test binary carries no VCS stamp; the resume's cache hit needs a
+	// code version.
+	t.Setenv("PRAM_CODE_VERSION", "test")
 	dir := t.TempDir()
 	ledger := filepath.Join(dir, "ledger.jsonl")
 

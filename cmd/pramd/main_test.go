@@ -230,6 +230,9 @@ func TestSweepKillRestartOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep jobs run real experiments")
 	}
+	// A test binary carries no VCS stamp; the recovery's cache hits need
+	// a code version.
+	t.Setenv("PRAM_CODE_VERSION", "test")
 	const sweepBody = `{"kind":"sweep","sweep":{"run":["E1","E4","E13"]}}`
 	result := func(base, id string) []byte {
 		t.Helper()

@@ -14,7 +14,8 @@ type (
 	// Word is the shared-memory word type.
 	Word = pram.Word
 	// Config parameterizes a machine run (input size N, processors P,
-	// write policy, tick budget, liveness enforcement).
+	// snapshot instruction, tick budget, packed memory, event sink) on
+	// the paper's COMMON CRCW PRAM.
 	Config = pram.Config
 	// Metrics is the accounting of one run: completed work S, S', |F|,
 	// overhead ratio, and update-cycle statistics.
@@ -68,20 +69,6 @@ type (
 	// Engine selects the executor's Write-All engine (EngineVX or
 	// EngineX).
 	Engine = core.Engine
-)
-
-// Write policies of the CRCW machine.
-const (
-	// Common is the COMMON CRCW PRAM (concurrent writers must agree).
-	Common = pram.Common
-	// Arbitrary lets one concurrent writer win (lowest PID here).
-	Arbitrary = pram.Arbitrary
-	// Priority lets the lowest-PID concurrent writer win.
-	Priority = pram.Priority
-	// CREW forbids concurrent writes.
-	CREW = pram.CREW
-	// EREW forbids concurrent reads and writes.
-	EREW = pram.EREW
 )
 
 // NewProcTracker returns a ProcTracker for p processors; pass it as

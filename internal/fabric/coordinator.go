@@ -49,7 +49,8 @@ type Options struct {
 	// Seed feeds the jitter; runs with equal seeds back off
 	// identically.
 	Seed int64
-	// CodeVersion binds cache keys ("" = CodeVersion()).
+	// CodeVersion binds cache keys ("" = CodeVersion()). A coordinator
+	// left without one serves no cache hits but still commits results.
 	CodeVersion string
 	// Logf receives coordinator notices; nil discards them.
 	Logf func(format string, args ...any)
@@ -152,7 +153,8 @@ type Coordinator struct {
 // NewCoordinator opens (or resumes) a coordinator over the ledger at
 // ledgerPath for the given task list. Results already present in the
 // ledger under the current code version count as cache hits and are
-// not re-executed; recorded attempts and quarantines carry over.
+// not re-executed (none do without a code version); recorded attempts
+// and quarantines carry over.
 func NewCoordinator(tasks []Task, ledgerPath string, opts Options) (*Coordinator, error) {
 	opts.fill()
 	for _, t := range tasks {
@@ -173,22 +175,28 @@ func NewCoordinator(tasks []Task, ledgerPath string, opts Options) (*Coordinator
 		results: make(map[string]json.RawMessage, len(tasks)),
 	}
 	c.stats.Tasks = len(tasks)
+	cached := opts.CodeVersion != ""
+	if !cached {
+		c.logf("fabric: no code version (set PRAM_CODE_VERSION, or build from an unmodified checkout); serving no cached results")
+	}
 	for _, t := range tasks {
 		if _, dup := c.state[t.Key]; dup {
 			ledger.Close()
 			return nil, fmt.Errorf("fabric: duplicate task key %q", t.Key)
 		}
 		st := &taskState{task: t, cacheKey: CacheKey(t, opts.CodeVersion)}
-		var raw json.RawMessage
-		if ok, err := ledger.Get(resultPrefix+st.cacheKey, &raw); err != nil {
-			ledger.Close()
-			return nil, err
-		} else if ok {
-			st.done = true
-			c.results[t.Key] = raw
-			c.stats.Done++
-			c.stats.CacheHits++
-			obsCacheHit()
+		if cached {
+			var raw json.RawMessage
+			if ok, err := ledger.Get(resultPrefix+st.cacheKey, &raw); err != nil {
+				ledger.Close()
+				return nil, err
+			} else if ok {
+				st.done = true
+				c.results[t.Key] = raw
+				c.stats.Done++
+				c.stats.CacheHits++
+				obsCacheHit()
+			}
 		}
 		if ok, err := ledger.Get(attemptsPrefix+t.Key, &st.attempts); err != nil {
 			ledger.Close()

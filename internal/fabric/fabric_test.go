@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -466,6 +467,61 @@ func TestRunSweepMatchesExecuteSweep(t *testing.T) {
 		}
 		if len(committed) != 1 {
 			t.Fatalf("deadline %v: OnCommit fired for a cache hit: %v", spec.Deadline, committed)
+		}
+	}
+}
+
+// TestCacheHitsNeedCodeVersion: a ledger serves its results only to a
+// coordinator that knows which code computed them. Without
+// PRAM_CODE_VERSION a test binary has no code version (it carries no
+// VCS stamp), so a second sweep over the same ledger executes every
+// task again; with the variable set, every task is a cache hit.
+func TestCacheHitsNeedCodeVersion(t *testing.T) {
+	ctx := context.Background()
+	spec := engine.SweepSpec{Run: []string{"E1", "E4"}}
+	sweep := func(dir string) Stats {
+		t.Helper()
+		_, stats, err := RunSweep(ctx, spec, RunSweepOptions{StateDir: dir, Workers: 1, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+
+	t.Setenv("PRAM_CODE_VERSION", "")
+	if v := CodeVersion(); v != "" {
+		t.Fatalf("CodeVersion() = %q in a test binary without PRAM_CODE_VERSION, want \"\"", v)
+	}
+	dir := t.TempDir()
+	sweep(dir)
+	if s := sweep(dir); s.Commits != 2 || s.CacheHits != 0 {
+		t.Fatalf("without a code version the second sweep must execute both tasks, got %+v", s)
+	}
+
+	t.Setenv("PRAM_CODE_VERSION", "test")
+	dir = t.TempDir()
+	sweep(dir)
+	if s := sweep(dir); s.CacheHits != 2 || s.Commits != 0 || s.LeasesGranted != 0 {
+		t.Fatalf("with a code version the second sweep must be all cache hits, got %+v", s)
+	}
+}
+
+// TestCleanRevision: only a stamp that records an unmodified tree
+// names the code.
+func TestCleanRevision(t *testing.T) {
+	rev := debug.BuildSetting{Key: "vcs.revision", Value: "abc123"}
+	for _, tt := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"unmodified", []debug.BuildSetting{rev, {Key: "vcs.modified", Value: "false"}}, "abc123"},
+		{"modified", []debug.BuildSetting{rev, {Key: "vcs.modified", Value: "true"}}, ""},
+		{"no-modified-flag", []debug.BuildSetting{rev}, ""},
+		{"no-stamp", nil, ""},
+	} {
+		if got := cleanRevision(tt.settings); got != tt.want {
+			t.Errorf("%s: cleanRevision = %q, want %q", tt.name, got, tt.want)
 		}
 	}
 }

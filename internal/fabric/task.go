@@ -102,18 +102,35 @@ func CacheKey(t Task, codeVersion string) string {
 
 // CodeVersion identifies the code that computes results, for cache-key
 // binding: the PRAM_CODE_VERSION environment variable when set (tests,
-// reproducible builds), else the VCS revision stamped into the binary,
-// else "dev".
+// reproducible builds), else the VCS revision stamped into a binary
+// built from an unmodified tree. It returns "" when neither identifies
+// the code: `go run` and `go test` binaries carry no VCS stamp, and a
+// build of an edited tree stamps a revision its code no longer matches.
+// A coordinator without a code version serves no cache hits.
 func CodeVersion() string {
 	if v := os.Getenv("PRAM_CODE_VERSION"); v != "" {
 		return v
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return s.Value
-			}
+		return cleanRevision(info.Settings)
+	}
+	return ""
+}
+
+// cleanRevision returns the stamped VCS revision when the stamp also
+// records an unmodified tree, and "" otherwise.
+func cleanRevision(settings []debug.BuildSetting) string {
+	rev, clean := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			clean = s.Value == "false"
 		}
 	}
-	return "dev"
+	if !clean {
+		return ""
+	}
+	return rev
 }

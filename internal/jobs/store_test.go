@@ -569,6 +569,9 @@ func TestKillMidSweepResumesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep jobs run real experiments")
 	}
+	// A test binary carries no VCS stamp; the recovery's cache hits need
+	// a code version.
+	t.Setenv("PRAM_CODE_VERSION", "test")
 	spec := Spec{Kind: KindSweep, Sweep: &engine.SweepSpec{Run: []string{"E1", "E4", "E13"}}}
 
 	baseDir := t.TempDir()

@@ -13,7 +13,7 @@ const (
 	MetricIncomplete = "pram_cycles_incomplete_total" // killed-in-progress cycles: S' − S (Remark 2)
 	MetricFailures   = "pram_failures_total"          // failure events (half of |F|, Def. 2.1)
 	MetricRestarts   = "pram_restarts_total"          // restart events (other half of |F|)
-	MetricVetoes     = "pram_vetoes_total"            // liveness-rule vetoes (VetoSpare repairs)
+	MetricVetoes     = "pram_vetoes_total"            // liveness-rule vetoes
 	MetricViolations = "pram_violations_total"        // adversary contract violations recorded
 	MetricRuns       = "pram_runs_total"              // runs terminated (success or error)
 	MetricRunErrors  = "pram_run_errors_total"        // runs terminated with an error

@@ -74,9 +74,8 @@ type View struct {
 	// States holds each processor's liveness.
 	States StateView
 	// Intents holds, for each alive processor, the cycle it is about to
-	// execute; entries for dead, halted, or (under a Scheduler)
-	// unscheduled processors are nil. Adversaries must not modify the
-	// intents.
+	// execute; entries for dead and halted processors are nil.
+	// Adversaries must not modify the intents.
 	Intents []*Intent
 	// Alive is the number of processors executing a cycle this tick.
 	Alive int
@@ -121,7 +120,7 @@ type Decision struct {
 // Adversary is an on-line failure/restart adversary. Decide is called once
 // per tick with full knowledge of the machine; the machine enforces the
 // paper's liveness rule (at least one processor completes an update cycle)
-// afterwards, per the Config's LegalityMode.
+// afterwards by vetoing one failure of a tick that would fail them all.
 type Adversary interface {
 	// Name identifies the adversary in metrics and experiment tables.
 	Name() string

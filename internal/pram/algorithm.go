@@ -93,7 +93,7 @@ const (
 // Ctx carries one processor's view of the machine during a single update
 // cycle. Reads observe the shared memory as of the start of the tick;
 // writes are buffered and committed synchronously at the end of the tick
-// under the machine's write policy. The read/write logs live in fixed
+// under the COMMON rule. The read/write logs live in fixed
 // inline arrays (cycles are constant-size by the model), so steady-state
 // cycles allocate nothing.
 type Ctx struct {

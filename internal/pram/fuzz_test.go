@@ -29,6 +29,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	badVer := append([]byte(nil), good...)
 	badVer[8] = 0x7F
 	f.Add(badVer)
+	f.Add(withPolicySlot(good, 3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))

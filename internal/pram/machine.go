@@ -6,42 +6,25 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
-	"slices"
 
 	"repro/internal/faultinject"
 )
 
-// LegalityMode selects how the machine handles an adversary decision that
-// violates the model's liveness rule ("at any time ... at least one
-// processor is executing an update cycle that successfully completes",
-// Section 2.1, condition 2(i)).
-type LegalityMode int
-
-const (
-	// VetoSpare silently spares one targeted processor so that at least
-	// one cycle completes, and counts the veto in the metrics. This is
-	// the default: it turns any adversary into a legal one.
-	VetoSpare LegalityMode = iota + 1
-	// ErrorOnIllegal aborts the run with an error instead.
-	ErrorOnIllegal
-)
-
-// Config parameterizes a machine.
+// Config parameterizes a machine, which is always the paper's COMMON
+// CRCW PRAM (Section 2.1): concurrent writers of a cell must agree, or
+// the run fails with ErrCommonViolation. When an adversary would fail
+// every executing processor, the machine spares one and counts the veto,
+// so at least one update cycle completes (condition 2(i)).
 type Config struct {
 	// N is the input size; P the number of processors. Both must be
 	// positive.
 	N, P int
-	// Policy is the concurrent-access policy; the zero value means
-	// Common, the paper's model.
-	Policy WritePolicy
 	// AllowSnapshot permits the unit-cost whole-memory read instruction
 	// assumed by Theorem 3.2. Ordinary runs leave it false.
 	AllowSnapshot bool
 	// MaxTicks bounds the run; zero means DefaultMaxTicks. Exceeding it
 	// returns ErrTickLimit (it indicates a non-terminating run).
 	MaxTicks int
-	// Legality selects liveness-rule enforcement; zero means VetoSpare.
-	Legality LegalityMode
 	// Packed opts the run into the bit-packed shared-memory layout: the
 	// Write-All prefix the algorithm volunteers through ArrayDoneHinter
 	// is stored one bit per cell, 64 cells per word, cutting the N=10⁷-
@@ -56,16 +39,6 @@ type Config struct {
 	// and one RunEvent at termination. All sink methods are invoked from
 	// the commit phase on the stepping goroutine, in deterministic order.
 	Sink Sink
-	// Scheduler, if non-nil, selects which live processors execute a
-	// cycle at each tick; unscheduled processors idle (uncharged,
-	// unfailed). It models the asynchronous PRAMs the paper's
-	// introduction situates itself against ([CZ 89], [Gib 89], [Nis 90],
-	// [MSP 90]): an adversarial schedule is a deterministic form of
-	// asynchrony. If the schedule leaves no live processor runnable, the
-	// machine runs all of them (a schedule cannot stop the clock). The
-	// machine resolves the schedule once per tick on the stepping
-	// goroutine, so the function is never called concurrently.
-	Scheduler func(tick, pid int) bool
 }
 
 // DefaultMaxTicks bounds runs whose Config does not set MaxTicks.
@@ -76,9 +49,6 @@ var (
 	// ErrTickLimit reports that the run did not terminate within the
 	// configured tick budget.
 	ErrTickLimit = errors.New("pram: tick limit exceeded")
-	// ErrIllegalAdversary reports a liveness-rule violation under
-	// ErrorOnIllegal.
-	ErrIllegalAdversary = errors.New("pram: adversary violates liveness rule")
 	// ErrAllHalted reports that every processor exited but the
 	// algorithm's Done predicate is still false (an algorithm bug).
 	ErrAllHalted = errors.New("pram: all processors halted before completion")
@@ -88,9 +58,6 @@ var (
 	// ErrCommonViolation reports concurrent writers disagreeing on a
 	// COMMON CRCW machine.
 	ErrCommonViolation = errors.New("pram: COMMON write conflict with differing values")
-	// ErrExclusiveViolation reports a concurrent access forbidden by a
-	// CREW or EREW policy.
-	ErrExclusiveViolation = errors.New("pram: concurrent access violates exclusivity policy")
 	// ErrSnapshotDisallowed reports use of the Theorem 3.2 snapshot
 	// instruction on a machine that does not allow it.
 	ErrSnapshotDisallowed = errors.New("pram: snapshot instruction not allowed by config")
@@ -142,8 +109,6 @@ type Machine struct {
 	intentsB []Intent
 	pending  []pendingCommit
 	view     View
-	sched    []bool
-	readBuf  []int
 	// writeBuf holds the tick's first writer of each written cell, in
 	// the order commitWrites meets them; cells indexes it by address
 	// (an open-addressing table of 1<<cellBits slots, a slot valid when
@@ -224,14 +189,8 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	if cfg.N <= 0 || cfg.P <= 0 {
 		return fmt.Errorf("pram: N and P must be positive, got N=%d P=%d", cfg.N, cfg.P)
 	}
-	if cfg.Policy == 0 {
-		cfg.Policy = Common
-	}
 	if cfg.MaxTicks == 0 {
 		cfg.MaxTicks = DefaultMaxTicks
-	}
-	if cfg.Legality == 0 {
-		cfg.Legality = VetoSpare
 	}
 	sameAlg := algSameInstance(m.alg, alg)
 	m.cfg, m.alg, m.adv, m.sink = cfg, alg, adv, cfg.Sink
@@ -272,11 +231,6 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	}
 	m.pending = m.pending[:0]
 	m.sizeCommit(p * MaxWritesPerCycle)
-	if cfg.Scheduler != nil {
-		m.sched = grow(m.sched, p)
-	} else {
-		m.sched = nil
-	}
 
 	size := alg.MemorySize(cfg.N, p)
 	if m.mem == nil {
@@ -476,15 +430,12 @@ func (m *Machine) Step() (bool, error) {
 	}
 	before := m.metrics
 
-	// Phase 1 (the attempt phase): every live, scheduled processor
-	// executes its cycle against the tick-start memory, in PID order,
-	// and publishes the outcome as its intent. Reads observe the
-	// pre-tick memory and writes are buffered, so no cycle sees another
-	// cycle of the same tick: the synchronous semantics of Section 2.1,
-	// under which the adversary below also sees every intent before any
-	// write lands.
-	m.resolveSchedule()
-	m.dropStaleIntents()
+	// Phase 1 (the attempt phase): every live processor executes its
+	// cycle against the tick-start memory, in PID order, and publishes
+	// the outcome as its intent. Reads observe the pre-tick memory and
+	// writes are buffered, so no cycle sees another cycle of the same
+	// tick: the synchronous semantics of Section 2.1, under which the
+	// adversary below also sees every intent before any write lands.
 	m.attemptRange()
 	if e := m.takeCyclePanic(); e != nil {
 		// A cycle panicked (naturally or injected); the attempt published
@@ -492,17 +443,11 @@ func (m *Machine) Step() (bool, error) {
 		// crashing the process or silently dropping the processor.
 		return false, m.fail(e)
 	}
-	// Validate the published cycles in PID order, counting them: alive
-	// is the number of processors executing an update cycle this tick.
-	alive := 0
+	// Validate the published cycles, one per live processor, in PID order.
+	alive := m.ps.nAlive
 	for i, w := range m.ps.alive {
 		for ; w != 0; w &= w - 1 {
-			pid := i<<6 | bits.TrailingZeros64(w)
-			if m.intents[pid] == nil {
-				continue
-			}
-			alive++
-			if err := m.validateCycle(m.ctxs[pid]); err != nil {
+			if err := m.validateCycle(m.ctxs[i<<6|bits.TrailingZeros64(w)]); err != nil {
 				return false, m.fail(err)
 			}
 		}
@@ -515,12 +460,12 @@ func (m *Machine) Step() (bool, error) {
 
 	// Phase 2: the adversary moves. It sees the same immutable pre-tick
 	// views the cycles saw.
-	dec := m.decide(alive)
+	dec := m.decide()
 
 	// Phase 3: resolve the adversary's failure list into the per-PID
 	// failBuf (one indexed read per processor afterwards) and enforce
-	// liveness: at least one alive, scheduled processor must complete
-	// its cycle this tick.
+	// liveness: at least one alive processor must complete its cycle
+	// this tick.
 	for _, pid := range m.failSet {
 		m.failBuf[pid] = NoFailure
 	}
@@ -533,37 +478,23 @@ func (m *Machine) Step() (bool, error) {
 		}
 		m.failBuf[pid] = f.Point
 		m.failSet = append(m.failSet, pid)
-		if m.ps.states[pid] == Alive && m.intents[pid] != nil {
+		if m.ps.states[pid] == Alive {
 			survivors--
 		}
 	}
 	if survivors == 0 {
 		m.recordViolation(ViolationKillAll)
-		if m.cfg.Legality == ErrorOnIllegal {
-			return false, m.fail(fmt.Errorf("%w at tick %d (adversary=%s)",
-				ErrIllegalAdversary, m.tick, m.adv.Name()))
-		}
 		m.spareOne()
 		m.metrics.Vetoes++
 	}
 
-	// Phase 4: apply failures and collect commits. An alive processor
-	// that did not execute this tick (unscheduled) can still be failed,
-	// but its cycle never began: any fail point degrades to "nothing
-	// executed" and its stale context must not leak writes.
+	// Phase 4: apply failures and collect commits.
 	m.pending = m.pending[:0]
 	for i, w := range m.ps.alive {
 		for ; w != 0; w &= w - 1 {
 			pid := i<<6 | bits.TrailingZeros64(w)
 			ctx := m.ctxs[pid]
 			fp := m.failBuf[pid]
-			if m.intents[pid] == nil {
-				// Unscheduled this tick: only death can happen.
-				if fp != NoFailure {
-					m.kill(pid)
-				}
-				continue
-			}
 			m.pending = append(m.pending, pendingCommit{})
 			pc := &m.pending[len(m.pending)-1]
 			pc.pid, pc.fail = pid, fp
@@ -637,8 +568,9 @@ func (m *Machine) Step() (bool, error) {
 }
 
 // decide hands the adversary this tick's view, with the PIDs whose state
-// changed since its previous call, and starts a fresh change list.
-func (m *Machine) decide(alive int) Decision {
+// changed since its previous call, and starts a fresh change list. Every
+// live processor executes a cycle, so the view's Alive is the live count.
+func (m *Machine) decide() Decision {
 	m.view = View{
 		Tick:    m.tick,
 		N:       m.cfg.N,
@@ -646,7 +578,7 @@ func (m *Machine) decide(alive int) Decision {
 		Mem:     m.mem.View(),
 		States:  StateView{s: &m.ps},
 		Intents: m.intents,
-		Alive:   alive,
+		Alive:   m.ps.nAlive,
 		Changed: m.changed,
 		Resync:  m.resync,
 	}
@@ -657,10 +589,14 @@ func (m *Machine) decide(alive int) Decision {
 }
 
 // setState moves pid to state st and notes the change for the next
-// Decide.
+// Decide. A PID that leaves the live set drops its intent, so the
+// adversary's Intents hold exactly the live PIDs' cycles.
 func (m *Machine) setState(pid int, st ProcState) {
 	m.ps.set(pid, st)
 	m.changed = append(m.changed, pid)
+	if st != Alive {
+		m.intents[pid] = nil
+	}
 }
 
 // kill fails alive processor pid in the apply phase.
@@ -668,18 +604,6 @@ func (m *Machine) kill(pid int) {
 	m.setState(pid, Dead)
 	m.retire(pid)
 	m.metrics.Failures++
-}
-
-// dropStaleIntents clears the intents of the PIDs that left the live set
-// since the last Decide, which kept them through the tick they died or
-// halted in (EREW's read check reads failed cycles' intents after the
-// apply phase); the attempt phase resets only the live PIDs' intents.
-func (m *Machine) dropStaleIntents() {
-	for _, pid := range m.changed {
-		if m.ps.states[pid] != Alive {
-			m.intents[pid] = nil
-		}
-	}
 }
 
 // attemptOne executes processor pid's update cycle against the tick-start
@@ -697,12 +621,6 @@ func (m *Machine) attemptOne(pid int) {
 	in.Halts = status == Halt
 	in.Snapshot = ctx.snapshots > 0
 	m.intents[pid] = in
-}
-
-// runnable reports whether pid is scheduled this tick (m.sched is the
-// schedule resolved at the top of the tick; nil means everyone runs).
-func (m *Machine) runnable(pid int) bool {
-	return m.sched == nil || m.sched[pid]
 }
 
 // fail routes a terminal error through the run-level sink event exactly
@@ -750,29 +668,6 @@ func (m *Machine) emitCycleEvents() {
 	}
 }
 
-// resolveSchedule fills m.sched with this tick's runnable set: the
-// configured scheduler, unless it would idle every live processor, in
-// which case everyone runs. With no scheduler m.sched stays nil and
-// runnable() is constant-true. The scheduler function is only ever called
-// here, on the stepping goroutine.
-func (m *Machine) resolveSchedule() {
-	if m.cfg.Scheduler == nil {
-		return
-	}
-	any := false
-	for pid := 0; pid < m.cfg.P; pid++ {
-		m.sched[pid] = m.cfg.Scheduler(m.tick, pid)
-		if m.sched[pid] && m.ps.states[pid] == Alive {
-			any = true
-		}
-	}
-	if !any {
-		for pid := range m.sched {
-			m.sched[pid] = true
-		}
-	}
-}
-
 // emitTick delivers the per-tick profile to the sink.
 func (m *Machine) emitTick(alive int, before Metrics) {
 	if m.sink == nil {
@@ -788,11 +683,11 @@ func (m *Machine) emitTick(alive int, before Metrics) {
 }
 
 // deadTick handles a tick with zero alive processors: the adversary is
-// consulted (it sees no intents) and must restart someone; under VetoSpare
-// the machine force-restarts the lowest-PID dead processor if it does not.
+// consulted (it sees no intents) and must restart someone; the machine
+// force-restarts the lowest-PID dead processor if it does not.
 func (m *Machine) deadTick() (bool, error) {
 	before := m.metrics
-	dec := m.decide(0)
+	dec := m.decide()
 	restarted := false
 	for _, pid := range dec.Restarts {
 		if pid >= 0 && pid < m.cfg.P && m.ps.states[pid] == Dead {
@@ -803,10 +698,6 @@ func (m *Machine) deadTick() (bool, error) {
 		m.applyRestarts(dec.Restarts)
 	} else {
 		m.recordViolation(ViolationNoRestart)
-		if m.cfg.Legality == ErrorOnIllegal {
-			return false, m.fail(fmt.Errorf("%w: no alive processors and no restart at tick %d",
-				ErrIllegalAdversary, m.tick))
-		}
 		if pid := nextSet(m.ps.dead, 0); pid >= 0 {
 			m.metrics.Vetoes++
 			m.restart(pid)
@@ -860,15 +751,14 @@ func (m *Machine) reviveProcessor(pid int) Processor {
 	return m.newProcessor(pid)
 }
 
-// spareOne clears the failure of the lowest-PID targeted alive processor
-// that is actually executing this tick, so that at least one update cycle
-// completes. It adjusts only the machine's failBuf resolution, never the
-// adversary's own decision.
+// spareOne clears the failure of the lowest-PID targeted alive processor,
+// so that at least one update cycle completes. It adjusts only the
+// machine's failBuf resolution, never the adversary's own decision.
 func (m *Machine) spareOne() {
 	for i, w := range m.ps.alive {
 		for ; w != 0; w &= w - 1 {
 			pid := i<<6 | bits.TrailingZeros64(w)
-			if m.intents[pid] != nil && m.failBuf[pid] != NoFailure {
+			if m.failBuf[pid] != NoFailure {
 				m.failBuf[pid] = NoFailure
 				return
 			}
@@ -928,14 +818,13 @@ func (m *Machine) sizeCommit(writes int) {
 	}
 }
 
-// commitWrites applies all pending writes of the tick under the configured
-// policy. Within a tick all writes are simultaneous, so conflict
+// commitWrites applies all pending writes of the tick under the COMMON
+// rule. Within a tick all writes are simultaneous, so conflict
 // resolution considers them together. One pass over the writes, which
 // come in PID order and each PID's in program order, finds each cell's
-// first writer (the one every policy keeps) through the cell table and
-// the lowest cell with a violation: under COMMON a later writer whose
-// value differs from the first's, under CREW/EREW any second writer.
-// It then stores the first writers of every cell below that one and
+// first writer through the cell table and the lowest cell with a
+// violation: a later writer whose value differs from the first's. It
+// then stores the first writers of every cell below that one and
 // reports it, so memory and error match resolving the cells one by one
 // in address order; without a violation every first writer lands.
 func (m *Machine) commitWrites() error {
@@ -946,15 +835,6 @@ func (m *Machine) commitWrites() error {
 	if n == 0 {
 		return nil
 	}
-	switch m.cfg.Policy {
-	case Common, Arbitrary, Priority, CREW:
-	case EREW:
-		if err := m.checkExclusiveReads(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("pram: invalid write policy %d", m.cfg.Policy)
-	}
 	if 2*n > len(m.cells) {
 		m.sizeCommit(n)
 	}
@@ -962,8 +842,6 @@ func (m *Machine) commitWrites() error {
 		clear(m.cells[:cap(m.cells)])
 		m.cellGen = 1
 	}
-	common := m.cfg.Policy == Common
-	exclusive := m.cfg.Policy == CREW || m.cfg.Policy == EREW
 	cells, gen, shift := m.cells, m.cellGen, 64-m.cellBits
 	mask := len(cells) - 1
 	wb := m.writeBuf[:0]
@@ -983,7 +861,7 @@ func (m *Machine) commitWrites() error {
 					break
 				}
 				if first := &wb[s.idx]; first.addr == w.Addr {
-					if w.Addr < badAt && (exclusive || common && w.Val != first.val) {
+					if w.Addr < badAt && w.Val != first.val {
 						bad, badAt = int(s.idx), w.Addr
 						other = taggedWrite{addr: w.Addr, pid: pc.pid, val: w.Val}
 					}
@@ -1002,30 +880,7 @@ func (m *Machine) commitWrites() error {
 	if bad < 0 {
 		return nil
 	}
-	if first := wb[bad]; common {
-		return fmt.Errorf("%w: cell %d gets %d (pid %d) and %d (pid %d) at tick %d",
-			ErrCommonViolation, badAt, first.val, first.pid, other.val, other.pid, m.tick)
-	}
-	return fmt.Errorf("%w: concurrent write of cell %d at tick %d",
-		ErrExclusiveViolation, badAt, m.tick)
-}
-
-// checkExclusiveReads verifies the EREW no-concurrent-read rule for the
-// cycles that executed at least one instruction this tick.
-func (m *Machine) checkExclusiveReads() error {
-	m.readBuf = m.readBuf[:0]
-	for _, pc := range m.pending {
-		if !pc.started {
-			continue
-		}
-		m.readBuf = append(m.readBuf, m.intents[pc.pid].Reads...)
-	}
-	slices.Sort(m.readBuf)
-	for i := 1; i < len(m.readBuf); i++ {
-		if m.readBuf[i] == m.readBuf[i-1] {
-			return fmt.Errorf("%w: concurrent read of cell %d at tick %d",
-				ErrExclusiveViolation, m.readBuf[i], m.tick)
-		}
-	}
-	return nil
+	first := wb[bad]
+	return fmt.Errorf("%w: cell %d gets %d (pid %d) and %d (pid %d) at tick %d",
+		ErrCommonViolation, badAt, first.val, first.pid, other.val, other.pid, m.tick)
 }

@@ -50,7 +50,7 @@ type BatchSink interface {
 // path: CycleBatch runs up to k consecutive update cycles in one call,
 // returning how many cycles it ran (the final, halting cycle included)
 // and Continue or Halt. The machine only invokes it inside a quiet
-// window — no failures, no restarts, no scheduler — and commits writes
+// window — no failures, no restarts — and commits writes
 // immediately rather than buffering them, so an implementation must be
 // oblivious over the window for equivalence to hold: its reads must not
 // depend on other processors' window writes, its writes must not
@@ -257,11 +257,10 @@ func (m *Machine) TickBatch(k int) (ran int, done bool, err error) {
 // quietWindow returns the number of ticks (>= 2) the machine may safely
 // advance as one quiet window, or 0 to fall back to Step. The window
 // must be invisible: the adversary quiescent and stateless over it, no
-// scheduler, no per-tick sink (unless it opts in via BatchSink), no
-// fault injection armed, the done hint active (the guard below needs
-// the remaining counter), a write policy whose conflict resolution is
-// vacuous under the BatchCycler disjoint-writes contract, and every
-// alive processor a BatchCycler. The window is further capped so the
+// per-tick sink (unless it opts in via BatchSink), no fault injection
+// armed, the done hint active (the guard below needs the remaining
+// counter), and every alive processor a BatchCycler, whose
+// disjoint-writes contract makes COMMON's conflict check vacuous. The window is further capped so the
 // Done predicate cannot become true strictly inside it: each tick
 // clears at most alive*MaxWritesPerCycle hinted cells, so completion is
 // only reachable at the window's final tick, where it is checked.
@@ -270,12 +269,7 @@ func (m *Machine) quietWindow(maxW int) int {
 		// A one-tick batch is a plain Step: no quiescence probing.
 		return 0
 	}
-	if m.ended || m.hintLen == 0 || m.remaining == 0 || m.cfg.Scheduler != nil {
-		return 0
-	}
-	switch m.cfg.Policy {
-	case Common, Arbitrary, Priority:
-	default:
+	if m.ended || m.hintLen == 0 || m.remaining == 0 {
 		return 0
 	}
 	if m.sink != nil {

@@ -384,22 +384,6 @@ func TestLivenessVetoSparesOneProcessor(t *testing.T) {
 	}
 }
 
-func TestLivenessErrorModeRejectsKillAll(t *testing.T) {
-	killAll := &funcAdversary{name: "kill-all", f: func(v *View) Decision {
-		dec := Decision{}
-		for pid := 0; pid < v.States.Len(); pid++ {
-			if v.States.At(pid) == Alive {
-				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
-			}
-		}
-		return dec
-	}}
-	m := mustMachine(t, Config{N: 2, P: 2, Legality: ErrorOnIllegal}, oneShotWriter(), killAll)
-	if _, err := m.Run(); !errors.Is(err, ErrIllegalAdversary) {
-		t.Fatalf("Run err = %v, want ErrIllegalAdversary", err)
-	}
-}
-
 func TestCommonPolicyAcceptsAgreeingWriters(t *testing.T) {
 	alg := &testAlg{
 		name: "agree",
@@ -426,73 +410,6 @@ func TestCommonPolicyRejectsDisagreeingWriters(t *testing.T) {
 	m := mustMachine(t, Config{N: 1, P: 2}, alg, &funcAdversary{})
 	if _, err := m.Run(); !errors.Is(err, ErrCommonViolation) {
 		t.Fatalf("Run err = %v, want ErrCommonViolation", err)
-	}
-}
-
-func TestArbitraryAndPriorityPickLowestPID(t *testing.T) {
-	for _, policy := range []WritePolicy{Arbitrary, Priority} {
-		t.Run(policy.String(), func(t *testing.T) {
-			alg := &testAlg{
-				name: "disagree",
-				cycle: func(pid int, ctx *Ctx) Status {
-					ctx.Write(0, Word(pid+10))
-					return Halt
-				},
-				done: func(mem MemoryView, n, p int) bool { return mem.Load(0) != 0 },
-			}
-			m := mustMachine(t, Config{N: 1, P: 4, Policy: policy}, alg, &funcAdversary{})
-			if _, err := m.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if got := m.Memory().Load(0); got != 10 {
-				t.Errorf("cell 0 = %d, want 10 (lowest PID wins)", got)
-			}
-		})
-	}
-}
-
-func TestCREWRejectsConcurrentWrites(t *testing.T) {
-	alg := &testAlg{
-		name: "w-conflict",
-		cycle: func(pid int, ctx *Ctx) Status {
-			ctx.Write(0, 1)
-			return Halt
-		},
-	}
-	m := mustMachine(t, Config{N: 1, P: 2, Policy: CREW}, alg, &funcAdversary{})
-	if _, err := m.Run(); !errors.Is(err, ErrExclusiveViolation) {
-		t.Fatalf("Run err = %v, want ErrExclusiveViolation", err)
-	}
-}
-
-func TestEREWRejectsConcurrentReads(t *testing.T) {
-	alg := &testAlg{
-		name: "r-conflict",
-		cycle: func(pid int, ctx *Ctx) Status {
-			ctx.Read(0)
-			ctx.Write(pid, 1)
-			return Halt
-		},
-	}
-	m := mustMachine(t, Config{N: 2, P: 2, Policy: EREW}, alg, &funcAdversary{})
-	if _, err := m.Run(); !errors.Is(err, ErrExclusiveViolation) {
-		t.Fatalf("Run err = %v, want ErrExclusiveViolation", err)
-	}
-}
-
-func TestEREWAllowsDisjointAccess(t *testing.T) {
-	alg := &testAlg{
-		name: "disjoint",
-		cycle: func(pid int, ctx *Ctx) Status {
-			ctx.Read(pid)
-			ctx.Write(pid, 1)
-			return Halt
-		},
-		done: oneShotWriter().done,
-	}
-	m := mustMachine(t, Config{N: 4, P: 4, Policy: EREW}, alg, &funcAdversary{})
-	if _, err := m.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
 	}
 }
 
@@ -758,25 +675,6 @@ func TestProcStateStrings(t *testing.T) {
 	}
 }
 
-func TestWritePolicyStrings(t *testing.T) {
-	tests := []struct {
-		give WritePolicy
-		want string
-	}{
-		{give: Common, want: "COMMON"},
-		{give: Arbitrary, want: "ARBITRARY"},
-		{give: Priority, want: "PRIORITY"},
-		{give: CREW, want: "CREW"},
-		{give: EREW, want: "EREW"},
-		{give: WritePolicy(99), want: "invalid"},
-	}
-	for _, tt := range tests {
-		if got := tt.give.String(); got != tt.want {
-			t.Errorf("String(%d) = %q, want %q", tt.give, got, tt.want)
-		}
-	}
-}
-
 func TestFailPointStrings(t *testing.T) {
 	tests := []struct {
 		give FailPoint
@@ -929,30 +827,5 @@ func TestCtxAccessors(t *testing.T) {
 	}
 	if sawPID != 0 || sawN != 3 || sawP != 1 || sawTick != 0 {
 		t.Errorf("ctx accessors = pid %d, n %d, p %d, tick %d", sawPID, sawN, sawP, sawTick)
-	}
-}
-
-func TestDeadTickErrorModeRejectsStall(t *testing.T) {
-	// Kill everyone and never restart, under ErrorOnIllegal: the machine
-	// must report the adversary instead of force-restarting.
-	adv := &funcAdversary{name: "stall", f: func(v *View) Decision {
-		if v.Tick == 0 {
-			dec := Decision{}
-			for pid := 1; pid < v.P; pid++ { // pid 0 survives tick 0
-				dec.Failures = append(dec.Failures, Failure{PID: pid, Point: FailBeforeReads})
-			}
-			return dec
-		}
-		if v.Tick == 1 {
-			return Decision{Failures: []Failure{{PID: 0, Point: FailBeforeReads}}}
-		}
-		return Decision{}
-	}}
-	// pid 0 alone cannot be killed on tick 1 (it is the only alive
-	// processor), so ErrorOnIllegal fires there.
-	m := mustMachine(t, Config{N: 8, P: 4, Legality: ErrorOnIllegal},
-		&testAlg{name: "spin", cycle: func(pid int, ctx *Ctx) Status { return Continue }}, adv)
-	if _, err := m.Run(); !errors.Is(err, ErrIllegalAdversary) {
-		t.Fatalf("Run err = %v, want ErrIllegalAdversary", err)
 	}
 }

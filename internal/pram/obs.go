@@ -59,7 +59,7 @@ func EnableObs(r *obs.Registry) {
 		incomplete: r.Counter(obs.MetricIncomplete, "update cycles killed in progress: S' - S of Remark 2"),
 		failures:   r.Counter(obs.MetricFailures, "processor failure events (Definition 2.1)"),
 		restarts:   r.Counter(obs.MetricRestarts, "processor restart events (Definition 2.1)"),
-		vetoes:     r.Counter(obs.MetricVetoes, "liveness-rule vetoes applied under VetoSpare"),
+		vetoes:     r.Counter(obs.MetricVetoes, "liveness-rule vetoes: failures the machine cancelled so one update cycle completes"),
 		violations: r.Counter(obs.MetricViolations, "adversary contract violations recorded"),
 		runs:       r.Counter(obs.MetricRuns, "machine runs terminated, successfully or not"),
 		runErrors:  r.Counter(obs.MetricRunErrors, "machine runs terminated with an error"),

@@ -64,46 +64,6 @@ func (s ProcState) String() string {
 	}
 }
 
-// WritePolicy selects how concurrent writes to the same shared cell within
-// one tick are resolved, and which concurrent accesses are legal.
-type WritePolicy int
-
-const (
-	// Common is the COMMON CRCW PRAM: concurrent writers to one cell must
-	// all write the same value; the machine verifies this and reports a
-	// violation as an error.
-	Common WritePolicy = iota + 1
-	// Arbitrary is the ARBITRARY CRCW PRAM: one concurrent writer wins.
-	// The simulator deterministically picks the lowest PID.
-	Arbitrary
-	// Priority is the PRIORITY CRCW PRAM: the lowest-PID writer wins.
-	Priority
-	// CREW allows concurrent reads but forbids concurrent writes to the
-	// same cell within a tick.
-	CREW
-	// EREW forbids both concurrent reads and concurrent writes to the
-	// same cell within a tick.
-	EREW
-)
-
-// String implements fmt.Stringer for WritePolicy.
-func (p WritePolicy) String() string {
-	switch p {
-	case Common:
-		return "COMMON"
-	case Arbitrary:
-		return "ARBITRARY"
-	case Priority:
-		return "PRIORITY"
-	case CREW:
-		return "CREW"
-	case EREW:
-		return "EREW"
-	default:
-		return "invalid"
-	}
-}
-
 const (
 	// MaxReadsPerCycle is the paper's bound on shared-memory reads in one
 	// update cycle (Section 2.1).

@@ -39,14 +39,8 @@ type refMachine struct {
 
 func newRefMachine(cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) *refMachine {
 	n, p := cfg.N, cfg.P
-	if cfg.Policy == 0 {
-		cfg.Policy = pram.Common
-	}
 	if cfg.MaxTicks == 0 {
 		cfg.MaxTicks = pram.DefaultMaxTicks
-	}
-	if cfg.Legality == 0 {
-		cfg.Legality = pram.VetoSpare
 	}
 	r := &refMachine{
 		cfg: cfg, alg: alg, adv: adv,
@@ -166,10 +160,6 @@ func (r *refMachine) step() (bool, error) {
 		}
 	}
 	if survivors == 0 {
-		if r.cfg.Legality == pram.ErrorOnIllegal {
-			return false, r.end(fmt.Errorf("%w at tick %d (adversary=%s)",
-				pram.ErrIllegalAdversary, r.tick, r.adv.Name()))
-		}
 		for pid, in := range intents {
 			if in != nil {
 				fail[pid] = pram.NoFailure
@@ -216,7 +206,7 @@ func (r *refMachine) step() (bool, error) {
 		}
 		commits = append(commits, c)
 	}
-	if err := r.commit(commits, intents); err != nil {
+	if err := r.commit(commits); err != nil {
 		return false, r.end(err)
 	}
 	for _, c := range commits {
@@ -250,7 +240,7 @@ func (r *refMachine) step() (bool, error) {
 }
 
 // deadTick is a tick with no alive processor: the adversary must restart
-// one, or (under VetoSpare) the lowest-PID dead processor restarts.
+// one, or the lowest-PID dead processor restarts.
 func (r *refMachine) deadTick(intents []*pram.Intent) (bool, error) {
 	before := r.met
 	dec := r.adv.Decide(r.view(intents, 0))
@@ -262,10 +252,6 @@ func (r *refMachine) deadTick(intents []*pram.Intent) (bool, error) {
 		}
 	}
 	if !restarted {
-		if r.cfg.Legality == pram.ErrorOnIllegal {
-			return false, r.end(fmt.Errorf("%w: no alive processors and no restart at tick %d",
-				pram.ErrIllegalAdversary, r.tick))
-		}
 		for pid, st := range r.states {
 			if st == pram.Dead {
 				restarts = append(restarts, pid)
@@ -332,9 +318,9 @@ func (r *refMachine) validate(pid int, ctx *pram.Ctx) error {
 }
 
 // commit lands the tick's surviving writes simultaneously: writers of
-// one cell are resolved together under the write policy, lowest PID
+// one cell are resolved together under the COMMON rule, lowest PID
 // first.
-func (r *refMachine) commit(commits []refCommit, intents []*pram.Intent) error {
+func (r *refMachine) commit(commits []refCommit) error {
 	type write struct {
 		pid int
 		op  pram.WriteOp
@@ -348,22 +334,6 @@ func (r *refMachine) commit(commits []refCommit, intents []*pram.Intent) error {
 	if len(ws) == 0 {
 		return nil
 	}
-	policy := r.cfg.Policy
-	if policy == pram.EREW {
-		var reads []int
-		for _, c := range commits {
-			if c.started {
-				reads = append(reads, intents[c.pid].Reads...)
-			}
-		}
-		sort.Ints(reads)
-		for i := 1; i < len(reads); i++ {
-			if reads[i] == reads[i-1] {
-				return fmt.Errorf("%w: concurrent read of cell %d at tick %d",
-					pram.ErrExclusiveViolation, reads[i], r.tick)
-			}
-		}
-	}
 	sort.SliceStable(ws, func(i, j int) bool {
 		if ws[i].op.Addr != ws[j].op.Addr {
 			return ws[i].op.Addr < ws[j].op.Addr
@@ -376,18 +346,10 @@ func (r *refMachine) commit(commits []refCommit, intents []*pram.Intent) error {
 			j++
 		}
 		first := ws[i]
-		switch policy {
-		case pram.Common:
-			for _, w := range ws[i+1 : j] {
-				if w.op.Val != first.op.Val {
-					return fmt.Errorf("%w: cell %d gets %d (pid %d) and %d (pid %d) at tick %d",
-						pram.ErrCommonViolation, w.op.Addr, first.op.Val, first.pid, w.op.Val, w.pid, r.tick)
-				}
-			}
-		case pram.CREW, pram.EREW:
-			if j-i > 1 {
-				return fmt.Errorf("%w: concurrent write of cell %d at tick %d",
-					pram.ErrExclusiveViolation, first.op.Addr, r.tick)
+		for _, w := range ws[i+1 : j] {
+			if w.op.Val != first.op.Val {
+				return fmt.Errorf("%w: cell %d gets %d (pid %d) and %d (pid %d) at tick %d",
+					pram.ErrCommonViolation, w.op.Addr, first.op.Val, first.pid, w.op.Val, w.pid, r.tick)
 			}
 		}
 		r.mem.Store(first.op.Addr, first.op.Val)
@@ -431,9 +393,8 @@ var refAlgorithms = []struct {
 // cycle in four writes the same cell twice. Each write carries the
 // value the cell's writers agree on this tick, 1 or 2, except one write
 // in 32 carries the other. So ticks see agreeing and disagreeing
-// concurrent writers and same-PID duplicates, and CREW/EREW runs see
-// concurrent writes. It has no private state and is done once every
-// cell of [0, N) is non-zero.
+// concurrent writers and same-PID duplicates. It has no private state
+// and is done once every cell of [0, N) is non-zero.
 type collider struct{ seed int64 }
 
 func (collider) Name() string                                { return "collider" }
@@ -622,18 +583,16 @@ type refCase struct {
 	alg, adv int
 	n, p     int
 	seed     int64
-	legality pram.LegalityMode
-	policy   pram.WritePolicy // zero means COMMON
 	resumeAt int
 }
 
 func (c refCase) String() string {
-	return fmt.Sprintf("%s/%s/n=%d/p=%d/seed=%d/legality=%d/policy=%d/resume=%d", refAlgorithms[c.alg].name,
-		refAdversaries[c.adv].name, c.n, c.p, c.seed, c.legality, c.policy, c.resumeAt)
+	return fmt.Sprintf("%s/%s/n=%d/p=%d/seed=%d/resume=%d", refAlgorithms[c.alg].name,
+		refAdversaries[c.adv].name, c.n, c.p, c.seed, c.resumeAt)
 }
 
 func (c refCase) config(sink pram.Sink) pram.Config {
-	return pram.Config{N: c.n, P: c.p, MaxTicks: 1 << 11, Legality: c.legality, Policy: c.policy, Sink: sink}
+	return pram.Config{N: c.n, P: c.p, MaxTicks: 1 << 11, Sink: sink}
 }
 
 func (c refCase) components() (pram.Algorithm, pram.Adversary) {
@@ -760,65 +719,52 @@ func checkAgainstReference(t testing.TB, r *pram.Runner, c refCase) {
 // TestMachineMatchesReference runs the production machine (pooled
 // Runner, packed or unpacked memory, TickBatch(64), a snapshot round
 // trip and resume at a mid tick) against the reference stepper over a grid of
-// algorithms, adversaries, small shapes and both legality modes, and
-// requires identical metrics, final memory, event stream and error. The
-// collider runs under all five write policies, so conflicting writes,
-// the stores that land below a violation and the error text are
-// compared against the reference's sorted resolution too.
+// algorithms, adversaries and small shapes, and requires identical
+// metrics, final memory, event stream and error. The collider's
+// conflicting writes compare the stores that land below a COMMON
+// violation and the error text against the reference's sorted
+// resolution too.
 func TestMachineMatchesReference(t *testing.T) {
 	r := &pram.Runner{BatchTicks: 64}
 	defer r.Close()
 	shapes := [][2]int{{16, 16}, {32, 8}, {13, 5}}
 	for ai, alg := range refAlgorithms {
-		policies := []pram.WritePolicy{0}
-		if alg.name == "collider" {
-			policies = []pram.WritePolicy{pram.Common, pram.Arbitrary, pram.Priority, pram.CREW, pram.EREW}
-		}
 		for vi, adv := range refAdversaries {
 			if adv.treeOnly && !alg.tree {
 				continue
 			}
 			for si, shape := range shapes {
-				for _, legality := range []pram.LegalityMode{pram.VetoSpare, pram.ErrorOnIllegal} {
-					for _, policy := range policies {
-						c := refCase{alg: ai, adv: vi, n: shape[0], p: shape[1], seed: int64(si + 1),
-							legality: legality, policy: policy, resumeAt: 5 + 7*si}
-						checkAgainstReference(t, r, c)
-					}
-				}
+				c := refCase{alg: ai, adv: vi, n: shape[0], p: shape[1], seed: int64(si + 1), resumeAt: 5 + 7*si}
+				checkAgainstReference(t, r, c)
 			}
 		}
 	}
 }
 
 // FuzzMachineVsReference is TestMachineMatchesReference with fuzzed
-// components, shape, seed and resume tick; the resume argument's top
-// bits also pick the legality mode and the write policy. Post-order is
-// paired with every algorithm: against the ones without X's tree it
-// must read the same unrelated cells, or panic the same way, as the
-// reference.
+// components, shape, seed and resume tick. Post-order is paired with
+// every algorithm: against the ones without X's tree it must read the
+// same unrelated cells, or panic the same way, as the reference.
 func FuzzMachineVsReference(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(16), uint8(16), int64(1), uint16(9))
 	f.Add(uint8(1), uint8(8), uint8(24), uint8(6), int64(7), uint16(30))
 	f.Add(uint8(2), uint8(9), uint8(9), uint8(9), int64(3), uint16(0))
 	f.Add(uint8(4), uint8(0), uint8(16), uint8(16), int64(2), uint16(12))
 	f.Add(uint8(3), uint8(5), uint8(20), uint8(7), int64(5), uint16(4))
-	f.Add(uint8(5), uint8(3), uint8(12), uint8(4), int64(8), uint16(1<<12|6))  // ARBITRARY
-	f.Add(uint8(0), uint8(5), uint8(16), uint8(16), int64(9), uint16(3<<12|2)) // CREW
-	f.Add(uint8(0), uint8(6), uint8(8), uint8(8), int64(4), uint16(4<<12|3))   // EREW
-	f.Add(uint8(6), uint8(1), uint8(16), uint8(16), int64(1), uint16(2))       // collider, COMMON
-	f.Add(uint8(6), uint8(5), uint8(13), uint8(5), int64(2), uint16(1<<12|3))  // collider, ARBITRARY
-	f.Add(uint8(6), uint8(3), uint8(9), uint8(3), int64(3), uint16(2<<12|4))   // collider, PRIORITY
-	f.Add(uint8(6), uint8(2), uint8(7), uint8(1), int64(4), uint16(3<<12|1))   // collider, CREW
-	f.Add(uint8(6), uint8(7), uint8(12), uint8(2), int64(5), uint16(4<<12|2))  // collider, EREW
+	f.Add(uint8(5), uint8(3), uint8(12), uint8(4), int64(8), uint16(6))
+	f.Add(uint8(0), uint8(5), uint8(16), uint8(16), int64(9), uint16(2))
+	f.Add(uint8(0), uint8(6), uint8(8), uint8(8), int64(4), uint16(3))
+	f.Add(uint8(6), uint8(1), uint8(16), uint8(16), int64(1), uint16(2)) // collider
+	f.Add(uint8(6), uint8(5), uint8(13), uint8(5), int64(2), uint16(3))
+	f.Add(uint8(6), uint8(3), uint8(9), uint8(3), int64(3), uint16(4))
+	f.Add(uint8(6), uint8(2), uint8(7), uint8(1), int64(4), uint16(1))
+	f.Add(uint8(6), uint8(7), uint8(12), uint8(2), int64(5), uint16(2))
 	r := &pram.Runner{BatchTicks: 64}
 	f.Fuzz(func(t *testing.T, alg, adv, n, p uint8, seed int64, resumeAt uint16) {
 		c := refCase{
 			alg: int(alg) % len(refAlgorithms), adv: int(adv) % len(refAdversaries),
 			n: 1 + int(n)%40, p: 1 + int(p)%40, seed: seed,
-			legality: pram.LegalityMode(1 + int(resumeAt>>15)),
-			policy:   pram.WritePolicy(1 + int(resumeAt>>12&7)%5),
-			resumeAt: int(resumeAt&0xfff) % 200,
+			resumeAt: int(resumeAt) % 200,
 		}
 		checkAgainstReference(t, r, c)
 	})

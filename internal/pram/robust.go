@@ -62,10 +62,10 @@ func (m *Machine) attemptSpan(lo int) (next int) {
 		if v == nil {
 			return
 		}
-		// A panicked attempt publishes nothing (attemptOne publishes
-		// last, so m.intents[pid] is still nil from the loop top).
-		// Attempts run in PID order, so the first panic of the tick is
-		// the lowest-PID one; it is the one the run reports.
+		// A panicked attempt publishes nothing, and Step fails the run
+		// before any adversary sees its stale intent. Attempts run in
+		// PID order, so the first panic of the tick is the lowest-PID
+		// one; it is the one the run reports.
 		if m.cyclePanic == nil {
 			m.cyclePanic = &CyclePanicError{PID: pid, Tick: m.tick, Value: v, Stack: debug.Stack()}
 		}
@@ -80,10 +80,6 @@ func (m *Machine) attemptSpan(lo int) (next int) {
 		}
 		for ; w != 0; w &= w - 1 {
 			pid = i<<6 | bits.TrailingZeros64(w)
-			m.intents[pid] = nil
-			if !m.runnable(pid) {
-				continue
-			}
 			if inject && m.fiCycle.FireKeyed(uint64(m.tick)<<32|uint64(pid)) {
 				panic(faultinject.Injected{Point: "kernel.cycle"})
 			}
@@ -133,7 +129,8 @@ func (k ViolationKind) String() string {
 // Violations distinguish an algorithm that livelocks under a legal
 // schedule (V under the rotating thrasher stalls with zero violations)
 // from an adversary that breaks the model (kill-all schedules are
-// recorded here, with the offending tick, under either LegalityMode).
+// recorded here, with the offending tick, even though the machine's veto
+// keeps the run going).
 type Violation struct {
 	Kind      ViolationKind
 	Tick      int
@@ -146,15 +143,14 @@ func (v Violation) String() string {
 }
 
 // maxViolations caps the retained per-run violation records; the count
-// keeps exact totals beyond it. A VetoSpare run against a pathological
-// adversary can violate every tick, and keeping every record would turn
+// keeps exact totals beyond it. A run against a pathological adversary
+// can violate every tick, and keeping every record would turn
 // a diagnostic into an allocation leak.
 const maxViolations = 16
 
-// recordViolation notes a liveness-rule breach at the current tick.
-// Recording happens under both legality modes: ErrorOnIllegal also
-// fails the run, VetoSpare repairs the schedule and keeps going, but
-// either way the run's diagnostics show the adversary broke contract.
+// recordViolation notes a liveness-rule breach at the current tick. The
+// machine's veto repairs the schedule and keeps going, but the run's
+// diagnostics still show the adversary broke contract.
 func (m *Machine) recordViolation(k ViolationKind) {
 	m.violationCount++
 	obsViolation()

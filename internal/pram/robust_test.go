@@ -114,30 +114,14 @@ func TestNaturalCyclePanicRecovered(t *testing.T) {
 
 // TestKillAllViolationRecordedAtOffendingTick checks the runtime
 // adversary-contract checker: a kill-all move is recorded as a
-// ViolationKillAll at the tick it happened, in both legality modes.
+// ViolationKillAll at the tick it happened, though the veto keeps the
+// run going.
 func TestKillAllViolationRecordedAtOffendingTick(t *testing.T) {
 	const offend = 2
 
-	t.Run("error mode", func(t *testing.T) {
-		m := mustMachine(t, Config{N: 16, P: 4, MaxTicks: 100, Legality: ErrorOnIllegal},
-			spinAlg(), killAllFrom(offend))
-		defer m.Close()
-		if _, err := m.Run(); !errors.Is(err, ErrIllegalAdversary) {
-			t.Fatalf("Run err = %v, want ErrIllegalAdversary", err)
-		}
-		vs := m.Violations()
-		if len(vs) != 1 {
-			t.Fatalf("Violations = %v, want exactly one", vs)
-		}
-		want := Violation{Kind: ViolationKillAll, Tick: offend, Adversary: "kill-all"}
-		if vs[0] != want {
-			t.Errorf("violation = %+v, want %+v", vs[0], want)
-		}
-	})
-
 	t.Run("veto mode", func(t *testing.T) {
-		// Default legality: the machine spares a survivor and keeps
-		// going, but every offending tick is still diagnosed.
+		// The machine spares a survivor and keeps going, but every
+		// offending tick is still diagnosed.
 		m := mustMachine(t, Config{N: 16, P: 4, MaxTicks: 20}, spinAlg(), killAllFrom(offend))
 		defer m.Close()
 		if _, err := m.Run(); !errors.Is(err, ErrTickLimit) {

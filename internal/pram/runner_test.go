@@ -8,9 +8,29 @@ import (
 	"testing"
 )
 
-// The tests below drive full runs of strideAlg (scheduler_test.go), a
-// terminating checkpointing writer whose processors are Resettable
-// (testProc), so a pooled Runner can recycle them across runs.
+// The tests below drive full runs of strideAlg, a terminating
+// checkpointing writer whose processors are Resettable (testProc), so a
+// pooled Runner can recycle them across runs.
+
+// strideAlg is a checkpointing strided writer: processor pid writes
+// cells pid, pid+P, pid+2P, ... keeping its position in the stable
+// counter.
+func strideAlg() *testAlg {
+	return &testAlg{
+		name: "stride",
+		cycle: func(pid int, ctx *Ctx) Status {
+			k := int(ctx.Stable())
+			addr := pid + k*ctx.P()
+			if addr >= ctx.N() {
+				return Halt
+			}
+			ctx.Write(addr, 1)
+			ctx.SetStable(Word(k + 1))
+			return Continue
+		},
+		done: oneShotWriter().done,
+	}
+}
 
 // TestRunnerFullRunAllocationFree extends the steady-state-tick contract
 // to whole runs: once a Runner is warm, a complete Runner.Run — reset,

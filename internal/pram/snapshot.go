@@ -48,9 +48,8 @@ var (
 // The resume-equivalence test suite holds every algorithm × adversary
 // pairing to that contract.
 type Snapshot struct {
-	// N, P, Policy identify the machine shape the snapshot came from.
-	N, P   int
-	Policy WritePolicy
+	// N and P identify the machine shape the snapshot came from.
+	N, P int
 	// Algorithm and Adversary are the component names, validated on
 	// restore so a snapshot cannot silently resume a different pairing.
 	Algorithm, Adversary string
@@ -99,7 +98,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	s := &Snapshot{
 		N:         m.cfg.N,
 		P:         m.cfg.P,
-		Policy:    m.cfg.Policy,
 		Algorithm: m.alg.Name(),
 		Adversary: m.adv.Name(),
 		Tick:      m.tick,
@@ -139,7 +137,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 
 // RestoreSnapshot rewinds the machine to a previously captured state.
 // The machine must already be configured (via New or Reset) with the
-// same N, P, policy, algorithm, and adversary the snapshot came from.
+// same N, P, algorithm, and adversary the snapshot came from.
 //
 // Restore order matters for components whose construction has side
 // effects (ACC's NewProcessor advances an incarnation counter and draws
@@ -151,9 +149,9 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	if m.closed {
 		return errors.New("pram: RestoreSnapshot on closed machine")
 	}
-	if s.N != m.cfg.N || s.P != m.cfg.P || s.Policy != m.cfg.Policy {
-		return fmt.Errorf("%w: snapshot is N=%d P=%d policy=%s, machine is N=%d P=%d policy=%s",
-			ErrSnapshotMismatch, s.N, s.P, s.Policy, m.cfg.N, m.cfg.P, m.cfg.Policy)
+	if s.N != m.cfg.N || s.P != m.cfg.P {
+		return fmt.Errorf("%w: snapshot is N=%d P=%d, machine is N=%d P=%d",
+			ErrSnapshotMismatch, s.N, s.P, m.cfg.N, m.cfg.P)
 	}
 	if s.Algorithm != m.alg.Name() || s.Adversary != m.adv.Name() {
 		return fmt.Errorf("%w: snapshot is %s vs %s, machine is %s vs %s",

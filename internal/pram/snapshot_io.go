@@ -22,9 +22,12 @@ import (
 //	payload [length]byte
 //	crc     uint32   CRC-32C (Castagnoli) of the payload
 //
-// The payload encodes the Snapshot fields in declaration order; strings
-// and slices are length-prefixed. The checksum makes a torn or corrupted
-// checkpoint file detectable instead of silently resuming garbage.
+// The payload encodes the Snapshot fields in declaration order, with a
+// write-policy slot after N and P that always holds commonPolicy (it
+// dates from machines with several policies; ReadSnapshot refuses any
+// other value); strings and slices are length-prefixed. The checksum
+// makes a torn or corrupted checkpoint file detectable instead of
+// silently resuming garbage.
 //
 // Version history:
 //
@@ -39,6 +42,10 @@ const SnapshotVersion = 2
 // minSnapshotVersion is the oldest stream version ReadSnapshot accepts.
 const minSnapshotVersion = 1
 
+// commonPolicy is the code of the COMMON CRCW machine in a stream's
+// policy slot, the only value ReadSnapshot accepts there.
+const commonPolicy = 1
+
 // ErrSnapshotFormat reports a corrupt, truncated, or unsupported
 // snapshot stream. The two sentinels below wrap it, so callers can keep
 // matching the umbrella error or distinguish the failure class.
@@ -49,8 +56,9 @@ var (
 	// undecodable snapshot — a torn or damaged file. Callers should fall
 	// back to the previous checkpoint (see LoadSnapshotFallback).
 	ErrSnapshotCorrupt = fmt.Errorf("%w: corrupt or truncated", ErrSnapshotFormat)
-	// ErrSnapshotVersion reports a magic or version mismatch — a file
-	// that is not a snapshot this build can read at all.
+	// ErrSnapshotVersion reports a magic, version or write-policy
+	// mismatch — a file that is not a snapshot this build can read at
+	// all.
 	ErrSnapshotVersion = fmt.Errorf("%w: unsupported format", ErrSnapshotFormat)
 )
 
@@ -65,7 +73,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	e := snapEncoder{w: &payload}
 	e.i64(int64(s.N))
 	e.i64(int64(s.P))
-	e.i64(int64(s.Policy))
+	e.i64(commonPolicy)
 	e.str(s.Algorithm)
 	e.str(s.Adversary)
 	e.i64(int64(s.Tick))
@@ -138,7 +146,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	s := &Snapshot{}
 	s.N = int(d.i64())
 	s.P = int(d.i64())
-	s.Policy = WritePolicy(d.i64())
+	policy := d.i64()
 	s.Algorithm = d.str()
 	s.Adversary = d.str()
 	s.Tick = int(d.i64())
@@ -171,6 +179,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	if policy != commonPolicy {
+		return nil, fmt.Errorf("%w: write policy %d (only COMMON, %d, is supported)",
+			ErrSnapshotVersion, policy, commonPolicy)
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrSnapshotCorrupt, len(d.buf))

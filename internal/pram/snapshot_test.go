@@ -2,7 +2,10 @@ package pram
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -82,7 +85,7 @@ func churnAdversary() *funcAdversary {
 
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		N: 8, P: 3, Policy: Common,
+		N: 8, P: 3,
 		Algorithm: "snap-strided", Adversary: "churn",
 		Tick: 42,
 		Metrics: Metrics{
@@ -139,6 +142,66 @@ func TestSnapshotIORejectsCorruption(t *testing.T) {
 	corrupt("truncated payload", func(b []byte) []byte { return b[:len(b)-8] })
 	corrupt("payload bit flip", func(b []byte) []byte { b[25] ^= 0x01; return b })
 	corrupt("checksum flip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
+}
+
+// sampleSnapshotHex is WriteSnapshot(sampleSnapshot()) in format
+// version 2, its policy slot holding COMMON's code. Pinning the bytes
+// keeps checkpoints written by earlier builds loadable.
+const sampleSnapshotHex = "" +
+	"5052414d534e4150020000008901000000000000080000000000000003000000" +
+	"0000000001000000000000000c00000000000000736e61702d73747269646564" +
+	"0500000000000000636875726e2a000000000000000800000000000000030000" +
+	"00000000002a0000000000000064000000000000000700000000000000090000" +
+	"0000000000080000000000000001000000000000000400000000000000020000" +
+	"0000000000000000000000000008000000000000000100000000000000000000" +
+	"0000000000010000000000000001000000000000000000000000000000000000" +
+	"0000000000010000000000000009000000000000000300000000000000010000" +
+	"0000000000020000000000000001000000000000000300000000000000030000" +
+	"0000000000000000000000000005000000000000000300000000000000010000" +
+	"0000000000020000000000000000000000000000000100000000000000010000" +
+	"0000000000000000000000000003000000000000000700000000000000150000" +
+	"0000000000e80300000000000000000000000000000000000000000000a762fc" +
+	"6d"
+
+// TestSnapshotBytesPinned pins the stream format byte for byte.
+func TestSnapshotBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, sampleSnapshot()); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != sampleSnapshotHex {
+		t.Errorf("snapshot bytes changed:\n got %s\nwant %s", got, sampleSnapshotHex)
+	}
+}
+
+// withPolicySlot returns a copy of the snapshot stream b with its
+// policy slot, the payload's third word, set to policy and the checksum
+// recomputed, so only the slot is wrong.
+func withPolicySlot(b []byte, policy int64) []byte {
+	b = append([]byte(nil), b...)
+	const slot = 20 + 16 // header, then N and P
+	binary.LittleEndian.PutUint64(b[slot:], uint64(policy))
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[20:len(b)-4], snapshotCRC))
+	return b
+}
+
+// TestSnapshotRefusesOtherPolicies: a stream from a machine other than
+// COMMON CRCW (policy codes 2-5 once named ARBITRARY, PRIORITY, CREW and
+// EREW) is refused as a format this build cannot read.
+func TestSnapshotRefusesOtherPolicies(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, sampleSnapshot()); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(withPolicySlot(buf.Bytes(), commonPolicy))); err != nil {
+		t.Fatalf("COMMON slot refused: %v", err)
+	}
+	for _, policy := range []int64{0, 2, 3, 4, 5} {
+		_, err := ReadSnapshot(bytes.NewReader(withPolicySlot(buf.Bytes(), policy)))
+		if !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("policy slot %d: err = %v, want ErrSnapshotFormat", policy, err)
+		}
+	}
 }
 
 // TestSnapshotRestoreValidates checks RestoreSnapshot rejects snapshots

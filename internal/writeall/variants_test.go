@@ -1,7 +1,6 @@
 package writeall_test
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/adversary"
@@ -169,52 +168,4 @@ func (p *probeAdversary) Decide(v *pram.View) pram.Decision {
 		p.onView(v)
 	}
 	return pram.Decision{}
-}
-
-// TestXUnderAdversarialScheduling: with an adversarial scheduler (a
-// deterministic model of asynchrony: only a rotating subset of processors
-// advances each tick) plus random failures, X still solves Write-All -
-// its shared-memory positions make it schedule-oblivious, foreshadowing
-// the asynchronous executions of [MSP 90].
-func TestXUnderAdversarialScheduling(t *testing.T) {
-	const n, p = 100, 16
-	schedules := map[string]func(tick, pid int) bool{
-		"round-robin":  func(tick, pid int) bool { return pid == tick%p },
-		"odd-even":     func(tick, pid int) bool { return pid%2 == tick%2 },
-		"prime-strobe": func(tick, pid int) bool { return (tick+pid)%3 != 0 },
-	}
-	for name, sched := range schedules {
-		t.Run(name, func(t *testing.T) {
-			cfg := pram.Config{N: n, P: p, Scheduler: sched}
-			adv := adversary.NewRandom(0.1, 0.6, 71)
-			for _, alg := range []pram.Algorithm{writeall.NewX(), writeall.NewXInPlace(), writeall.NewACC(5)} {
-				m, err := pram.New(cfg, alg, adv)
-				if err != nil {
-					t.Fatalf("New: %v", err)
-				}
-				if _, err := m.Run(); err != nil {
-					t.Fatalf("Run(%s): %v", alg.Name(), err)
-				}
-				if !writeall.Verify(m.Memory(), n) {
-					t.Fatalf("postcondition violated (%s)", alg.Name())
-				}
-			}
-		})
-	}
-}
-
-// TestVRequiresLockstep documents why V belongs to the synchronous model:
-// under a scheduler that idles half the processors each tick, no
-// processor executes a contiguous iteration and V makes no progress.
-func TestVRequiresLockstep(t *testing.T) {
-	const n, p = 64, 8
-	cfg := pram.Config{N: n, P: p, MaxTicks: 20000,
-		Scheduler: func(tick, pid int) bool { return pid%2 == tick%2 }}
-	m, err := pram.New(cfg, writeall.NewV(), adversary.None{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := m.Run(); !errors.Is(err, pram.ErrTickLimit) {
-		t.Fatalf("Run err = %v, want tick limit (V needs lockstep)", err)
-	}
 }
