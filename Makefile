@@ -160,10 +160,12 @@ FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
 	FuzzScheduledPatterns:./internal/writeall/ \
 	FuzzReadSnapshot:./internal/pram/ \
 	FuzzMachineVsReference:./internal/pram/ \
+	FuzzMemoryOps:./internal/pram/ \
 	FuzzJSONLMatchesEncodingJSON:./internal/pram/ \
 	FuzzReadPattern:./internal/adversary/ \
 	FuzzParseStrategy:./internal/advlab/ \
 	FuzzJournalReplay:./internal/bench/ \
+	FuzzDecodeJob:./internal/jobs/ \
 	FuzzCountingMatchesStandardSource:./internal/rng/
 
 # check-fuzz-names guards FUZZ the way check-names guards a test list: a
@@ -182,18 +184,22 @@ fuzz:
 	done
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON, lab strategy JSON, fabric ledger replay), the
-# random source's differential check against math/rand, the machine's
-# differential check against the reference stepper and the event sink's
-# hand encoder's check against encoding/json a brief randomized shake
-# beyond their committed corpora; cheap enough to live inside `make check`.
+# failure-pattern JSON, lab strategy JSON, fabric ledger replay, job
+# status files), the random source's differential check against
+# math/rand, the machine's differential check against the reference
+# stepper, shared memory's check against a plain []Word model and the
+# event sink's hand encoder's check against encoding/json a brief
+# randomized shake beyond their committed corpora; cheap enough to live
+# inside `make check`.
 fuzz-short:
 	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 5s ./internal/pram/
+	$(GO) test -fuzz FuzzMemoryOps -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 5s ./internal/pram/
 	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
 	$(GO) test -fuzz FuzzParseStrategy -fuzztime 5s ./internal/advlab/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/bench/
+	$(GO) test -fuzz FuzzDecodeJob -fuzztime 5s ./internal/jobs/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 
 # chaos runs the randomized crash/resume grid: checkpointed runs under

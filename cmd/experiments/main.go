@@ -30,7 +30,8 @@
 // and their points; tasks carry -deadline; -parallel is ignored. Cache
 // hits need a code version: PRAM_CODE_VERSION, or the VCS stamp of a
 // binary built from an unmodified checkout. Without one (go run, or a
-// build of an edited tree) every experiment runs again.
+// build of an edited tree) the ledger records no results and every
+// experiment runs again.
 //
 // Without -run it executes every experiment; -full uses the (slower) sizes
 // recorded in EXPERIMENTS.md instead of the quick ones.

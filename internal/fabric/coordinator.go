@@ -50,7 +50,9 @@ type Options struct {
 	// identically.
 	Seed int64
 	// CodeVersion binds cache keys ("" = CodeVersion()). A coordinator
-	// left without one serves no cache hits but still commits results.
+	// left without one serves no cache hits and writes no results to
+	// the ledger: it still commits each result in memory, and still
+	// records attempts and quarantines.
 	CodeVersion string
 	// Logf receives coordinator notices; nil discards them.
 	Logf func(format string, args ...any)
@@ -98,7 +100,8 @@ type Stats struct {
 	LeasesExpired int `json:"leases_expired"`
 	Heartbeats    int `json:"heartbeats"`
 	// Retries counts attempts re-queued after a failure or an expired
-	// lease; Commits counts durable result writes; DuplicateCommits
+	// lease; Commits counts committed results (written to the ledger
+	// when the coordinator has a code version); DuplicateCommits
 	// counts late or duplicate completions suppressed by the
 	// at-most-once rule.
 	Retries          int `json:"retries"`
@@ -473,11 +476,15 @@ func (c *Coordinator) commit(leaseID, taskKey string, result json.RawMessage) (*
 		obsDuplicateCommit()
 		return nil, nil
 	}
-	if err := c.ledger.Put(resultPrefix+st.cacheKey, result); err != nil {
-		// Degraded: the result lives only in memory. Correct but not
-		// durable — a coordinator crash re-runs this task, and
-		// determinism reproduces the same result.
-		c.logf("fabric: commit %s not durable: %v", taskKey, err)
+	// No coordinator serves a result keyed by no code version, so a
+	// versionless coordinator keeps its results in memory only.
+	if c.opts.CodeVersion != "" {
+		if err := c.ledger.Put(resultPrefix+st.cacheKey, result); err != nil {
+			// Degraded: the result lives only in memory. Correct but not
+			// durable — a coordinator crash re-runs this task, and
+			// determinism reproduces the same result.
+			c.logf("fabric: commit %s not durable: %v", taskKey, err)
+		}
 	}
 	st.done = true
 	if st.quarantined {

@@ -475,7 +475,9 @@ func TestRunSweepMatchesExecuteSweep(t *testing.T) {
 // coordinator that knows which code computed them. Without
 // PRAM_CODE_VERSION a test binary has no code version (it carries no
 // VCS stamp), so a second sweep over the same ledger executes every
-// task again; with the variable set, every task is a cache hit.
+// task again, and neither sweep writes a result no coordinator could
+// serve; with the variable set, every task is a cache hit, and the
+// ledger holds one result per task.
 func TestCacheHitsNeedCodeVersion(t *testing.T) {
 	ctx := context.Background()
 	spec := engine.SweepSpec{Run: []string{"E1", "E4"}}
@@ -497,12 +499,18 @@ func TestCacheHitsNeedCodeVersion(t *testing.T) {
 	if s := sweep(dir); s.Commits != 2 || s.CacheHits != 0 {
 		t.Fatalf("without a code version the second sweep must execute both tasks, got %+v", s)
 	}
+	if n := ledgerResultCount(t, filepath.Join(dir, "ledger.jsonl")); n != 0 {
+		t.Fatalf("two sweeps without a code version left %d result entries in the ledger, want 0", n)
+	}
 
 	t.Setenv("PRAM_CODE_VERSION", "test")
 	dir = t.TempDir()
 	sweep(dir)
 	if s := sweep(dir); s.CacheHits != 2 || s.Commits != 0 || s.LeasesGranted != 0 {
 		t.Fatalf("with a code version the second sweep must be all cache hits, got %+v", s)
+	}
+	if n := ledgerResultCount(t, filepath.Join(dir, "ledger.jsonl")); n != 2 {
+		t.Fatalf("two sweeps with a code version left %d result entries in the ledger, want 2", n)
 	}
 }
 

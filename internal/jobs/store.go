@@ -118,10 +118,16 @@ func (s *Store) recover() error {
 	sort.Strings(names)
 	for _, name := range names {
 		var job Job
-		if err := readJSON(filepath.Join(s.dir, "jobs", name, "status.json"), &job); err != nil {
+		data, err := os.ReadFile(filepath.Join(s.dir, "jobs", name, "status.json"))
+		if err == nil {
+			job, err = decodeJob(data, name)
+		}
+		if err != nil {
 			// A half-created job directory (crash between mkdir and the
-			// first persist) holds no recoverable work; leave it for
-			// inspection but don't let it wedge the store.
+			// first persist) holds no recoverable work, and a record the
+			// store could not have written is not trusted with any;
+			// leave either for inspection but don't let it wedge the
+			// store.
 			s.logf("jobs: skipping unreadable job %s: %v", name, err)
 			continue
 		}
@@ -598,11 +604,27 @@ func writeJSONAtomic(path string, v any) error {
 	return nil
 }
 
-// readJSON reads one JSON file into v.
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// decodeJob decodes a status.json and checks that the store could have
+// written it for the job in directory name: the record's ID is name, so
+// the files it leads to stay in that directory; its state is one of the
+// five; and a queued or running job carries a spec that validates, so
+// recovery never queues work Submit would have refused.
+func decodeJob(data []byte, name string) (Job, error) {
+	var job Job
+	if err := json.Unmarshal(data, &job); err != nil {
+		return Job{}, err
 	}
-	return json.Unmarshal(data, v)
+	if job.ID != name {
+		return Job{}, fmt.Errorf("record names job %q", job.ID)
+	}
+	switch job.State {
+	case StateQueued, StateRunning:
+		if err := job.Spec.Validate(); err != nil {
+			return Job{}, err
+		}
+	case StateDone, StateFailed, StateCanceled:
+	default:
+		return Job{}, fmt.Errorf("unknown state %q", job.State)
+	}
+	return job, nil
 }

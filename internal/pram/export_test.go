@@ -36,3 +36,7 @@ func NewStateView(states []ProcState) StateView {
 // PooledMachine returns the Runner's pooled machine, so tests can read
 // the final memory of a run the Runner drove.
 func (r *Runner) PooledMachine() *Machine { return r.m }
+
+// DirtyBounds reports the shared memory's dirty bounds: the packed
+// words and the unpacked cells below which a non-zero value may sit.
+func (m *Machine) DirtyBounds() (words, cells int) { return m.mem.dirtyBits, m.mem.dirtyCells }

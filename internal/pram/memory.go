@@ -23,6 +23,14 @@ type Memory struct {
 	// bits holds the packed prefix, cell addr at bits[addr>>6] bit
 	// addr&63. Bits at positions >= packLen are always zero.
 	bits []uint64
+	// dirtyBits and dirtyCells are the dirty bounds of bits and cells:
+	// every word of bits' backing array at or past dirtyBits, and every
+	// cell of cells' backing array at or past dirtyCells, is zero, all
+	// the way to the array's capacity. They index the backing arrays,
+	// not the current lengths, so a reset to a smaller size still
+	// clears what a larger earlier run dirtied. Resets clear only below
+	// them, and zerosIn and fillOnesPacked read only below them.
+	dirtyBits, dirtyCells int
 }
 
 // NewMemory returns a zeroed, unpacked shared memory of the given size.
@@ -50,20 +58,19 @@ func (m *Memory) ResetPacked(size, packLen int) {
 		packLen = size
 	}
 	m.packLen = packLen
-	nw := (packLen + 63) / 64
-	if cap(m.bits) < nw {
+	if nw := (packLen + 63) / 64; cap(m.bits) < nw {
 		m.bits = make([]uint64, nw)
 	} else {
+		clear(m.bits[:m.dirtyBits])
 		m.bits = m.bits[:nw]
-		clear(m.bits)
 	}
-	nc := size - packLen
-	if cap(m.cells) < nc {
+	if nc := size - packLen; cap(m.cells) < nc {
 		m.cells = make([]Word, nc)
 	} else {
+		clear(m.cells[:m.dirtyCells])
 		m.cells = m.cells[:nc]
-		clear(m.cells)
 	}
+	m.dirtyBits, m.dirtyCells = 0, 0
 }
 
 // Size returns the number of addressable cells.
@@ -85,17 +92,20 @@ func (m *Memory) Load(addr int) Word {
 func (m *Memory) Store(addr int, v Word) {
 	if addr < m.packLen {
 		if v&^1 == 0 {
-			mask := uint64(1) << (uint(addr) & 63)
+			w, mask := int(uint(addr)>>6), uint64(1)<<(uint(addr)&63)
 			if v != 0 {
-				m.bits[uint(addr)>>6] |= mask
+				m.bits[w] |= mask
+				m.dirtyBits = max(m.dirtyBits, w+1)
 			} else {
-				m.bits[uint(addr)>>6] &^= mask
+				m.bits[w] &^= mask
 			}
 			return
 		}
 		m.promote()
 	}
-	m.cells[addr-m.packLen] = v
+	i := addr - m.packLen
+	m.cells[i] = v
+	m.dirtyCells = max(m.dirtyCells, i+1)
 }
 
 // promote converts the memory to the unpacked layout, preserving every
@@ -108,24 +118,30 @@ func (m *Memory) promote() {
 		return
 	}
 	cells := make([]Word, m.Size())
-	for wi, word := range m.bits {
-		base := wi << 6
-		for word != 0 {
-			cells[base+bits.TrailingZeros64(word)] = 1
-			word &= word - 1
-		}
-	}
+	setOnes(cells, m.bits[:m.dirtyBits])
 	copy(cells[m.packLen:], m.cells)
-	m.cells = cells
+	m.cells, m.dirtyCells = cells, len(cells)
 	m.packLen = 0
 	m.bits = m.bits[:0]
 }
 
+// setOnes sets dst[i] to 1 for every set bit i of the bit words ws.
+func setOnes(dst []Word, ws []uint64) {
+	for wi, word := range ws {
+		base := wi << 6
+		for word != 0 {
+			dst[base+bits.TrailingZeros64(word)] = 1
+			word &= word - 1
+		}
+	}
+}
+
 // fillOnesPacked sets every cell in [lo, hi) of the packed prefix to 1
-// with whole-word ORs and returns how many cells flipped from 0 to 1
+// with whole-word stores and returns how many cells flipped from 0 to 1
 // (via popcount, so callers can maintain zero-counts exactly, once per
-// word rather than once per cell). The caller guarantees
-// 0 <= lo <= hi <= packLen.
+// word rather than once per cell). Only the words below the dirty bound
+// are read: every word past it is zero, so all 64 of its cells flip.
+// The caller guarantees 0 <= lo <= hi <= packLen.
 func (m *Memory) fillOnesPacked(lo, hi int) int {
 	if lo >= hi {
 		return 0
@@ -133,53 +149,58 @@ func (m *Memory) fillOnesPacked(lo, hi int) int {
 	loW, hiW := lo>>6, (hi-1)>>6
 	loMask := ^uint64(0) << (uint(lo) & 63)
 	hiMask := ^uint64(0) >> (63 - (uint(hi-1) & 63))
-	if loW == hiW {
+	ws, dirty := m.bits[loW:hiW+1], m.dirtyBits-loW
+	m.dirtyBits = max(m.dirtyBits, hiW+1)
+	if len(ws) == 1 {
 		mask := loMask & hiMask
-		old := m.bits[loW]
-		m.bits[loW] = old | mask
+		old := ws[0]
+		ws[0] = old | mask
 		return bits.OnesCount64(mask &^ old)
 	}
-	old := m.bits[loW]
-	m.bits[loW] = old | loMask
-	newly := bits.OnesCount64(loMask &^ old)
-	for w := loW + 1; w < hiW; w++ {
-		newly += bits.OnesCount64(^m.bits[w])
-		m.bits[w] = ^uint64(0)
+	newly := bits.OnesCount64(loMask&^ws[0]) + bits.OnesCount64(hiMask&^ws[len(ws)-1])
+	ws[0] |= loMask
+	ws[len(ws)-1] |= hiMask
+	mid := ws[1 : len(ws)-1]
+	read := mid[:min(max(dirty-1, 0), len(mid))]
+	for i, w := range read {
+		newly += bits.OnesCount64(^w)
+		read[i] = ^uint64(0)
 	}
-	old = m.bits[hiW]
-	m.bits[hiW] = old | hiMask
-	return newly + bits.OnesCount64(hiMask&^old)
+	clean := mid[len(read):]
+	for i := range clean {
+		clean[i] = ^uint64(0)
+	}
+	return newly + 64*len(clean)
 }
 
 // zerosIn counts the zero cells in [lo, hi): popcount over the packed
-// prefix, a scan over the unpacked tail. It backs the done-hint counter
-// initialization, replacing the per-cell loop.
+// prefix, a scan over the unpacked tail, each reading only below its
+// dirty bound. It backs the done-hint counter initialization, so on a
+// freshly reset memory it reads nothing.
 func (m *Memory) zerosIn(lo, hi int) int {
-	zeros := 0
-	if lo < m.packLen {
-		pe := min(hi, m.packLen)
+	set := 0
+	if pe := min(hi, m.packLen, m.dirtyBits<<6); lo < pe {
 		loW, hiW := lo>>6, (pe-1)>>6
 		loMask := ^uint64(0) << (uint(lo) & 63)
 		hiMask := ^uint64(0) >> (63 - (uint(pe-1) & 63))
-		if pe > lo {
-			if loW == hiW {
-				zeros += bits.OnesCount64(loMask & hiMask &^ m.bits[loW])
-			} else {
-				zeros += bits.OnesCount64(loMask &^ m.bits[loW])
-				for w := loW + 1; w < hiW; w++ {
-					zeros += bits.OnesCount64(^m.bits[w])
-				}
-				zeros += bits.OnesCount64(hiMask &^ m.bits[hiW])
+		ws := m.bits[loW : hiW+1]
+		if len(ws) == 1 {
+			set = bits.OnesCount64(ws[0] & loMask & hiMask)
+		} else {
+			set = bits.OnesCount64(ws[0]&loMask) + bits.OnesCount64(ws[len(ws)-1]&hiMask)
+			for _, w := range ws[1 : len(ws)-1] {
+				set += bits.OnesCount64(w)
 			}
 		}
-		lo = pe
 	}
-	for ; lo < hi; lo++ {
-		if m.cells[lo-m.packLen] == 0 {
-			zeros++
+	if tlo, the := max(lo-m.packLen, 0), min(hi-m.packLen, m.dirtyCells); tlo < the {
+		for _, v := range m.cells[tlo:the] {
+			if v != 0 {
+				set++
+			}
 		}
 	}
-	return zeros
+	return hi - lo - set
 }
 
 // CopyInto copies the whole memory, materialized to one Word per cell,
@@ -193,13 +214,7 @@ func (m *Memory) CopyInto(dst []Word) []Word {
 	}
 	dst = dst[:size]
 	clear(dst[:m.packLen])
-	for wi, word := range m.bits {
-		base := wi << 6
-		for word != 0 {
-			dst[base+bits.TrailingZeros64(word)] = 1
-			word &= word - 1
-		}
-	}
+	setOnes(dst, m.bits[:min(m.dirtyBits, len(m.bits))])
 	copy(dst[m.packLen:], m.cells)
 	return dst
 }
@@ -215,11 +230,10 @@ func (m *Memory) Restore(src []Word) {
 		m.ResetPacked(len(src), 0)
 	}
 	if m.packLen == 0 {
-		copy(m.cells, src)
+		m.dirtyCells = max(m.dirtyCells, copy(m.cells, src))
 		return
 	}
-	clear(m.bits)
-	clear(m.cells)
+	m.ResetPacked(m.Size(), m.packLen)
 	for addr, v := range src {
 		if v != 0 {
 			m.Store(addr, v)
@@ -239,8 +253,8 @@ func (m *Memory) Restore(src []Word) {
 func (m *Memory) RestoreParts(packLen, srcPackLen int, srcBits []uint64, srcTail []Word) {
 	m.ResetPacked(srcPackLen+len(srcTail), packLen)
 	if srcPackLen == m.packLen {
-		copy(m.bits, srcBits)
-		copy(m.cells, srcTail)
+		m.dirtyBits = copy(m.bits, srcBits)
+		m.dirtyCells = copy(m.cells, srcTail)
 		return
 	}
 	for wi, word := range srcBits {
