@@ -53,12 +53,13 @@ check-names = tests=$$($(GO) test -list . $(3) | grep '^Test') || exit 1; \
 # race-equiv runs the determinism contracts under the race detector:
 # the pooled Runner's buffer reuse, the run loop's batching, packed
 # memory, the done hint and snapshot/resume's state capture are where
-# state could leak between runs or ticks, and so are the robust
-# executor's processors, which restarts and pooled runs reset in place.
+# state could leak between runs or ticks, and so are the processors
+# that restarts, pooled runs and restores reset in place (the machine's
+# lifecycle counts and the robust executor's).
 # RACE_EQUIV_ROOT runs on the root package, RACE_EQUIV_PRAM on
 # internal/pram, RACE_EQUIV_CORE on internal/core.
 RACE_EQUIV_ROOT = TestPooledRun|TestDoneHint|TestResumeEquivalence|TestPackedEquivalence|TestPackedResumeEquivalence|TestTickBatchEquivalence
-RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches|TestMachineMatchesReference
+RACE_EQUIV_PRAM = TestRunnerLoopEquivalence|TestDoneHintExactAcrossBatches|TestMachineMatchesReference|TestProcessorLifecycle
 RACE_EQUIV_CORE = TestExecutorWorkPinned
 
 race-equiv:
@@ -166,6 +167,7 @@ FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
 	FuzzParseStrategy:./internal/advlab/ \
 	FuzzJournalReplay:./internal/bench/ \
 	FuzzDecodeJob:./internal/jobs/ \
+	FuzzSubmitSpec:./cmd/pramd/ \
 	FuzzCountingMatchesStandardSource:./internal/rng/
 
 # check-fuzz-names guards FUZZ the way check-names guards a test list: a
@@ -185,10 +187,10 @@ fuzz:
 
 # fuzz-short gives the harness-input decoders (snapshot binary format,
 # failure-pattern JSON, lab strategy JSON, fabric ledger replay, job
-# status files), the random source's differential check against
-# math/rand, the machine's differential check against the reference
-# stepper, shared memory's check against a plain []Word model and the
-# event sink's hand encoder's check against encoding/json a brief
+# status files, pramd's submit body), the random source's differential
+# check against math/rand, the machine's differential check against the
+# reference stepper, shared memory's check against a plain []Word model
+# and the event sink's hand encoder's check against encoding/json a brief
 # randomized shake beyond their committed corpora; cheap enough to live
 # inside `make check`.
 fuzz-short:
@@ -200,6 +202,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzParseStrategy -fuzztime 5s ./internal/advlab/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/bench/
 	$(GO) test -fuzz FuzzDecodeJob -fuzztime 5s ./internal/jobs/
+	$(GO) test -fuzz FuzzSubmitSpec -fuzztime 5s ./cmd/pramd/
 	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
 
 # chaos runs the randomized crash/resume grid: checkpointed runs under

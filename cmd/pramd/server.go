@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/jobs"
@@ -86,11 +87,9 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec jobs.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("decode spec: %w", err))
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	job, err := s.store.Submit(spec)
@@ -99,6 +98,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, job)
+}
+
+// decodeSpec reads a submitted job spec, refusing unknown fields so a
+// misspelled option fails the submit instead of running the default.
+func decodeSpec(r io.Reader) (jobs.Spec, error) {
+	var spec jobs.Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return jobs.Spec{}, fmt.Errorf("decode spec: %w", err)
+	}
+	if spec.Sweep != nil && len(spec.Sweep.Run) == 0 {
+		// An empty experiment list means all of them, as an absent one
+		// does; keep the absent form, which is what the job record
+		// reads back as.
+		spec.Sweep.Run = nil
+	}
+	return spec, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -90,7 +90,7 @@ type View struct {
 	// RestoreSnapshot, when Changed does not cover the machine's history.
 	// An adversary that keeps an index rebuilds it from States when
 	// Resync is set, and also when Tick is not one past its previous
-	// call: a Window wrapper or a quiet window may skip calls.
+	// call: a quiet window skips calls.
 	Resync bool
 }
 

@@ -2,10 +2,10 @@ package pram
 
 // Processor is one simulated PRAM processor's program, expressed as a
 // sequence of update cycles. A Processor value holds the processor's
-// private memory; the machine discards it on failure and obtains a fresh
-// one (via Algorithm.NewProcessor) on restart, so private state never
-// survives a failure. The stable action counter exposed through Ctx is the
-// only state that does.
+// private memory; the machine stops calling it on failure and on restart
+// resets it in place (see Resettable) or obtains a fresh one via
+// Algorithm.NewProcessor, so private state never survives a failure. The
+// stable action counter exposed through Ctx is the only state that does.
 type Processor interface {
 	// Cycle executes one update cycle: at most MaxReadsPerCycle shared
 	// reads, constant private computation, and at most MaxWritesPerCycle
@@ -34,7 +34,10 @@ type Algorithm interface {
 
 	// Done reports whether the algorithm's task is complete. The machine
 	// polls it once per tick, through the read-only view, to terminate
-	// runs.
+	// runs, unless the algorithm implements ArrayDoneHinter: then it
+	// keeps a counter instead and never calls Done, which stays the
+	// oracle that the reference stepper and the done-hint tests hold the
+	// counter to.
 	Done(mem MemoryView, n, p int) bool
 }
 
@@ -114,8 +117,6 @@ type Ctx struct {
 	stable    Word
 	newStable Word
 	stableSet bool
-
-	halted bool
 }
 
 // PID returns the processor's permanent identifier in [0, P).
@@ -210,5 +211,4 @@ func (c *Ctx) reset(tick int, stable Word) {
 	c.stable = stable
 	c.newStable = 0
 	c.stableSet = false
-	c.halted = false
 }

@@ -3,6 +3,7 @@ package pram
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"reflect"
 	"testing"
 )
@@ -10,9 +11,9 @@ import (
 // FuzzReadSnapshot holds the snapshot decoder to its contract on
 // arbitrary bytes: it never panics, every rejection matches the
 // ErrSnapshotFormat umbrella (so Resume fallbacks trigger), and any
-// accepted input must survive a re-encode/decode round trip — a decoder
-// that "succeeds" on garbage it cannot re-serialize would resume a run
-// from fiction.
+// accepted input must set no packed bit at or past PackedLen and must
+// survive a re-encode/decode round trip — a decoder that "succeeds" on
+// garbage it cannot re-serialize would resume a run from fiction.
 func FuzzReadSnapshot(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, sampleSnapshot()); err != nil {
@@ -38,6 +39,11 @@ func FuzzReadSnapshot(f *testing.F) {
 				t.Fatalf("rejection %v does not match ErrSnapshotFormat", err)
 			}
 			return
+		}
+		for i, w := range s.PackedBits {
+			if w != 0 && i*64+bits.Len64(w) > s.PackedLen {
+				t.Fatalf("accepted snapshot sets packed bit %d of a %d-cell prefix", i*64+bits.Len64(w)-1, s.PackedLen)
+			}
 		}
 		var out bytes.Buffer
 		if err := WriteSnapshot(&out, s); err != nil {

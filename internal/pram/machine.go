@@ -73,20 +73,9 @@ type Machine struct {
 	adv  Adversary
 	sink Sink
 
-	mem     *Memory
-	ps      procSet
-	procs   []Processor
-	stables []Word
-	ctxs    []*Ctx
-
-	// retired stashes Resettable processors of dead or halted PIDs so a
-	// later restart (or the next pooled run) can recycle them instead of
-	// allocating through Algorithm.NewProcessor. resets[pid] is pid's
-	// processor (in procs or retired) as a Resettable, nil when it is
-	// not one; it is resolved once per processor, so kills and restarts
-	// make no type assertions.
-	retired []Processor
-	resets  []Resettable
+	mem   *Memory
+	ps    procSet
+	slots []slot
 
 	// readBudget is the update-cycle read bound: MaxReadsPerCycle, or
 	// what the algorithm declares through ReadBudgeter. Reset resolves
@@ -104,11 +93,12 @@ type Machine struct {
 	metrics Metrics
 	ended   bool
 
-	// per-tick scratch, reused across ticks
-	intents  []*Intent
-	intentsB []Intent
-	pending  []pendingCommit
-	view     View
+	// per-tick scratch, reused across ticks: intents is the adversary's
+	// View.Intents, a live PID's entry pointing at its slot's intent, and
+	// ran lists the PIDs that attempted a cycle this tick, in PID order.
+	intents []*Intent
+	ran     []int
+	view    View
 	// writeBuf holds the tick's first writer of each written cell, in
 	// the order commitWrites meets them; cells indexes it by address
 	// (an open-addressing table of 1<<cellBits slots, a slot valid when
@@ -124,11 +114,8 @@ type Machine struct {
 	// steady-state batched runs stay allocation-free.
 	bctx BatchCtx
 
-	// failBuf is the per-PID resolution of the adversary's failure list,
-	// so the apply phase reads each live PID's fail point by index;
-	// failSet lists the PIDs it holds a fail point for, so clearing it
-	// costs the tick's failures, not P.
-	failBuf []FailPoint
+	// failSet lists the PIDs whose slot holds a fail point, so clearing
+	// them costs the tick's failures, not P.
 	failSet []int
 
 	// changed accumulates the PIDs whose state changed since the last
@@ -152,15 +139,38 @@ type Machine struct {
 	closed bool
 }
 
-type pendingCommit struct {
-	pid       int
-	writes    []WriteOp // prefix to commit; aliases the PID's Ctx buffers
-	fail      FailPoint
-	stableSet bool
-	stable    Word
-	halts     bool
-	completed bool // whole cycle completed (charged)
-	started   bool // at least one instruction executed (S' accounting)
+// slot is one PID's record, the processor of Section 2.1: the private
+// state a failure wipes (the processor, its cycle context and intent),
+// the stable action counter that survives it, and this tick's fail
+// point. A dead or halted PID keeps its processor here, untouched until
+// revive resets or replaces it. The fields that loops over all live
+// PIDs read come first, so that the quiet-window loops, which read only
+// proc and stable, touch about one cache line per PID, not two.
+type slot struct {
+	proc Processor
+	// reset is proc as a Resettable, nil when it is not one; revive
+	// resolves it once per built processor, so kills and restarts make
+	// no type assertions.
+	reset  Resettable
+	stable Word
+	fail   FailPoint
+	intent Intent
+	ctx    Ctx
+}
+
+// committed returns the prefix of the cycle's buffered writes that lands
+// under the slot's fail point: every write of a completed cycle, the
+// first of one failed after it, none otherwise.
+func (s *slot) committed() []WriteOp {
+	switch s.fail {
+	case NoFailure:
+		return s.ctx.writeOps()
+	case FailAfterWrite1:
+		if s.ctx.nWrites > 0 {
+			return s.ctx.writeOps()[:1]
+		}
+	}
+	return nil
 }
 
 // New constructs a machine for one run.
@@ -201,14 +211,18 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 
 	p := cfg.P
 	m.ps.reset(p)
-	m.procs = grow(m.procs, p)
-	m.retired = grow(m.retired, p)
-	m.resets = grow(m.resets, p)
-	m.stables = grow(m.stables, p)
-	m.ctxs = grow(m.ctxs, p)
+	m.slots = grow(m.slots, p)
+	if !sameAlg {
+		// Stale processors beyond the previous run's P could otherwise
+		// resurface in a later grow and be recycled for the wrong
+		// algorithm; instance-gating is only sound if every kept
+		// processor belongs to the current instance.
+		all := m.slots[:cap(m.slots)]
+		for i := range all {
+			all[i].proc, all[i].reset = nil, nil
+		}
+	}
 	m.intents = grow(m.intents, p)
-	m.intentsB = grow(m.intentsB, p)
-	m.failBuf = grow(m.failBuf, p)
 	if cap(m.changed) < 2*p {
 		// A tick kills or halts each live PID at most once and restarts
 		// each dead one at most once.
@@ -217,19 +231,9 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	if cap(m.failSet) < p {
 		m.failSet = make([]int, 0, p)
 	}
-	if !sameAlg {
-		// Stale processors beyond the previous run's P could otherwise
-		// resurface in a later grow and be recycled for the wrong
-		// algorithm; instance-gating is only sound if every stashed
-		// processor belongs to the current instance.
-		clear(m.procs[:cap(m.procs)])
-		clear(m.retired[:cap(m.retired)])
-		clear(m.resets[:cap(m.resets)])
+	if cap(m.ran) < p {
+		m.ran = make([]int, 0, p)
 	}
-	if cap(m.pending) < p {
-		m.pending = make([]pendingCommit, 0, p)
-	}
-	m.pending = m.pending[:0]
 	m.sizeCommit(p * MaxWritesPerCycle)
 
 	size := alg.MemorySize(cfg.N, p)
@@ -240,17 +244,12 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	alg.Setup(m.mem, cfg.N, p)
 
 	view := m.mem.View()
-	for pid := 0; pid < p; pid++ {
-		m.stables[pid] = 0
+	for pid := range m.slots {
+		s := &m.slots[pid]
+		s.stable = 0
 		m.intents[pid] = nil
-		m.procs[pid] = m.nextProcessor(pid, sameAlg)
-		c := m.ctxs[pid]
-		if c == nil {
-			c = &Ctx{}
-			m.ctxs[pid] = c
-		}
-		c.pid, c.n, c.p, c.mem = pid, cfg.N, p, view
-		c.reset(0, 0)
+		m.revive(pid)
+		s.ctx.pid, s.ctx.n, s.ctx.p, s.ctx.mem = pid, cfg.N, p, view
 	}
 	m.tick = 0
 	m.ended = false
@@ -265,15 +264,17 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 // run: no fail points pending and no change list, and the next Decide
 // is told to resync.
 func (m *Machine) resetTickState() {
-	clear(m.failBuf)
+	for i := range m.slots {
+		m.slots[i].fail = NoFailure
+	}
 	m.failSet = m.failSet[:0]
 	m.changed = m.changed[:0]
 	m.resync = true
 }
 
 // grow returns s with length n, reusing capacity when possible. Elements
-// are not cleared: Reset overwrites every slot it reads, and the
-// processor slices are cleared explicitly on algorithm change.
+// are not cleared: Reset overwrites every field it reads, and the kept
+// processors are cleared explicitly on algorithm change.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -296,32 +297,18 @@ func algSameInstance(a, b Algorithm) bool {
 	return a == b
 }
 
-// nextProcessor picks processor pid's initial state for a fresh run: with
-// the same algorithm instance as the previous run, a processor stranded
-// by that run (live in procs or stashed in retired) is recycled through
-// Resettable; otherwise the algorithm builds a new one.
-func (m *Machine) nextProcessor(pid int, sameAlg bool) Processor {
-	if sameAlg {
-		cand := m.procs[pid]
-		if cand == nil {
-			cand = m.retired[pid]
-		}
-		if rp := m.resets[pid]; cand != nil && rp != nil {
-			m.retired[pid] = nil
-			rp.Reset(pid, m.cfg.N, m.cfg.P)
-			return cand
-		}
+// revive gives pid a fresh incarnation, which knows only its PID and
+// the machine parameters: the kept processor reset in place when it is
+// Resettable (bit-identical to a new one by that contract), a new one
+// from the algorithm otherwise.
+func (m *Machine) revive(pid int) {
+	s := &m.slots[pid]
+	if s.reset != nil {
+		s.reset.Reset(pid, m.cfg.N, m.cfg.P)
+		return
 	}
-	m.retired[pid] = nil
-	return m.newProcessor(pid)
-}
-
-// newProcessor builds processor pid's initial state through the
-// algorithm and records whether it can be reset in place.
-func (m *Machine) newProcessor(pid int) Processor {
-	proc := m.alg.NewProcessor(pid, m.cfg.N, m.cfg.P)
-	m.resets[pid], _ = proc.(Resettable)
-	return proc
+	s.proc = m.alg.NewProcessor(pid, m.cfg.N, m.cfg.P)
+	s.reset, _ = s.proc.(Resettable)
 }
 
 // packedLen resolves the bit-packed prefix length for a run: the
@@ -447,7 +434,7 @@ func (m *Machine) Step() (bool, error) {
 	alive := m.ps.nAlive
 	for i, w := range m.ps.alive {
 		for ; w != 0; w &= w - 1 {
-			if err := m.validateCycle(m.ctxs[i<<6|bits.TrailingZeros64(w)]); err != nil {
+			if err := m.validateCycle(&m.slots[i<<6|bits.TrailingZeros64(w)].ctx); err != nil {
 				return false, m.fail(err)
 			}
 		}
@@ -462,21 +449,21 @@ func (m *Machine) Step() (bool, error) {
 	// views the cycles saw.
 	dec := m.decide()
 
-	// Phase 3: resolve the adversary's failure list into the per-PID
-	// failBuf (one indexed read per processor afterwards) and enforce
+	// Phase 3: resolve the adversary's failure list into the slots' fail
+	// points (one indexed read per processor afterwards) and enforce
 	// liveness: at least one alive processor must complete its cycle
 	// this tick.
 	for _, pid := range m.failSet {
-		m.failBuf[pid] = NoFailure
+		m.slots[pid].fail = NoFailure
 	}
 	m.failSet = m.failSet[:0]
 	survivors := alive
 	for _, f := range dec.Failures {
 		pid := f.PID
-		if f.Point == NoFailure || pid < 0 || pid >= m.cfg.P || m.failBuf[pid] != NoFailure {
+		if f.Point == NoFailure || pid < 0 || pid >= m.cfg.P || m.slots[pid].fail != NoFailure {
 			continue
 		}
-		m.failBuf[pid] = f.Point
+		m.slots[pid].fail = f.Point
 		m.failSet = append(m.failSet, pid)
 		if m.ps.states[pid] == Alive {
 			survivors--
@@ -488,43 +475,24 @@ func (m *Machine) Step() (bool, error) {
 		m.metrics.Vetoes++
 	}
 
-	// Phase 4: apply failures and collect commits.
-	m.pending = m.pending[:0]
+	// Phase 4: apply failures, listing the tick's PIDs in ran.
+	m.ran = m.ran[:0]
 	for i, w := range m.ps.alive {
 		for ; w != 0; w &= w - 1 {
 			pid := i<<6 | bits.TrailingZeros64(w)
-			ctx := m.ctxs[pid]
-			fp := m.failBuf[pid]
-			m.pending = append(m.pending, pendingCommit{})
-			pc := &m.pending[len(m.pending)-1]
-			pc.pid, pc.fail = pid, fp
-			switch fp {
+			m.ran = append(m.ran, pid)
+			switch fp := m.slots[pid].fail; fp {
 			case NoFailure:
-				pc.writes = ctx.writeOps()
-				pc.stableSet = ctx.stableSet
-				pc.stable = ctx.newStable
-				pc.halts = m.intents[pid].Halts
-				pc.completed = true
-				pc.started = true
+				continue
 			case FailBeforeReads:
 				// The cycle never began: nothing executed, nothing charged.
-			case FailAfterReads:
-				pc.started = true
-			case FailAfterWrite1:
-				pc.started = true
-				if ctx.nWrites > 0 {
-					pc.writes = ctx.writeOps()[:1]
-				}
+			case FailAfterReads, FailAfterWrite1:
+				m.metrics.Incomplete++
 			default:
 				return false, m.fail(fmt.Errorf("pram: adversary %s returned invalid fail point %d for pid %d",
 					m.adv.Name(), fp, pid))
 			}
-			if fp != NoFailure {
-				m.kill(pid)
-				if pc.started {
-					m.metrics.Incomplete++
-				}
-			}
+			m.kill(pid)
 		}
 	}
 
@@ -533,18 +501,17 @@ func (m *Machine) Step() (bool, error) {
 	if err := m.commitWrites(); err != nil {
 		return false, m.fail(err)
 	}
-	for i := range m.pending {
-		pc := &m.pending[i]
-		if !pc.completed {
+	for _, pid := range m.ran {
+		s := &m.slots[pid]
+		if s.fail != NoFailure {
 			continue
 		}
 		m.metrics.Completed++
-		if pc.stableSet {
-			m.stables[pc.pid] = pc.stable
+		if s.ctx.stableSet {
+			s.stable = s.ctx.newStable
 		}
-		if pc.halts {
-			m.setState(pc.pid, Halted)
-			m.retire(pc.pid)
+		if s.intent.Halts {
+			m.setState(pid, Halted)
 		}
 	}
 	m.emitCycleEvents()
@@ -602,7 +569,6 @@ func (m *Machine) setState(pid int, st ProcState) {
 // kill fails alive processor pid in the apply phase.
 func (m *Machine) kill(pid int) {
 	m.setState(pid, Dead)
-	m.retire(pid)
 	m.metrics.Failures++
 }
 
@@ -612,15 +578,16 @@ func (m *Machine) kill(pid int) {
 // tick; private-state mutation is harmless because any killed processor
 // loses private state.
 func (m *Machine) attemptOne(pid int) {
-	ctx := m.ctxs[pid]
-	ctx.reset(m.tick, m.stables[pid])
-	status := m.procs[pid].Cycle(ctx)
-	in := &m.intentsB[pid]
-	in.Reads = ctx.readAddrs() // aliases Ctx storage; valid through the tick
-	in.Writes = ctx.writeOps()
-	in.Halts = status == Halt
-	in.Snapshot = ctx.snapshots > 0
-	m.intents[pid] = in
+	s := &m.slots[pid]
+	s.ctx.reset(m.tick, s.stable)
+	status := s.proc.Cycle(&s.ctx)
+	s.intent = Intent{
+		Reads:    s.ctx.readAddrs(), // aliases Ctx storage; valid through the tick
+		Writes:   s.ctx.writeOps(),
+		Halts:    status == Halt,
+		Snapshot: s.ctx.snapshots > 0,
+	}
+	m.intents[pid] = &s.intent
 }
 
 // fail routes a terminal error through the run-level sink event exactly
@@ -647,23 +614,25 @@ func (m *Machine) emitCycleEvents() {
 	if m.sink == nil {
 		return
 	}
-	for i := range m.pending {
-		pc := &m.pending[i]
+	for _, pid := range m.ran {
+		s := &m.slots[pid]
+		writes := s.committed()
 		arrayWrites := 0
-		for _, w := range pc.writes { // exactly the committed prefix
+		for _, w := range writes {
 			if w.Addr < m.cfg.N {
 				arrayWrites++
 			}
 		}
+		completed := s.fail == NoFailure
 		m.sink.CycleDone(CycleEvent{
 			Tick:        m.tick,
-			PID:         pc.pid,
-			Fail:        pc.fail,
-			Started:     pc.started,
-			Completed:   pc.completed,
-			Writes:      len(pc.writes),
+			PID:         pid,
+			Fail:        s.fail,
+			Started:     s.fail != FailBeforeReads,
+			Completed:   completed,
+			Writes:      len(writes),
 			ArrayWrites: arrayWrites,
-			Halted:      pc.completed && pc.halts,
+			Halted:      completed && s.intent.Halts,
 		})
 	}
 }
@@ -725,41 +694,19 @@ func (m *Machine) applyRestarts(restarts []int) {
 // restart revives dead processor pid for the next tick.
 func (m *Machine) restart(pid int) {
 	m.setState(pid, Alive)
-	m.procs[pid] = m.reviveProcessor(pid)
+	m.revive(pid)
 	m.metrics.Restarts++
-}
-
-// retire drops processor pid's private state (it died or halted),
-// stashing it for recycling when it supports in-place reinitialization.
-func (m *Machine) retire(pid int) {
-	if m.resets[pid] != nil {
-		m.retired[pid] = m.procs[pid]
-	}
-	m.procs[pid] = nil
-}
-
-// reviveProcessor returns the restarted incarnation of processor pid:
-// the retired one reset in place when possible (bit-identical to a fresh
-// one by the Resettable contract — a restarted processor knows only its
-// PID and machine parameters), a fresh NewProcessor otherwise.
-func (m *Machine) reviveProcessor(pid int) Processor {
-	if cand := m.retired[pid]; cand != nil {
-		m.retired[pid] = nil
-		m.resets[pid].Reset(pid, m.cfg.N, m.cfg.P)
-		return cand
-	}
-	return m.newProcessor(pid)
 }
 
 // spareOne clears the failure of the lowest-PID targeted alive processor,
 // so that at least one update cycle completes. It adjusts only the
-// machine's failBuf resolution, never the adversary's own decision.
+// machine's resolution in the slots, never the adversary's own decision.
 func (m *Machine) spareOne() {
 	for i, w := range m.ps.alive {
 		for ; w != 0; w &= w - 1 {
 			pid := i<<6 | bits.TrailingZeros64(w)
-			if m.failBuf[pid] != NoFailure {
-				m.failBuf[pid] = NoFailure
+			if s := &m.slots[pid]; s.fail != NoFailure {
+				s.fail = NoFailure
 				return
 			}
 		}
@@ -829,8 +776,8 @@ func (m *Machine) sizeCommit(writes int) {
 // in address order; without a violation every first writer lands.
 func (m *Machine) commitWrites() error {
 	n := 0
-	for i := range m.pending {
-		n += len(m.pending[i].writes)
+	for _, pid := range m.ran {
+		n += len(m.slots[pid].committed())
 	}
 	if n == 0 {
 		return nil
@@ -849,21 +796,20 @@ func (m *Machine) commitWrites() error {
 	// writer (-1 for none) and badAt that cell; other is the write that
 	// conflicts with it, the first one seen.
 	bad, badAt, other := -1, math.MaxInt, taggedWrite{}
-	for i := range m.pending {
-		pc := &m.pending[i]
-		for _, w := range pc.writes {
+	for _, pid := range m.ran {
+		for _, w := range m.slots[pid].committed() {
 			h := int(uint64(w.Addr) * 0x9E3779B97F4A7C15 >> shift)
 			for {
 				s := &cells[h]
 				if s.gen != gen {
 					*s = cellSlot{gen: gen, idx: int32(len(wb))}
-					wb = append(wb, taggedWrite{addr: w.Addr, pid: pc.pid, val: w.Val})
+					wb = append(wb, taggedWrite{addr: w.Addr, pid: pid, val: w.Val})
 					break
 				}
 				if first := &wb[s.idx]; first.addr == w.Addr {
 					if w.Addr < badAt && w.Val != first.val {
 						bad, badAt = int(s.idx), w.Addr
-						other = taggedWrite{addr: w.Addr, pid: pc.pid, val: w.Val}
+						other = taggedWrite{addr: w.Addr, pid: pid, val: w.Val}
 					}
 					break
 				}

@@ -71,10 +71,7 @@ type BatchCycler interface {
 // coalesce across processors into a pending stripe, which is committed
 // before anything could observe memory (see FillStride).
 type BatchCtx struct {
-	m        *Machine
-	pid      int
-	fromTick int
-	window   int
+	m *Machine
 
 	stable    Word
 	newStable Word
@@ -95,19 +92,6 @@ type BatchCtx struct {
 type stripe struct {
 	stride, row, count, lo, hi int
 }
-
-// PID returns the processor's permanent identifier in [0, P).
-func (b *BatchCtx) PID() int { return b.pid }
-
-// N returns the input size.
-func (b *BatchCtx) N() int { return b.m.cfg.N }
-
-// P returns the number of processors.
-func (b *BatchCtx) P() int { return b.m.cfg.P }
-
-// FromTick returns the first tick of the current quiet window; the
-// processor's i-th cycle of this call executes at tick FromTick+i.
-func (b *BatchCtx) FromTick() int { return b.fromTick }
 
 // Stable returns the stable action counter as of the window start.
 func (b *BatchCtx) Stable() Word { return b.stable }
@@ -300,7 +284,7 @@ func (m *Machine) quietWindow(maxW int) int {
 	}
 	for i, bw := range m.ps.alive {
 		for ; bw != 0; bw &= bw - 1 {
-			if _, ok := m.procs[i<<6|bits.TrailingZeros64(bw)].(BatchCycler); !ok {
+			if _, ok := m.slots[i<<6|bits.TrailingZeros64(bw)].proc.(BatchCycler); !ok {
 				return 0
 			}
 		}
@@ -327,21 +311,19 @@ func (m *Machine) runQuietWindow(w int) (bool, error) {
 	anyAlive := false
 	b := &m.bctx
 	b.m = m
-	b.fromTick = fromTick
-	b.window = w
 	// A CycleBatch panic that a caller recovered from may have left a
 	// stripe pending on this pooled machine; it must not commit here.
 	b.stripe = stripe{}
 	for i, bw := range m.ps.alive {
 		for ; bw != 0; bw &= bw - 1 {
 			pid := i<<6 | bits.TrailingZeros64(bw)
+			s := &m.slots[pid]
 			alive++
-			b.pid = pid
-			b.stable = m.stables[pid]
+			b.stable = s.stable
 			b.newStable = 0
 			b.stableSet = false
 			b.maxReads, b.maxWrites = 0, 0
-			ran, st := m.procs[pid].(BatchCycler).CycleBatch(b, w)
+			ran, st := s.proc.(BatchCycler).CycleBatch(b, w)
 			if ran < 0 {
 				ran = 0
 			}
@@ -354,11 +336,10 @@ func (m *Machine) runQuietWindow(w int) (bool, error) {
 			}
 			m.metrics.Completed += int64(ran)
 			if b.stableSet {
-				m.stables[pid] = b.newStable
+				s.stable = b.newStable
 			}
 			if st == Halt {
 				m.setState(pid, Halted)
-				m.retire(pid)
 			} else {
 				anyAlive = true
 			}

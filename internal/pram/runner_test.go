@@ -57,8 +57,8 @@ func TestRunnerFullRunAllocationFree(t *testing.T) {
 	})
 
 	// With failures and restarts the machine must still not allocate:
-	// dying processors are stashed (retire) and restarts reset them in
-	// place (reviveProcessor). The adversary reuses its failure slice and
+	// dying processors stay in their slots and restarts reset them in
+	// place (revive). The adversary reuses its failure slice and
 	// restart slice; the machine never mutates either.
 	t.Run("fail-restart", func(t *testing.T) {
 		var r Runner

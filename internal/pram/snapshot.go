@@ -103,8 +103,11 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		Tick:      m.tick,
 		Metrics:   m.metrics,
 		States:    append([]ProcState(nil), m.ps.states...),
-		Stables:   append([]Word(nil), m.stables...),
+		Stables:   make([]Word, m.cfg.P),
 		Procs:     make([][]Word, m.cfg.P),
+	}
+	for pid := range s.Stables {
+		s.Stables[pid] = m.slots[pid].stable
 	}
 	if pl := m.mem.PackedLen(); pl > 0 {
 		// Capture the packed representation directly instead of
@@ -119,10 +122,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		if m.ps.states[pid] != Alive {
 			continue
 		}
-		ps, ok := m.procs[pid].(Snapshotter)
+		ps, ok := m.slots[pid].proc.(Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("%w: processor %d (%T) of algorithm %s",
-				ErrNotSnapshottable, pid, m.procs[pid], m.alg.Name())
+				ErrNotSnapshottable, pid, m.slots[pid].proc, m.alg.Name())
 		}
 		s.Procs[pid] = ps.SnapshotState()
 	}
@@ -141,10 +144,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 //
 // Restore order matters for components whose construction has side
 // effects (ACC's NewProcessor advances an incarnation counter and draws
-// from a stream): processors are built or reused first, then the
-// algorithm's and adversary's own state is restored, undoing any such
-// perturbation, and finally each live processor's private words are
-// reapplied.
+// from a stream): every live processor is revived first, reset in place
+// or built anew, then the algorithm's and adversary's own state is
+// restored, undoing any such perturbation, and finally each live
+// processor's private words are reapplied to its fresh incarnation.
 func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	if m.closed {
 		return errors.New("pram: RestoreSnapshot on closed machine")
@@ -161,8 +164,8 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 		return fmt.Errorf("%w: snapshot memory has %d cells, machine has %d",
 			ErrSnapshotMismatch, s.MemSize(), m.mem.Size())
 	}
-	if s.PackedLen < 0 || len(s.PackedBits) != (s.PackedLen+63)/64 {
-		return fmt.Errorf("%w: packed prefix %d cells with %d bit words",
+	if !validPackedPrefix(s.PackedLen, s.PackedBits) {
+		return fmt.Errorf("%w: packed prefix %d cells with %d bit words or a bit past its end",
 			ErrSnapshotMismatch, s.PackedLen, len(s.PackedBits))
 	}
 	if len(s.States) != m.cfg.P || len(s.Stables) != m.cfg.P || len(s.Procs) != m.cfg.P {
@@ -178,17 +181,11 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	m.mem.RestoreParts(m.packedLen(s.MemSize()), s.PackedLen, s.PackedBits, s.Mem)
 	copy(m.ps.states, s.States)
 	m.ps.rebuild()
-	copy(m.stables, s.Stables)
-	for pid := 0; pid < m.cfg.P; pid++ {
+	for pid := range m.slots {
+		m.slots[pid].stable = s.Stables[pid]
 		m.intents[pid] = nil
-		if m.ps.states[pid] != Alive {
-			if m.procs[pid] != nil {
-				m.retire(pid)
-			}
-			continue
-		}
-		if m.procs[pid] == nil {
-			m.procs[pid] = m.reviveProcessor(pid)
+		if m.ps.states[pid] == Alive {
+			m.revive(pid)
 		}
 	}
 	if as, ok := m.alg.(Snapshotter); ok {
@@ -205,10 +202,10 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 		if m.ps.states[pid] != Alive {
 			continue
 		}
-		ps, ok := m.procs[pid].(Snapshotter)
+		ps, ok := m.slots[pid].proc.(Snapshotter)
 		if !ok {
 			return fmt.Errorf("%w: processor %d (%T) of algorithm %s",
-				ErrNotSnapshottable, pid, m.procs[pid], m.alg.Name())
+				ErrNotSnapshottable, pid, m.slots[pid].proc, m.alg.Name())
 		}
 		if err := ps.RestoreState(s.Procs[pid]); err != nil {
 			return fmt.Errorf("pram: restore processor %d: %w", pid, err)
@@ -218,11 +215,21 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	m.tick = s.Tick
 	m.metrics = s.Metrics
 	m.ended = false
-	m.pending = m.pending[:0]
 	m.resetTickState()
 	m.initDoneHint()
 	m.resetRobustness()
 	return nil
+}
+
+// validPackedPrefix reports whether bits represents a packed prefix of
+// packedLen cells: one word per 64 cells and no bit set at or past
+// packedLen, which a packed memory would drop and an unpacked one keep.
+func validPackedPrefix(packedLen int, bits []uint64) bool {
+	if packedLen < 0 || len(bits) != (packedLen+63)/64 {
+		return false
+	}
+	tail := packedLen % 64
+	return tail == 0 || bits[len(bits)-1]>>tail == 0
 }
 
 // StateLenError builds the conventional length-mismatch error for

@@ -172,8 +172,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if version >= 2 {
 		s.PackedLen = int(d.i64())
 		s.PackedBits = d.u64s()
-		if d.err == nil && (s.PackedLen < 0 || len(s.PackedBits) != (s.PackedLen+63)/64) {
-			return nil, fmt.Errorf("%w: packed prefix %d cells with %d bit words",
+		if d.err == nil && !validPackedPrefix(s.PackedLen, s.PackedBits) {
+			return nil, fmt.Errorf("%w: packed prefix %d cells with %d bit words or a bit past its end",
 				ErrSnapshotCorrupt, s.PackedLen, len(s.PackedBits))
 		}
 	}

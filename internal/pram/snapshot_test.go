@@ -244,6 +244,57 @@ func TestSnapshotRestoreValidates(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesStrayPackedBits: a packed prefix whose last bit
+// word sets a bit at or past PackedLen means different memories on
+// different machines (a packed one drops the bit, an unpacked one stores
+// it in the tail), so ReadSnapshot and RestoreSnapshot refuse it. The
+// same snapshot without the stray bit is accepted.
+func TestSnapshotRefusesStrayPackedBits(t *testing.T) {
+	snap := func(bits uint64) *Snapshot {
+		return &Snapshot{
+			N: 1, P: 1, Algorithm: "stray", Adversary: "none",
+			Mem: []Word{0}, States: []ProcState{Alive}, Stables: []Word{0}, Procs: [][]Word{nil},
+			PackedLen: 1, PackedBits: []uint64{bits},
+		}
+	}
+	good, stray := snap(1), snap(3)
+
+	for _, tc := range []struct {
+		s    *Snapshot
+		want error
+	}{{good, nil}, {stray, ErrSnapshotCorrupt}} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, tc.s); err != nil {
+			t.Fatalf("WriteSnapshot: %v", err)
+		}
+		if _, err := ReadSnapshot(&buf); !errors.Is(err, tc.want) {
+			t.Errorf("ReadSnapshot(bits %#x) = %v, want %v", tc.s.PackedBits[0], err, tc.want)
+		}
+	}
+
+	alg := strayAlg{&testAlg{name: "stray", memSize: func(n, p int) int { return n + 1 }}}
+	for _, packed := range []bool{false, true} {
+		m, err := New(Config{N: 1, P: 1, Packed: packed}, alg, &funcAdversary{name: "none"})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := m.RestoreSnapshot(stray); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("packed=%v: RestoreSnapshot(stray bit) = %v, want ErrSnapshotMismatch", packed, err)
+		}
+		if err := m.RestoreSnapshot(good); err != nil {
+			t.Fatalf("packed=%v: RestoreSnapshot: %v", packed, err)
+		}
+		if c0, c1 := m.Memory().Load(0), m.Memory().Load(1); c0 != 1 || c1 != 0 {
+			t.Errorf("packed=%v: restored cells 0, 1 = %d, %d, want 1, 0", packed, c0, c1)
+		}
+	}
+}
+
+// strayAlg hints its first N cells, so a packed machine packs them.
+type strayAlg struct{ *testAlg }
+
+func (strayAlg) DoneCells(n, p int) int { return n }
+
 // TestRunnerCheckpointAndResume drives a churny run with periodic
 // checkpointing, then resumes the last checkpoint on the same (pooled)
 // runner and on a fresh machine; both must finish with the uninterrupted
