@@ -156,7 +156,7 @@ bench-check:
 	-$(MAKE) bench-compare BENCHTIME=$(BENCHTIME)
 
 # FUZZ lists every fuzz target in the tree as <name>:<package>; fuzz
-# runs each for 30s.
+# runs each for 30s and fuzz-short for 5s.
 FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
 	FuzzScheduledPatterns:./internal/writeall/ \
 	FuzzReadSnapshot:./internal/pram/ \
@@ -168,6 +168,7 @@ FUZZ = FuzzWriteAllUnderRandomPatterns:./internal/writeall/ \
 	FuzzJournalReplay:./internal/bench/ \
 	FuzzDecodeJob:./internal/jobs/ \
 	FuzzSubmitSpec:./cmd/pramd/ \
+	FuzzFabricBody:./internal/fabric/ \
 	FuzzCountingMatchesStandardSource:./internal/rng/
 
 # check-fuzz-names guards FUZZ the way check-names guards a test list: a
@@ -178,32 +179,29 @@ check-fuzz-names = for name in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]*' --include
 		case ' $(FUZZ) ' in *" $$name:"*) ;; *) echo "fuzz: $$name is missing from FUZZ"; exit 1;; esac; \
 	done
 
-fuzz:
-	@$(check-fuzz-names)
-	@for t in $(FUZZ); do \
-		echo "$(GO) test -fuzz $${t%%:*} -fuzztime 30s $${t#*:}"; \
-		$(GO) test -fuzz $${t%%:*} -fuzztime 30s $${t#*:} || exit 1; \
+# fuzz-each runs every FUZZ target for $(1), stopping at the first
+# failure.
+fuzz-each = for t in $(FUZZ); do \
+		echo "$(GO) test -fuzz $${t%%:*} -fuzztime $(1) $${t\#*:}"; \
+		$(GO) test -fuzz $${t%%:*} -fuzztime $(1) $${t\#*:} || exit 1; \
 	done
 
-# fuzz-short gives the harness-input decoders (snapshot binary format,
-# failure-pattern JSON, lab strategy JSON, fabric ledger replay, job
-# status files, pramd's submit body), the random source's differential
-# check against math/rand, the machine's differential check against the
-# reference stepper, shared memory's check against a plain []Word model
-# and the event sink's hand encoder's check against encoding/json a brief
-# randomized shake beyond their committed corpora; cheap enough to live
-# inside `make check`.
+fuzz:
+	@$(check-fuzz-names)
+	@$(call fuzz-each,30s)
+
+# fuzz-short runs every FUZZ target for 5s instead of 30s: the
+# harness-input decoders (snapshot binary format, failure-pattern JSON,
+# lab strategy JSON, fabric ledger replay, job status files, pramd's
+# submit body, the fabric's request bodies) and the differential checks
+# (the random source against math/rand, the machine against the
+# reference stepper, shared memory against a plain []Word model, the
+# event sink's hand encoder against encoding/json, Write-All under random
+# and scheduled failure patterns) get a brief randomized shake beyond
+# their committed corpora; cheap enough to live inside `make check`.
 fuzz-short:
-	$(GO) test -fuzz FuzzReadSnapshot -fuzztime 5s ./internal/pram/
-	$(GO) test -fuzz FuzzMachineVsReference -fuzztime 5s ./internal/pram/
-	$(GO) test -fuzz FuzzMemoryOps -fuzztime 5s ./internal/pram/
-	$(GO) test -fuzz FuzzJSONLMatchesEncodingJSON -fuzztime 5s ./internal/pram/
-	$(GO) test -fuzz FuzzReadPattern -fuzztime 5s ./internal/adversary/
-	$(GO) test -fuzz FuzzParseStrategy -fuzztime 5s ./internal/advlab/
-	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/bench/
-	$(GO) test -fuzz FuzzDecodeJob -fuzztime 5s ./internal/jobs/
-	$(GO) test -fuzz FuzzSubmitSpec -fuzztime 5s ./cmd/pramd/
-	$(GO) test -fuzz FuzzCountingMatchesStandardSource -fuzztime 5s ./internal/rng/
+	@$(check-fuzz-names)
+	@$(call fuzz-each,5s)
 
 # chaos runs the randomized crash/resume grid: checkpointed runs under
 # injected snapshot-I/O faults (torn writes, bit corruption, failing

@@ -101,13 +101,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeSpec reads a submitted job spec, refusing unknown fields so a
-// misspelled option fails the submit instead of running the default.
+// misspelled option fails the submit instead of running the default,
+// and anything after the spec, so a body holding two specs or a corrupt
+// tail is not taken for its first spec.
 func decodeSpec(r io.Reader) (jobs.Spec, error) {
 	var spec jobs.Spec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return jobs.Spec{}, fmt.Errorf("decode spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return jobs.Spec{}, errors.New("decode spec: data after the spec")
 	}
 	if spec.Sweep != nil && len(spec.Sweep.Run) == 0 {
 		// An empty experiment list means all of them, as an absent one

@@ -8,7 +8,8 @@ import (
 // Points evaluates fn(0..n-1) and returns the results in index order,
 // running up to s.Parallel points concurrently. Each point must be
 // independent: experiments satisfy this by constructing fresh algorithm
-// and adversary instances inside fn. Table assembly stays with the caller,
+// and adversary instances inside fn, because adversaries and ACC carry
+// run state in their values. Table assembly stays with the caller,
 // on one goroutine, so rendered output is identical at any parallelism.
 // If a point panics, Points re-panics after the remaining points drain.
 func Points[T any](s Sweep, n int, fn func(i int) T) []T {

@@ -99,7 +99,6 @@ func (e Engine) String() string {
 type Executor struct {
 	prog   Program
 	engine Engine
-	lay    layout
 }
 
 // NewExecutor returns an executor for prog using the default EngineVX.
@@ -144,6 +143,10 @@ func machineConfig(prog Program, p int, cfg pram.Config) (pram.Config, error) {
 	return cfg, nil
 }
 
+// phaseCell is the address of the phase counter Phi, fixed so that Done
+// reads it without building a layout.
+const phaseCell = 0
+
 // layout is the executor's shared-memory map.
 type layout struct {
 	n, p    int
@@ -164,7 +167,7 @@ type layout struct {
 
 func newLayout(n, p, msim int) layout {
 	l := layout{n: n, p: p}
-	l.phase = 0
+	l.phase = phaseCell
 	l.start = 1
 	l.simBase = 2
 	l.scrBase = l.simBase + msim
@@ -213,10 +216,10 @@ func (e *Executor) MemorySize(n, p int) int {
 
 // Setup implements pram.Algorithm.
 func (e *Executor) Setup(mem *pram.Memory, n, p int) {
-	e.lay = newLayout(n, p, e.prog.MemSize())
-	mem.Store(e.lay.phase, 1)
+	lay := newLayout(n, p, e.prog.MemSize())
+	mem.Store(lay.phase, 1)
 	e.prog.Init(func(addr int, v pram.Word) {
-		mem.Store(e.lay.simBase+addr, v)
+		mem.Store(lay.simBase+addr, v)
 	})
 }
 
@@ -300,7 +303,7 @@ var _ pram.Snapshotter = (*execCombinedProc)(nil)
 // Done implements pram.Algorithm: the computation is complete once the
 // phase counter passes the last COMMIT phase.
 func (e *Executor) Done(mem pram.MemoryView, n, p int) bool {
-	return mem.Load(e.lay.phase) > pram.Word(2*e.prog.Steps())
+	return mem.Load(phaseCell) > pram.Word(2*e.prog.Steps())
 }
 
 // SimMemory copies the simulated memory out of a finished machine.

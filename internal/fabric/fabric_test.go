@@ -398,7 +398,10 @@ func TestHTTPTransport(t *testing.T) {
 	if err := client.Heartbeat(r.LeaseID); err != nil {
 		t.Fatalf("heartbeat over HTTP: %v", err)
 	}
-	if err := client.Complete(r.LeaseID, r.Task.Key, json.RawMessage(`[]`)); err != nil {
+	if err := client.Complete(r.LeaseID, r.Task.Key, json.RawMessage(`[]`)); err == nil {
+		t.Fatal("complete over HTTP accepted a result with no table")
+	}
+	if err := client.Complete(r.LeaseID, r.Task.Key, json.RawMessage(`[{"ID":"E1"}]`)); err != nil {
 		t.Fatalf("complete over HTTP: %v", err)
 	}
 	// The lease is resolved, so a heartbeat now maps 410 Gone back to

@@ -9,11 +9,15 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/bench"
 )
 
 // The wire protocol: four POST verbs plus a status probe, mounted
 // under /v1/fabric/ on cmd/pramd (or any mux). Bodies are JSON both
-// ways; ErrLeaseExpired crosses the wire as 410 Gone.
+// ways; ErrLeaseExpired crosses the wire as 410 Gone. A request body is
+// one JSON object with no unknown field, and a completion's result is a
+// list of at least one table, or the request gets 400.
 
 type leaseRequest struct {
 	Worker string `json:"worker"`
@@ -84,6 +88,10 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
+		if err := checkResult(req.Result); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		if err := c.Complete(req.LeaseID, req.TaskKey, req.Result); err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
@@ -107,14 +115,38 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// decodeBody decodes a request body that holds exactly one JSON object
+// of out's shape, answering 400 to anything else: a body that does not
+// decode, an unknown field, or data after the object.
 func decodeBody(w http.ResponseWriter, r *http.Request, out any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(out); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(out)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("fabric: decode request: %w", err))
 		return false
 	}
 	return true
+}
+
+// checkResult refuses a completion whose result is not what a worker
+// sends: a JSON array of at least one bench.Table, decoded as Assemble
+// decodes it. Anything else would commit, and be cached in the ledger,
+// as an experiment with no tables.
+func checkResult(raw json.RawMessage) error {
+	var tables []bench.Table
+	if err := json.Unmarshal(raw, &tables); err != nil {
+		return fmt.Errorf("fabric: result is not a table list: %w", err)
+	}
+	if len(tables) == 0 {
+		return errors.New("fabric: result holds no table")
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

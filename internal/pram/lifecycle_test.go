@@ -1,6 +1,7 @@
 package pram
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 )
@@ -206,6 +207,53 @@ func TestProcessorLifecycle(t *testing.T) {
 			got, err := m.Run()
 			if err != nil {
 				t.Fatalf("resumed Run: %v", err)
+			}
+			if got != want {
+				t.Errorf("resettable=%v: resumed run ends with %+v, want %+v", resettable, got, want)
+			}
+		}
+	})
+
+	// Runner.Resume restores into a machine that has run no tick since
+	// Reset, which already holds a fresh incarnation for every PID, so
+	// each live processor is built once: no second NewProcessor call for
+	// one that is not Resettable, and no Reset for one that is.
+	t.Run("resume", func(t *testing.T) {
+		for _, resettable := range []bool{true, false} {
+			m, err := New(cfg, &countAlg{resettable: resettable}, churn())
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			for m.Tick() < 5 {
+				if _, err := m.Step(); err != nil {
+					t.Fatalf("Step: %v", err)
+				}
+			}
+			snap, err := m.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			for pid, st := range snap.States {
+				if st != Alive {
+					t.Fatalf("snapshot at tick 5 has pid %d %v, want every PID alive", pid, st)
+				}
+			}
+			want, err := m.Run()
+			if err != nil {
+				t.Fatalf("uninterrupted Run: %v", err)
+			}
+
+			a := &countAlg{resettable: resettable}
+			var r Runner
+			got, err := r.Resume(cfg, a, churn(), snap)
+			r.Close()
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			check(t, fmt.Sprintf("resume, resettable=%v", resettable), a, lifeP, 0)
+			if a.stale != 0 {
+				t.Errorf("resettable=%v: RestoreState met %d processors that had run since they were built or reset",
+					resettable, a.stale)
 			}
 			if got != want {
 				t.Errorf("resettable=%v: resumed run ends with %+v, want %+v", resettable, got, want)

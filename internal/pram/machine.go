@@ -92,6 +92,11 @@ type Machine struct {
 	tick    int
 	metrics Metrics
 	ended   bool
+	// fresh is set while every slot still holds the incarnation Reset
+	// built for it: Reset sets it, and the first tick and
+	// RestoreSnapshot clear it. A restore into a fresh machine keeps
+	// those incarnations instead of building each live one again.
+	fresh bool
 
 	// per-tick scratch, reused across ticks: intents is the adversary's
 	// View.Intents, a live PID's entry pointing at its slot's intent, and
@@ -253,6 +258,7 @@ func (m *Machine) Reset(cfg Config, alg Algorithm, adv Adversary) error {
 	}
 	m.tick = 0
 	m.ended = false
+	m.fresh = true
 	m.metrics = Metrics{N: cfg.N, P: p}
 	m.resetTickState()
 	m.initDoneHint()
@@ -407,6 +413,7 @@ func (m *Machine) Run() (Metrics, error) {
 // algorithm's Done predicate holds (checked before executing a tick, so a
 // completed task does no further work).
 func (m *Machine) Step() (bool, error) {
+	m.fresh = false
 	if m.isDone() {
 		m.emitRunDone(nil)
 		return true, nil

@@ -305,6 +305,7 @@ func (m *Machine) quietWindow(maxW int) int {
 // the clock stops at the last halting cycle's tick, exactly as a Step
 // loop would leave it.
 func (m *Machine) runQuietWindow(w int) (bool, error) {
+	m.fresh = false
 	before := m.metrics
 	fromTick := m.tick
 	alive, maxRan := 0, 0

@@ -371,7 +371,7 @@ func (l *eventLog) RunDone(ev pram.RunEvent) {
 
 // refAlgorithms and refAdversaries name the differential grid's
 // components; each constructor returns a fresh instance, because
-// algorithms and adversaries carry run state.
+// adversaries and ACC carry run state.
 var refAlgorithms = []struct {
 	name string
 	new  func(seed int64) pram.Algorithm

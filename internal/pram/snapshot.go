@@ -14,9 +14,11 @@ import (
 //     processors return nil. Dead and halted processors need no state:
 //     a restarted processor is by definition indistinguishable from a
 //     fresh NewProcessor result.
-//   - Algorithms: an Algorithm whose value carries run state (done
-//     cursors, incarnation counters, random seeds already consumed)
-//     implements it so that a restored run continues that state.
+//   - Algorithms: an Algorithm whose value carries run state
+//     implements it so that a restored run continues that state. In
+//     tree only ACC does, for the incarnation counter its random stream
+//     seeds derive from; an algorithm without it restores ignoring
+//     Snapshot.AlgState.
 //   - Adversaries: an Adversary with cross-tick state (random streams,
 //     event budgets, traversal positions) implements it; adversaries
 //     without it are treated as stateless and captured as empty.
@@ -147,7 +149,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // from a stream): every live processor is revived first, reset in place
 // or built anew, then the algorithm's and adversary's own state is
 // restored, undoing any such perturbation, and finally each live
-// processor's private words are reapplied to its fresh incarnation.
+// processor's private words are reapplied to its fresh incarnation. A
+// machine that has run no tick since Reset already holds a fresh
+// incarnation for every PID, so a restore into it (Runner.Resume) keeps
+// them and builds each live processor once.
 func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	if m.closed {
 		return errors.New("pram: RestoreSnapshot on closed machine")
@@ -184,10 +189,11 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	for pid := range m.slots {
 		m.slots[pid].stable = s.Stables[pid]
 		m.intents[pid] = nil
-		if m.ps.states[pid] == Alive {
+		if m.ps.states[pid] == Alive && !m.fresh {
 			m.revive(pid)
 		}
 	}
+	m.fresh = false
 	if as, ok := m.alg.(Snapshotter); ok {
 		if err := as.RestoreState(s.AlgState); err != nil {
 			return fmt.Errorf("pram: restore algorithm %s: %w", m.alg.Name(), err)

@@ -51,7 +51,6 @@ func (a *ACC) MemorySize(n, p int) int {
 
 // Setup implements pram.Algorithm.
 func (a *ACC) Setup(mem *pram.Memory, n, p int) {
-	a.reset()
 	a.Layout(n, p).SetupTree(mem.Store)
 }
 
@@ -73,27 +72,23 @@ func (a *ACC) NewProcessor(pid, n, p int) pram.Processor {
 	return &accProc{pid: pid, lay: lay, src: src, rng: r, delay: delay, pos: 1}
 }
 
-// Done implements pram.Algorithm.
-func (a *ACC) Done(mem pram.MemoryView, n, p int) bool { return a.done(mem, n) }
-
-// SnapshotState implements pram.Snapshotter, shadowing the embedded
-// arrayDone's: ACC additionally carries the incarnation counter its
-// per-restart stream seeds derive from.
-func (a *ACC) SnapshotState() []pram.Word {
-	return []pram.Word{pram.Word(a.cursor), pram.Word(a.spawned)}
-}
+// SnapshotState implements pram.Snapshotter: the incarnation counter
+// the per-restart stream seeds derive from is ACC's only run state.
+func (a *ACC) SnapshotState() []pram.Word { return []pram.Word{pram.Word(a.spawned)} }
 
 // RestoreState implements pram.Snapshotter. It runs after the machine
 // has (re)built the live processors, undoing the spawned increments
 // their construction performed, so post-restore restarts continue the
-// snapshotted run's seed sequence exactly.
+// snapshotted run's seed sequence exactly. It also accepts the
+// two-word [done cursor, spawned] state that checkpoints written
+// before ACC dropped its done cursor carry.
 func (a *ACC) RestoreState(state []pram.Word) error {
-	if len(state) != 2 {
-		return pram.StateLenError("writeall: ACC", len(state), 2)
+	switch len(state) {
+	case 1, 2:
+		a.spawned = int64(state[len(state)-1])
+		return nil
 	}
-	a.cursor = int(state[0])
-	a.spawned = int64(state[1])
-	return nil
+	return pram.StateLenError("writeall: ACC", len(state), 1)
 }
 
 var _ pram.Algorithm = (*ACC)(nil)

@@ -39,7 +39,6 @@ func (c *Combined) MemorySize(n, p int) int {
 
 // Setup implements pram.Algorithm.
 func (c *Combined) Setup(mem *pram.Memory, n, p int) {
-	c.reset()
 	c.XLayout(n, p).SetupTree(mem.Store)
 	c.VLayout(n, p).SetupTree(mem.Store)
 }
@@ -51,9 +50,6 @@ func (c *Combined) NewProcessor(pid, n, p int) pram.Processor {
 		x: &xProc{pid: pid, lay: c.XLayout(n, p)},
 	}
 }
-
-// Done implements pram.Algorithm.
-func (c *Combined) Done(mem pram.MemoryView, n, p int) bool { return c.done(mem, n) }
 
 var _ pram.Algorithm = (*Combined)(nil)
 

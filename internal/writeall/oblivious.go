@@ -26,15 +26,12 @@ func (o *Oblivious) Name() string { return "oblivious" }
 func (o *Oblivious) MemorySize(n, p int) int { return n }
 
 // Setup implements pram.Algorithm.
-func (o *Oblivious) Setup(mem *pram.Memory, n, p int) { o.reset() }
+func (o *Oblivious) Setup(mem *pram.Memory, n, p int) {}
 
 // NewProcessor implements pram.Algorithm.
 func (o *Oblivious) NewProcessor(pid, n, p int) pram.Processor {
 	return &obliviousProc{pid: pid, n: n, p: p}
 }
-
-// Done implements pram.Algorithm.
-func (o *Oblivious) Done(mem pram.MemoryView, n, p int) bool { return o.done(mem, n) }
 
 var _ pram.Algorithm = (*Oblivious)(nil)
 

@@ -25,15 +25,12 @@ func (r *Replicated) Name() string { return "replicated" }
 func (r *Replicated) MemorySize(n, p int) int { return n }
 
 // Setup implements pram.Algorithm.
-func (r *Replicated) Setup(mem *pram.Memory, n, p int) { r.reset() }
+func (r *Replicated) Setup(mem *pram.Memory, n, p int) {}
 
 // NewProcessor implements pram.Algorithm.
 func (r *Replicated) NewProcessor(pid, n, p int) pram.Processor {
 	return &replicatedProc{pid: pid, n: n}
 }
-
-// Done implements pram.Algorithm.
-func (r *Replicated) Done(mem pram.MemoryView, n, p int) bool { return r.done(mem, n) }
 
 var _ pram.Algorithm = (*Replicated)(nil)
 

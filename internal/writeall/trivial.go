@@ -22,15 +22,12 @@ func (t *Trivial) Name() string { return "trivial" }
 func (t *Trivial) MemorySize(n, p int) int { return n }
 
 // Setup implements pram.Algorithm.
-func (t *Trivial) Setup(mem *pram.Memory, n, p int) { t.reset() }
+func (t *Trivial) Setup(mem *pram.Memory, n, p int) {}
 
 // NewProcessor implements pram.Algorithm.
 func (t *Trivial) NewProcessor(pid, n, p int) pram.Processor {
 	return &trivialProc{pid: pid, n: n, p: p}
 }
-
-// Done implements pram.Algorithm.
-func (t *Trivial) Done(mem pram.MemoryView, n, p int) bool { return t.done(mem, n) }
 
 type trivialProc struct {
 	pid, n, p int
@@ -111,15 +108,12 @@ func (s *Sequential) Name() string { return "sequential" }
 func (s *Sequential) MemorySize(n, p int) int { return n }
 
 // Setup implements pram.Algorithm.
-func (s *Sequential) Setup(mem *pram.Memory, n, p int) { s.reset() }
+func (s *Sequential) Setup(mem *pram.Memory, n, p int) {}
 
 // NewProcessor implements pram.Algorithm.
 func (s *Sequential) NewProcessor(pid, n, p int) pram.Processor {
 	return &sequentialProc{pid: pid, n: n}
 }
-
-// Done implements pram.Algorithm.
-func (s *Sequential) Done(mem pram.MemoryView, n, p int) bool { return s.done(mem, n) }
 
 type sequentialProc struct {
 	pid, n int

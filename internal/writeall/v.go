@@ -45,7 +45,6 @@ func (v *V) MemorySize(n, p int) int {
 
 // Setup implements pram.Algorithm.
 func (v *V) Setup(mem *pram.Memory, n, p int) {
-	v.reset()
 	v.Layout(n, p).SetupTree(mem.Store)
 }
 
@@ -53,9 +52,6 @@ func (v *V) Setup(mem *pram.Memory, n, p int) {
 func (v *V) NewProcessor(pid, n, p int) pram.Processor {
 	return newVProc(pid, v.Layout(n, p), 0, 1)
 }
-
-// Done implements pram.Algorithm.
-func (v *V) Done(mem pram.MemoryView, n, p int) bool { return v.done(mem, n) }
 
 var _ pram.Algorithm = (*V)(nil)
 

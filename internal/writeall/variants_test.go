@@ -104,23 +104,35 @@ func TestObliviousBalancedAssignmentNoCollisions(t *testing.T) {
 	}
 }
 
+// TestCombinedWorkAtMostTwiceBestComponentPlusSlack asserts Theorem 4.9
+// as an inequality: interleaving V and X costs at most twice the better
+// component plus N, S_C <= 2*min(S_V, S_X) + N. The grid spans N = 64 to
+// 1024, P in {N/16, N/4, N}, and the adversaries that fail the same
+// processors whatever the algorithm's cycles: none, halving and
+// thrashing. Measured over this grid, max (S_C - 2*best)/N is 0: without
+// failures S_C is exactly 2*best at P = N. The random adversary is left
+// out because the theorem compares one failure pattern across the three
+// algorithms, and a random adversary draws a different pattern for each
+// (S_C/best reached 3.61 at N = 256, P = 64).
 func TestCombinedWorkAtMostTwiceBestComponentPlusSlack(t *testing.T) {
-	const n = 256
-	for _, mkAdv := range []func() pram.Adversary{
+	advs := []func() pram.Adversary{
 		func() pram.Adversary { return adversary.None{} },
 		func() pram.Adversary { return adversary.NewHalving() },
-	} {
-		sx := run(t, pram.Config{N: n, P: n}, writeall.NewX(), mkAdv()).S()
-		sv := run(t, pram.Config{N: n, P: n}, writeall.NewV(), mkAdv()).S()
-		sc := run(t, pram.Config{N: n, P: n}, writeall.NewCombined(), mkAdv()).S()
-		best := sx
-		if sv < best {
-			best = sv
-		}
-		// Theorem 4.9: interleaving costs at most a factor ~2 over the
-		// faster component (plus lower-order slack).
-		if sc > 3*best {
-			t.Errorf("combined S = %d > 3x best component %d under %s", sc, best, mkAdv().Name())
+		func() pram.Adversary { return &adversary.Thrashing{} },
+	}
+	for n := 64; n <= 1024; n *= 2 {
+		for _, p := range []int{n / 16, n / 4, n} {
+			for _, mkAdv := range advs {
+				cfg := pram.Config{N: n, P: p}
+				sx := run(t, cfg, writeall.NewX(), mkAdv()).S()
+				sv := run(t, cfg, writeall.NewV(), mkAdv()).S()
+				sc := run(t, cfg, writeall.NewCombined(), mkAdv()).S()
+				best := min(sx, sv)
+				if sc > 2*best+int64(n) {
+					t.Errorf("N=%d P=%d %s: combined S = %d > 2*%d + N (S_X = %d, S_V = %d)",
+						n, p, mkAdv().Name(), sc, best, sx, sv)
+				}
+			}
 		}
 	}
 }

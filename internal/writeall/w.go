@@ -84,7 +84,6 @@ func (w *W) MemorySize(n, p int) int { return w.Layout(n, p).TotalSize() }
 
 // Setup implements pram.Algorithm.
 func (w *W) Setup(mem *pram.Memory, n, p int) {
-	w.reset()
 	w.Layout(n, p).SetupTree(mem.Store)
 }
 
@@ -92,9 +91,6 @@ func (w *W) Setup(mem *pram.Memory, n, p int) {
 func (w *W) NewProcessor(pid, n, p int) pram.Processor {
 	return &wProc{pid: pid, lay: w.Layout(n, p)}
 }
-
-// Done implements pram.Algorithm.
-func (w *W) Done(mem pram.MemoryView, n, p int) bool { return w.done(mem, n) }
 
 var _ pram.Algorithm = (*W)(nil)
 

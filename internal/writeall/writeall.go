@@ -42,41 +42,29 @@ func Log2(n int) int {
 	return l
 }
 
-// arrayDone is a Done predicate for the Write-All array, with a monotone
-// cursor so that repeated polling costs amortized O(N) per run (cells only
-// ever go from 0 to 1).
-type arrayDone struct {
-	cursor int
-}
+// arrayDone supplies the two completion methods every Write-All
+// algorithm shares. It holds no run state: the task is complete exactly
+// when cells [0, N) are all non-zero, a predicate of shared memory alone.
+type arrayDone struct{}
 
-func (a *arrayDone) reset() { a.cursor = 0 }
-
-func (a *arrayDone) done(mem pram.MemoryView, n int) bool {
-	for a.cursor < n && mem.Load(a.cursor) != 0 {
-		a.cursor++
+// Done implements pram.Algorithm by scanning cells [0, N). The machine
+// never polls it for an embedding algorithm (it keeps the DoneCells
+// counter instead), so the scan is the plain oracle the reference
+// stepper and the done-hint tests hold that counter to.
+func (arrayDone) Done(mem pram.MemoryView, n, p int) bool {
+	for i := 0; i < n; i++ {
+		if mem.Load(i) == 0 {
+			return false
+		}
 	}
-	return a.cursor >= n
+	return true
 }
 
 // DoneCells implements pram.ArrayDoneHinter for every embedding
 // algorithm: the Write-All task is complete exactly when cells [0, N)
 // are all non-zero, so the machine can maintain an O(1) remaining-unset
 // counter instead of polling done every tick.
-func (a *arrayDone) DoneCells(n, p int) int { return n }
-
-// SnapshotState implements pram.Snapshotter for every embedding
-// algorithm: the cursor is the only run state an arrayDone algorithm
-// carries. Algorithms with more state (ACC) shadow both methods.
-func (a *arrayDone) SnapshotState() []pram.Word { return []pram.Word{pram.Word(a.cursor)} }
-
-// RestoreState implements pram.Snapshotter.
-func (a *arrayDone) RestoreState(state []pram.Word) error {
-	if len(state) != 1 {
-		return pram.StateLenError("writeall: done cursor", len(state), 1)
-	}
-	a.cursor = int(state[0])
-	return nil
-}
+func (arrayDone) DoneCells(n, p int) int { return n }
 
 // b2w encodes a bool state flag as a snapshot word.
 func b2w(b bool) pram.Word {
@@ -88,11 +76,4 @@ func b2w(b bool) pram.Word {
 
 // Verify reports whether the Write-All postcondition holds: every cell of
 // x[0..n) is non-zero.
-func Verify(mem *pram.Memory, n int) bool {
-	for i := 0; i < n; i++ {
-		if mem.Load(i) == 0 {
-			return false
-		}
-	}
-	return true
-}
+func Verify(mem *pram.Memory, n int) bool { return arrayDone{}.Done(mem.View(), n, 0) }

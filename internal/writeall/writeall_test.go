@@ -27,7 +27,8 @@ func run(t *testing.T, cfg pram.Config, alg pram.Algorithm, adv pram.Adversary) 
 }
 
 // algorithms returns fresh instances of every restart-tolerant Write-All
-// algorithm (one value per run: Done cursors are per-run state).
+// algorithm (one value per run: ACC's incarnation counter is per-run
+// state).
 func algorithms() []pram.Algorithm {
 	return []pram.Algorithm{
 		writeall.NewX(),

@@ -62,7 +62,6 @@ func (x *X) MemorySize(n, p int) int {
 
 // Setup implements pram.Algorithm.
 func (x *X) Setup(mem *pram.Memory, n, p int) {
-	x.reset()
 	l := x.Layout(n, p)
 	if x.opts.CountProgress {
 		l.SetupTreeCounts(mem.Store)
@@ -75,9 +74,6 @@ func (x *X) Setup(mem *pram.Memory, n, p int) {
 func (x *X) NewProcessor(pid, n, p int) pram.Processor {
 	return &xProc{pid: pid, lay: x.Layout(n, p), opts: x.opts}
 }
-
-// Done implements pram.Algorithm.
-func (x *X) Done(mem pram.MemoryView, n, p int) bool { return x.done(mem, n) }
 
 var _ pram.Algorithm = (*X)(nil)
 

@@ -28,7 +28,7 @@ func (x *XInPlace) Name() string { return "X-inplace" }
 func (x *XInPlace) MemorySize(n, p int) int { return n + p }
 
 // Setup implements pram.Algorithm.
-func (x *XInPlace) Setup(mem *pram.Memory, n, p int) { x.reset() }
+func (x *XInPlace) Setup(mem *pram.Memory, n, p int) {}
 
 // NewProcessor implements pram.Algorithm.
 func (x *XInPlace) NewProcessor(pid, n, p int) pram.Processor {
@@ -39,9 +39,6 @@ func (x *XInPlace) NewProcessor(pid, n, p int) pram.Processor {
 	}
 	return &xInPlaceProc{pid: pid, n: n, p: p, t: t, leaves: leaves}
 }
-
-// Done implements pram.Algorithm.
-func (x *XInPlace) Done(mem pram.MemoryView, n, p int) bool { return x.done(mem, n) }
 
 var _ pram.Algorithm = (*XInPlace)(nil)
 
